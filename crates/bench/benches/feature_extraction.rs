@@ -35,30 +35,11 @@ fn bench_extraction_sizes(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_extraction_paths(c: &mut Criterion) {
-    // Streaming vs multi-pass head-to-head on the VGA workload, with
-    // reused scratch so the line-buffer reuse of the streaming path is
-    // visible (extract() above allocates fresh scratch per call).
-    let mut group = c.benchmark_group("feature_extraction");
-    let img = test_image(640, 480);
-    let extractor = OrbExtractor::new(OrbConfig::default());
-    let mut stream_scratch = OrbScratch::default();
-    group.bench_with_input(BenchmarkId::new("stream", "640x480"), &img, |b, img| {
-        b.iter(|| black_box(extractor.extract_stream_with(img, &mut stream_scratch)))
-    });
-    let mut passes_scratch = OrbScratch::default();
-    group.bench_with_input(BenchmarkId::new("passes", "640x480"), &img, |b, img| {
-        b.iter(|| black_box(extractor.extract_passes_with(img, &mut passes_scratch)))
-    });
-    group.finish();
-}
-
 fn bench_extraction_bands(c: &mut Criterion) {
-    // The PR 10 band-parallel axis on the VGA streaming workload. The
-    // bands=1 entry is the single-band regression guard (CI gates it at
-    // ≤1.05× of feature_extraction/stream above); bands=2/4 show the
-    // split cost on one core and the realized overlap when the pool has
-    // threads to dispatch onto.
+    // The band-parallel axis on the VGA workload, with reused scratch so
+    // the line-buffer reuse is visible (extract() above allocates fresh
+    // scratch per call): bands=2/4 show the split cost on one core and
+    // the realized overlap when the pool has threads to dispatch onto.
     let mut group = c.benchmark_group("feature_extraction/bands");
     let img = test_image(640, 480);
     for bands in [1usize, 2, 4] {
@@ -68,7 +49,7 @@ fn bench_extraction_bands(c: &mut Criterion) {
         });
         let mut scratch = OrbScratch::default();
         group.bench_with_input(BenchmarkId::from_parameter(bands), &img, |b, img| {
-            b.iter(|| black_box(extractor.extract_stream_with(img, &mut scratch)))
+            b.iter(|| black_box(extractor.extract_with(img, &mut scratch)))
         });
     }
     group.finish();
@@ -97,7 +78,6 @@ fn bench_extraction_pyramid_depth(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_extraction_sizes,
-    bench_extraction_paths,
     bench_extraction_bands,
     bench_extraction_pyramid_depth
 );

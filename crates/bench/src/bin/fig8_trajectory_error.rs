@@ -14,6 +14,7 @@ use eslam_features::orb::DescriptorKind;
 fn run(spec: &SequenceSpec, descriptor: DescriptorKind, image_scale: f64) -> Option<f64> {
     let seq = spec.build();
     let mut config = SlamConfig::scaled_for_tests(1.0 / image_scale);
+    config.camera = spec.camera;
     config.orb.descriptor = descriptor;
     let mut slam = Slam::builder().config(config).build();
     for frame in seq.frames() {

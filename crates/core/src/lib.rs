@@ -54,6 +54,10 @@
 //!   keyframe-backend execution mode over the configured
 //!   [`config::BackendConfig::mode`] ([`config::BACKEND_ENV`]). CI
 //!   runs the suite under both `sync` and `async`;
+//! * `ESLAM_BANDS` (`auto`/a positive integer) — forces the per-level
+//!   row-band count of the streaming extractor over the configured
+//!   `eslam_features::OrbConfig::bands` (`eslam_features::stream::BANDS_ENV`).
+//!   Output is bit-identical for every count (`tests/stream_equivalence.rs`);
 //! * `ESLAM_TELEMETRY` (`auto`/`off`/`counters`/`full`) — forces the
 //!   telemetry recording mode over the configured
 //!   [`config::SlamConfig::telemetry`] ([`config::TELEMETRY_ENV`]).

@@ -1,6 +1,6 @@
 //! One typed surface over every `ESLAM_*` environment override.
 //!
-//! The system honours seven process-wide toggles, each read **once**
+//! The system honours six process-wide toggles, each read **once**
 //! (cached behind a `OnceLock` at its point of use) so a run cannot
 //! change behaviour mid-flight:
 //!
@@ -9,12 +9,11 @@
 //! | `ESLAM_MATCH_KERNEL` | `auto`, `scalar`, `popcnt`, `avx2`, `avx512` | the Hamming-matcher SIMD rung |
 //! | `ESLAM_PREFETCH` | `auto`, `on`/`1`/`true`, `off`/`0`/`false` | frame-source double-buffered prefetch |
 //! | `ESLAM_BACKEND` | `auto`, `off`, `sync`, `async` | keyframe-backend execution mode |
-//! | `ESLAM_EXTRACT` | `auto`, `stream`, `passes` | the ORB extraction path (fused streaming vs multi-pass) |
-//! | `ESLAM_BANDS` | `auto`, a positive integer | the per-level row-band count for band-parallel streaming |
+//! | `ESLAM_BANDS` | `auto`, a positive integer | the per-level row-band count of the streaming extractor |
 //! | `ESLAM_TELEMETRY` | `auto`, `off`, `counters`, `full` | the telemetry recording mode |
 //! | `ESLAM_ATLAS` | a filesystem path | the atlas file sessions load at start |
 //!
-//! All seven share one parse contract (implemented in
+//! All six share one parse contract (implemented in
 //! `eslam_features::envopt`): unset, empty and `auto` mean "no
 //! override"; keyword values are trimmed and case-insensitive
 //! (`ESLAM_ATLAS` is trimmed only — paths are case-sensitive); and an
@@ -31,7 +30,6 @@ use std::path::PathBuf;
 use eslam_backend::BackendMode;
 use eslam_features::envopt;
 use eslam_features::matcher::MatchKernel;
-use eslam_features::ExtractMode;
 use eslam_telemetry::TelemetryMode;
 
 /// Environment variable naming an atlas file for sessions to load.
@@ -48,8 +46,6 @@ pub use eslam_backend::BACKEND_ENV;
 pub use eslam_features::matcher::MATCH_KERNEL_ENV;
 /// Re-export of the row-band-count variable name.
 pub use eslam_features::stream::BANDS_ENV;
-/// Re-export of the extraction-path variable name.
-pub use eslam_features::stream::EXTRACT_ENV;
 
 /// The full set of environment overrides, parsed and validated.
 /// `None` everywhere means "defer to configuration/detection".
@@ -61,8 +57,6 @@ pub struct Overrides {
     pub prefetch: Option<bool>,
     /// Forced backend execution mode, from `ESLAM_BACKEND`.
     pub backend: Option<BackendMode>,
-    /// Forced ORB extraction path, from `ESLAM_EXTRACT`.
-    pub extract: Option<ExtractMode>,
     /// Forced per-level row-band count, from `ESLAM_BANDS`.
     pub bands: Option<usize>,
     /// Forced telemetry recording mode, from `ESLAM_TELEMETRY`.
@@ -102,7 +96,6 @@ impl Overrides {
                     _ => None,
                 },
             ),
-            extract: envopt::forced(EXTRACT_ENV, "auto, stream or passes", ExtractMode::parse),
             bands: envopt::forced(BANDS_ENV, "auto or a positive band count", |value| {
                 value.parse::<usize>().ok().filter(|n| *n >= 1)
             }),
@@ -130,9 +123,6 @@ impl Overrides {
             Some(BackendMode::Sync) => "sync",
             Some(BackendMode::Async) => "async",
         };
-        let extract = self
-            .extract
-            .map_or_else(|| "auto".to_string(), |m| m.to_string());
         let bands = self
             .bands
             .map_or_else(|| "auto".to_string(), |n| n.to_string());
@@ -143,8 +133,8 @@ impl Overrides {
             .map_or_else(|| "unset".to_string(), |p| p.display().to_string());
         format!(
             "{MATCH_KERNEL_ENV}={kernel} {PREFETCH_ENV}={prefetch} \
-             {BACKEND_ENV}={backend} {EXTRACT_ENV}={extract} \
-             {BANDS_ENV}={bands} {TELEMETRY_ENV}={telemetry} {ATLAS_ENV}={atlas}"
+             {BACKEND_ENV}={backend} {BANDS_ENV}={bands} \
+             {TELEMETRY_ENV}={telemetry} {ATLAS_ENV}={atlas}"
         )
     }
 }
@@ -166,7 +156,7 @@ mod tests {
         assert_eq!(
             overrides.report(),
             "ESLAM_MATCH_KERNEL=auto ESLAM_PREFETCH=auto ESLAM_BACKEND=auto \
-             ESLAM_EXTRACT=auto ESLAM_BANDS=auto ESLAM_TELEMETRY=auto ESLAM_ATLAS=unset"
+             ESLAM_BANDS=auto ESLAM_TELEMETRY=auto ESLAM_ATLAS=unset"
         );
     }
 
@@ -176,7 +166,6 @@ mod tests {
             match_kernel: Some(MatchKernel::Scalar),
             prefetch: Some(false),
             backend: Some(BackendMode::Async),
-            extract: Some(ExtractMode::Stream),
             bands: Some(3),
             telemetry: Some(TelemetryMode::Full),
             atlas: Some(PathBuf::from("/maps/office.atlas")),
@@ -184,8 +173,7 @@ mod tests {
         assert_eq!(
             overrides.report(),
             "ESLAM_MATCH_KERNEL=scalar ESLAM_PREFETCH=off ESLAM_BACKEND=async \
-             ESLAM_EXTRACT=stream ESLAM_BANDS=3 ESLAM_TELEMETRY=full \
-             ESLAM_ATLAS=/maps/office.atlas"
+             ESLAM_BANDS=3 ESLAM_TELEMETRY=full ESLAM_ATLAS=/maps/office.atlas"
         );
     }
 
@@ -213,7 +201,6 @@ mod tests {
             MATCH_KERNEL_ENV,
             PREFETCH_ENV,
             BACKEND_ENV,
-            EXTRACT_ENV,
             BANDS_ENV,
             TELEMETRY_ENV,
             ATLAS_ENV,
@@ -232,9 +219,8 @@ mod tests {
             (MATCH_KERNEL_ENV, "scalar"),
             (PREFETCH_ENV, "off"),
             (BACKEND_ENV, "sync"),
-            (EXTRACT_ENV, " Stream "), // trimmed + case-insensitive
             (BANDS_ENV, "4"),
-            (TELEMETRY_ENV, "counters"),
+            (TELEMETRY_ENV, " Counters "), // trimmed + case-insensitive
             (ATLAS_ENV, "/maps/office.atlas"),
         ]);
         assert!(out.status.success(), "probe failed: {out:?}");
@@ -242,8 +228,7 @@ mod tests {
         assert!(
             stdout.contains(
                 "PROBE ESLAM_MATCH_KERNEL=scalar ESLAM_PREFETCH=off ESLAM_BACKEND=sync \
-                 ESLAM_EXTRACT=stream ESLAM_BANDS=4 ESLAM_TELEMETRY=counters \
-                 ESLAM_ATLAS=/maps/office.atlas"
+                 ESLAM_BANDS=4 ESLAM_TELEMETRY=counters ESLAM_ATLAS=/maps/office.atlas"
             ),
             "unexpected probe output: {stdout}"
         );
@@ -257,7 +242,6 @@ mod tests {
             (MATCH_KERNEL_ENV, "axv2"),
             (PREFETCH_ENV, "offf"),
             (BACKEND_ENV, "asink"),
-            (EXTRACT_ENV, "streem"),
             (BANDS_ENV, "two"),
             (BANDS_ENV, "0"), // zero bands is a typo, not a request
             (TELEMETRY_ENV, "fulll"),

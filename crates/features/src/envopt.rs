@@ -1,9 +1,10 @@
 //! Shared parsing for the `ESLAM_*` environment-override family.
 //!
 //! Every process-wide override (`ESLAM_MATCH_KERNEL`, `ESLAM_PREFETCH`,
-//! `ESLAM_BACKEND`, `ESLAM_EXTRACT`, `ESLAM_ATLAS`) follows one
-//! contract: unset, empty
-//! and `auto` mean "no override — use the configured/detected value";
+//! `ESLAM_BACKEND`, `ESLAM_BANDS`, `ESLAM_TELEMETRY`, and the path
+//! `ESLAM_ATLAS`, read by [`raw_value`]) follows one contract: unset,
+//! empty and `auto` mean "no override — use the configured/detected
+//! value" (paths have no `auto` keyword);
 //! any other value must parse, and a typo panics loudly (so a CI-matrix
 //! typo fails the job instead of silently testing the auto-detected
 //! path). This module is that contract in one place; each subsystem

@@ -17,10 +17,11 @@
 //!   Matcher, §3.2);
 //! * [`orb`] — the complete extractor with the paper's Original vs
 //!   Rescheduled workflow schedules (§3.1);
-//! * [`stream`] — the fused single-pass streaming front-end: one
-//!   row-band scan per pyramid level through ring line buffers, the
-//!   software mirror of the accelerator's dataflow (selected via
-//!   `ESLAM_EXTRACT` / [`ExtractMode`]).
+//! * [`stream`] — the fused single-pass streaming front-end: row bands
+//!   of every pyramid level scanned through ring line buffers, the
+//!   software mirror of the accelerator's dataflow and the extractor's
+//!   only production path (its oracle is the scalar
+//!   [`OrbExtractor::extract_reference`]).
 //!
 //! # Examples
 //!
@@ -65,7 +66,7 @@ pub use descriptor::{Descriptor, DESCRIPTOR_BITS};
 pub use matcher::{DescriptorMatch, MatchKernel};
 pub use orb::{Keypoint, OrbConfig, OrbExtractor, OrbFeatures};
 pub use pool::WorkerPool;
-pub use stream::{BandMode, ExtractMode};
+pub use stream::BandMode;
 
 #[cfg(test)]
 mod proptests {

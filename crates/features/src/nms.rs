@@ -72,123 +72,12 @@ pub fn suppress(points: &[ScoredPoint]) -> Vec<ScoredPoint> {
     kept
 }
 
-/// Caller-owned scratch for [`suppress_sorted_into`]: the per-row index
-/// `(y, start, end)` over the sorted candidate array.
-#[derive(Debug, Clone, Default)]
-pub struct NmsScratch {
-    rows: Vec<(u32, u32, u32)>,
-}
-
-/// Non-maximum suppression over candidates already in raster order with
-/// unique coordinates (exactly what the FAST scanner emits), into a
-/// caller-owned buffer. Replaces the hash-map neighbourhood lookup of
-/// [`suppress`] with a per-row index and binary searches; output is
-/// identical to [`suppress`] on such inputs.
-///
-/// # Panics
-/// Debug builds assert the raster-order precondition.
-pub fn suppress_sorted_into(
-    points: &[ScoredPoint],
-    out: &mut Vec<ScoredPoint>,
-    scratch: &mut NmsScratch,
-) {
-    debug_assert!(
-        points
-            .windows(2)
-            .all(|p| (p[0].y, p[0].x) < (p[1].y, p[1].x)),
-        "input must be raster-ordered with unique coordinates"
-    );
-    out.clear();
-    let rows = &mut scratch.rows;
-    rows.clear();
-    let mut i = 0usize;
-    while i < points.len() {
-        let y = points[i].y;
-        let start = i;
-        while i < points.len() && points[i].y == y {
-            i += 1;
-        }
-        rows.push((y, start as u32, i as u32));
-    }
-
-    for r in 0..rows.len() {
-        let (y, start, end) = rows[r];
-        'candidate: for idx in start as usize..end as usize {
-            let p = points[idx];
-            // The up-to-three neighbouring rows in the row index.
-            let neighbour_rows = [
-                (r > 0 && rows[r - 1].0 + 1 == y).then(|| rows[r - 1]),
-                Some(rows[r]),
-                (r + 1 < rows.len() && rows[r + 1].0 == y + 1).then(|| rows[r + 1]),
-            ];
-            for row in neighbour_rows.into_iter().flatten() {
-                let slice = &points[row.1 as usize..row.2 as usize];
-                let lo = p.x.saturating_sub(1);
-                let from = slice.partition_point(|q| q.x < lo);
-                for q in &slice[from..] {
-                    if q.x > p.x + 1 {
-                        break;
-                    }
-                    if q.x == p.x && q.y == p.y {
-                        continue;
-                    }
-                    if q.score > p.score || (q.score == p.score && (q.y, q.x) < (p.y, p.x)) {
-                        continue 'candidate;
-                    }
-                }
-            }
-            out.push(p);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn pt(x: u32, y: u32, score: f64) -> ScoredPoint {
         ScoredPoint { x, y, score }
-    }
-
-    /// Pseudo-random raster-ordered candidate sets for equivalence tests.
-    fn random_sorted_points(seed: u64, n: usize) -> Vec<ScoredPoint> {
-        let mut set = std::collections::BTreeSet::new();
-        let mut h = seed.wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(1);
-        let mut next = move || {
-            h ^= h << 13;
-            h ^= h >> 7;
-            h ^= h << 17;
-            h
-        };
-        while set.len() < n {
-            let x = (next() % 40) as u32;
-            let y = (next() % 30) as u32;
-            set.insert((y, x));
-        }
-        set.into_iter()
-            .map(|(y, x)| pt(x, y, ((next() % 8) as f64) / 2.0))
-            .collect()
-    }
-
-    #[test]
-    fn sorted_fast_path_matches_reference() {
-        let mut scratch = NmsScratch::default();
-        let mut out = Vec::new();
-        for seed in 0..20u64 {
-            for n in [1usize, 5, 40, 200] {
-                let pts = random_sorted_points(seed * 31 + n as u64, n);
-                suppress_sorted_into(&pts, &mut out, &mut scratch);
-                assert_eq!(out, suppress(&pts), "seed {seed} n {n}");
-            }
-        }
-    }
-
-    #[test]
-    fn sorted_fast_path_empty_input() {
-        let mut scratch = NmsScratch::default();
-        let mut out = vec![pt(0, 0, 1.0)];
-        suppress_sorted_into(&[], &mut out, &mut scratch);
-        assert!(out.is_empty());
     }
 
     #[test]

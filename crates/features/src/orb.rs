@@ -24,13 +24,13 @@ use crate::brief::{
     PatternOffsets, RsBrief,
 };
 use crate::descriptor::Descriptor;
-use crate::fast::{self, FastDetection};
+use crate::fast;
 use crate::harris::harris_score;
 use crate::heap::{BestHeap, DEFAULT_HEAP_CAPACITY};
-use crate::nms::{suppress, suppress_sorted_into, NmsScratch, ScoredPoint};
+use crate::nms::{suppress, ScoredPoint};
 use crate::orientation::{angle_to_label, label_to_angle, patch_moments, Moments, OrientationLut};
 use crate::pool::WorkerPool;
-use crate::stream::{self, BandMode, BandScratch, ExtractMode, StreamScratch};
+use crate::stream::{self, BandMode, BandScratch};
 use eslam_image::filter::{gaussian_blur_7x7_fixed_into, gaussian_blur_7x7_fixed_reference};
 use eslam_image::pyramid::{ImagePyramid, PyramidConfig, PyramidScratch};
 use eslam_image::GrayImage;
@@ -78,16 +78,11 @@ pub struct OrbConfig {
     pub workflow: Workflow,
     /// Seed for the descriptor pattern generation.
     pub pattern_seed: u64,
-    /// Extraction path: the fused streaming pass, the legacy multi-pass
-    /// pipeline, or automatic selection (overridable per process via
-    /// `ESLAM_EXTRACT`).
-    pub extract: ExtractMode,
-    /// Row-band count of the band-parallel streaming pass: each level
-    /// splits into this many independently streamed horizontal bands
-    /// (clamped per level to the usable interior rows), scheduled
-    /// depth-first across levels on the worker pool. `Auto` matches the
-    /// pool's thread count; overridable per process via `ESLAM_BANDS`.
-    /// Ignored by the multi-pass pipeline.
+    /// Row-band count of the streaming pass: each level splits into
+    /// this many independently streamed horizontal bands (clamped per
+    /// level to the usable interior rows), scheduled depth-first across
+    /// levels on the worker pool. `Auto` matches the pool's thread
+    /// count; overridable per process via `ESLAM_BANDS`.
     pub bands: BandMode,
 }
 
@@ -100,7 +95,6 @@ impl Default for OrbConfig {
             descriptor: DescriptorKind::RsBrief,
             workflow: Workflow::Rescheduled,
             pattern_seed: 0xe51a,
-            extract: ExtractMode::Auto,
             bands: BandMode::Auto,
         }
     }
@@ -176,40 +170,25 @@ enum Engine {
     Direct(OriginalBrief),
 }
 
-/// Per-pyramid-level scratch of the frame loop: detection, scoring, NMS,
-/// smoothing and descriptor buffers, all reused across frames.
+/// Per-pyramid-level scratch of the frame loop, reused across frames.
 #[derive(Debug, Default)]
-pub(crate) struct LevelScratch {
-    pub(crate) detections: Vec<FastDetection>,
-    scored: Vec<ScoredPoint>,
-    surviving: Vec<ScoredPoint>,
-    candidates: Vec<ScoredPoint>,
-    nms: NmsScratch,
+struct LevelScratch {
+    /// RS-BRIEF sampling table compiled for this level's stride.
+    offsets: Option<PatternOffsets>,
+    /// Per-band rings, results and counters of the streaming pass.
+    bands: Vec<BandScratch>,
+    /// The smoothed level [`Workflow::Original`] describes its kept
+    /// features from (untouched under [`Workflow::Rescheduled`]).
     smoothed: GrayImage,
     blur_scratch: Vec<u16>,
-    /// RS-BRIEF sampling table compiled for this level's stride.
-    pub(crate) offsets: Option<PatternOffsets>,
-    /// Oriented + described candidates ([`Workflow::Rescheduled`]).
-    pub(crate) results: Vec<(Keypoint, Descriptor)>,
-    /// Oriented candidates ([`Workflow::Original`]).
-    pub(crate) keypoints: Vec<Keypoint>,
-    /// Line-buffer rings of the fused streaming pass.
-    pub(crate) stream: StreamScratch,
-    /// Per-band rings, results and counters of the band-parallel
-    /// streaming pass (empty until a band-split frame runs).
-    pub(crate) bands: Vec<BandScratch>,
-    /// Raw FAST detections this level produced (both paths set it; the
-    /// streaming pass reuses `detections` as a one-row band buffer, so
-    /// its length alone cannot feed the stats merge).
-    pub(crate) fast_count: usize,
-    /// Candidates surviving NMS + the edge margin (the paper's M).
-    pub(crate) cand_count: usize,
 }
 
 /// Caller-owned scratch for [`OrbExtractor::extract_with`]: holds the
-/// pyramid, smoothed levels and every intermediate buffer, so
-/// steady-state frame extraction performs **zero heap allocations**
-/// (after the first frame of a given geometry).
+/// pyramid, every band's line buffers and result lists, and the
+/// smoothed levels of [`Workflow::Original`], so steady-state frames
+/// reuse them instead of reallocating (after the first frame of a
+/// given geometry). Each frame still allocates its band schedule, the
+/// boxed band tasks, the heap and the returned vectors.
 ///
 /// The scratch may also own a persistent [`WorkerPool`]
 /// ([`OrbScratch::with_threads`] / [`OrbScratch::with_pool`]); without
@@ -259,23 +238,17 @@ impl OrbScratch {
     }
 
     /// Bytes currently held by the streaming pass's line buffers across
-    /// all pyramid levels — including every band's own rings under the
-    /// band-parallel schedule, whose full-width halo duplication is
-    /// exactly what the bound must charge for. Diagnostic for the
-    /// `O(width · bands)` working-memory claim: for a fixed width and
-    /// band count this is constant in image height (whereas the pass
-    /// pipeline's smoothed frame + `u16` scratch scale with
-    /// `width × height`).
+    /// all pyramid levels — every band's own rings, whose full-width
+    /// halo duplication is exactly what the bound must charge for.
+    /// Diagnostic for the `O(width · bands)` working-memory claim: for a
+    /// fixed width and band count this is constant in image height
+    /// (whereas a full smoothed frame + `u16` blur scratch, which only
+    /// [`Workflow::Original`] keeps, scale with `width × height`).
     pub fn stream_working_bytes(&self) -> usize {
         self.levels
             .iter()
-            .map(|ls| {
-                ls.stream.working_bytes()
-                    + ls.bands
-                        .iter()
-                        .map(BandScratch::working_bytes)
-                        .sum::<usize>()
-            })
+            .flat_map(|ls| &ls.bands)
+            .map(BandScratch::working_bytes)
             .sum()
     }
 }
@@ -340,58 +313,24 @@ impl OrbExtractor {
     ///
     /// Convenience wrapper over [`OrbExtractor::extract_with`] with
     /// throwaway scratch; frame loops should hold an [`OrbScratch`] and
-    /// call `extract_with` to avoid per-frame allocations.
+    /// call `extract_with` to reuse its buffers across frames.
     pub fn extract(&self, image: &GrayImage) -> OrbFeatures {
         self.extract_with(image, &mut OrbScratch::default())
     }
 
     /// Extracts features using caller-owned scratch buffers.
     ///
-    /// Extraction is processed **in parallel** on the worker pool: the
-    /// streaming path splits every pyramid level into horizontal row
-    /// bands on one depth-first schedule across levels (band count from
-    /// [`OrbConfig::bands`] / `ESLAM_BANDS`; one band per pool thread
-    /// under `Auto`), while the multi-pass path runs one task per
-    /// level. Either way results merge in deterministic (level, band)
-    /// order, so the result — keypoints, descriptors, and
-    /// [`ExtractionStats`] — is identical to the sequential scalar
-    /// reference ([`OrbExtractor::extract_reference`]) regardless of
-    /// thread or band count.
-    ///
-    /// The per-level stage runs either the fused single-pass streaming
-    /// front-end ([`crate::stream`]) or the legacy multi-pass pipeline,
-    /// selected by [`OrbConfig::extract`] / `ESLAM_EXTRACT`; both
-    /// produce bit-identical features and stats.
+    /// Every pyramid level splits into horizontal row bands
+    /// ([`stream::band_partition`]; band count from
+    /// [`OrbConfig::bands`] / `ESLAM_BANDS`, one band per pool thread
+    /// under `Auto`), and all (level, band) tasks of the frame stream
+    /// through the fused single-pass front-end ([`crate::stream`]) on
+    /// one depth-first schedule across the worker pool. Results merge
+    /// in deterministic (level, band) order, so the result — keypoints,
+    /// descriptors, and [`ExtractionStats`] — is identical to the
+    /// sequential scalar reference ([`OrbExtractor::extract_reference`])
+    /// regardless of thread or band count.
     pub fn extract_with(&self, image: &GrayImage, scratch: &mut OrbScratch) -> OrbFeatures {
-        let use_stream = stream::stream_active(self.config.extract, self.config.workflow);
-        self.extract_impl(image, scratch, use_stream)
-    }
-
-    /// Extraction pinned to the fused streaming front-end (falling back
-    /// to the pass pipeline under [`Workflow::Original`], whose
-    /// post-filter descriptor stage needs the full smoothed frame).
-    /// Benchmarks and the equivalence tier call this to compare the two
-    /// paths regardless of environment overrides.
-    pub fn extract_stream_with(&self, image: &GrayImage, scratch: &mut OrbScratch) -> OrbFeatures {
-        self.extract_impl(
-            image,
-            scratch,
-            self.config.workflow == Workflow::Rescheduled,
-        )
-    }
-
-    /// Extraction pinned to the legacy multi-pass pipeline (the oracle
-    /// path the streaming front-end is verified against).
-    pub fn extract_passes_with(&self, image: &GrayImage, scratch: &mut OrbScratch) -> OrbFeatures {
-        self.extract_impl(image, scratch, false)
-    }
-
-    fn extract_impl(
-        &self,
-        image: &GrayImage,
-        scratch: &mut OrbScratch,
-        use_stream: bool,
-    ) -> OrbFeatures {
         let OrbScratch {
             pyramid,
             pyramid_scratch,
@@ -399,7 +338,7 @@ impl OrbExtractor {
             pool,
             telemetry,
         } = scratch;
-        // `Option<&Telemetry>` is `Copy`, so the level tasks can capture
+        // `Option<&Telemetry>` is `Copy`, so the band tasks can capture
         // it by value; `timing` is `None` unless full mode is active, so
         // counters/off modes read no clocks here at all.
         let telemetry = telemetry.as_deref();
@@ -409,57 +348,33 @@ impl OrbExtractor {
             let _span = Telemetry::span_opt(timing, Stage::PyramidBuild);
             pyramid.build_into(image, &self.config.pyramid, pyramid_scratch);
         }
-        let nlevels = pyramid.levels();
-        levels.truncate(nlevels);
-        while levels.len() < nlevels {
-            levels.push(LevelScratch::default());
-        }
+        levels.resize_with(pyramid.levels(), LevelScratch::default);
 
-        // Stage 1, per level (independent): detect → score → NMS →
-        // margin filter → smooth → orient (→ describe). Parallel levels
-        // run on the persistent pool — no per-frame thread spawns.
+        // Stage 1: every (level, band) task runs on one depth-first
+        // schedule, so small upper levels fill in around the heavy
+        // level-0 bands instead of waiting behind a per-level barrier.
+        // Each band writes into its own `BandScratch` slot; the merge
+        // below reads the slots back in (level, band) order, which makes
+        // the result independent of the execution order.
         let pool = pool.as_ref().unwrap_or_else(|| WorkerPool::global());
-        let bands_requested = if use_stream {
-            stream::resolve_bands(self.config.bands, pool.threads())
-        } else {
-            1
-        };
-        let banded = use_stream && bands_requested > 1;
-        let parallel = nlevels > 1 && pool.threads() > 1;
-        if banded {
-            // Band-parallel streaming: every level splits into row
-            // bands ([`stream::band_partition`]) and all (level, band)
-            // tasks run on one depth-first schedule, so small upper
-            // levels fill in around the heavy level-0 bands instead of
-            // waiting behind a per-level barrier. Each band writes into
-            // its own `BandScratch` slot; the merge below reads the
-            // slots back in (level, band) order, which makes the result
-            // independent of the execution order and bit-identical to
-            // the single-band stream.
+        let bands = stream::resolve_bands(self.config.bands, pool.threads());
+        {
             let dims: Vec<(u32, u32)> = pyramid
                 .iter()
                 .map(|(_, img)| (img.width(), img.height()))
                 .collect();
-            let schedule = stream::depth_first_schedule(&dims, bands_requested);
-            let mut slots: Vec<Vec<BandTaskSlot<'_>>> = Vec::with_capacity(nlevels);
+            let schedule = stream::depth_first_schedule(&dims, bands);
+            let mut slots: Vec<Vec<BandTaskSlot<'_>>> = Vec::with_capacity(levels.len());
             for ((level, img), ls) in pyramid.iter().zip(levels.iter_mut()) {
                 let scale = self.config.pyramid.scale_of(level);
                 // The offset table is compiled once up front and shared
                 // read-only across the level's bands.
                 self.prepare_offsets(img.width(), ls);
-                ls.results.clear();
-                ls.keypoints.clear();
-                ls.fast_count = 0;
-                ls.cand_count = 0;
-                let parts = stream::band_partition(img.height(), bands_requested);
-                ls.bands.truncate(parts.len());
-                while ls.bands.len() < parts.len() {
-                    ls.bands.push(BandScratch::default());
-                }
-                let LevelScratch { offsets, bands, .. } = ls;
-                let offsets = offsets.as_ref();
+                let parts = stream::band_partition(img.height(), bands);
+                ls.bands.resize_with(parts.len(), BandScratch::default);
+                let offsets = ls.offsets.as_ref();
                 let mut level_tasks = Vec::with_capacity(parts.len());
-                for (bs, rows) in bands.iter_mut().zip(parts) {
+                for (bs, rows) in ls.bands.iter_mut().zip(parts) {
                     let enqueued = timing.map(|_| Instant::now());
                     level_tasks.push(Some(Box::new(move || {
                         if let (Some(t), Some(start)) = (timing, enqueued) {
@@ -482,80 +397,31 @@ impl OrbExtractor {
                 .collect();
             let _span = Telemetry::span_opt(timing, Stage::PoolDispatch);
             pool.scope_run(tasks);
-        } else if parallel {
-            let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = pyramid
-                .iter()
-                .zip(levels.iter_mut())
-                .map(|((level, img), ls)| {
-                    let scale = self.config.pyramid.scale_of(level);
-                    let enqueued = timing.map(|_| Instant::now());
-                    Box::new(move || {
-                        if let (Some(t), Some(start)) = (timing, enqueued) {
-                            t.record_since(Stage::PoolQueueWait, start);
-                        }
-                        let _span = Telemetry::span_opt(timing, Stage::ExtractLevel);
-                        if use_stream {
-                            stream::process_level_stream(self, img, level, scale, ls);
-                        } else {
-                            self.process_level(img, level, scale, ls);
-                        }
-                    }) as Box<dyn FnOnce() + Send + '_>
-                })
-                .collect();
-            let _span = Telemetry::span_opt(timing, Stage::PoolDispatch);
-            pool.scope_run(tasks);
-        } else {
-            for ((level, img), ls) in pyramid.iter().zip(levels.iter_mut()) {
-                let scale = self.config.pyramid.scale_of(level);
-                let _span = Telemetry::span_opt(timing, Stage::ExtractLevel);
-                if use_stream {
-                    stream::process_level_stream(self, img, level, scale, ls);
-                } else {
-                    self.process_level(img, level, scale, ls);
-                }
-            }
         }
 
-        // Stage 2: deterministic merge in level order — the heap sees
-        // candidates in exactly the sequential order, so tie-breaking by
-        // arrival matches the reference bit-for-bit. Under the band
-        // split, bands partition a level's finalize rows in raster
-        // order, so reading band slots in band order *is* the level's
-        // sequential emission order (stats sum per owning band for the
-        // same reason).
+        // Stage 2: deterministic merge in (level, band) order. Bands
+        // partition a level's finalize rows in raster order, so reading
+        // them in band order *is* the level's sequential emission order:
+        // the heap sees candidates exactly as the reference does, and
+        // tie-breaking by arrival matches it bit-for-bit (stats sum per
+        // owning band for the same reason).
         let mut stats = ExtractionStats {
             pixels_processed: pyramid.total_pixels(),
             ..Default::default()
         };
-        for ls in levels.iter() {
-            if banded {
-                for bs in &ls.bands {
-                    stats.fast_detections += bs.fast_count;
-                    stats.candidates += bs.cand_count;
-                }
-            } else {
-                stats.fast_detections += ls.fast_count;
-                stats.candidates += ls.cand_count;
-            }
+        for bs in levels.iter().flat_map(|ls| &ls.bands) {
+            stats.fast_detections += bs.fast_count;
+            stats.candidates += bs.cand_count;
         }
 
         let (keypoints, descriptors) = match self.config.workflow {
             Workflow::Rescheduled => {
                 let mut heap: BestHeap<(Keypoint, Descriptor)> =
                     BestHeap::new(self.config.max_features);
-                for ls in levels.iter() {
-                    if banded {
-                        for bs in &ls.bands {
-                            for &(kp, desc) in &bs.results {
-                                stats.descriptors_computed += 1;
-                                heap.push(kp.score, (kp, desc));
-                            }
-                        }
-                    } else {
-                        for &(kp, desc) in &ls.results {
-                            stats.descriptors_computed += 1;
-                            heap.push(kp.score, (kp, desc));
-                        }
+                for bs in levels.iter().flat_map(|ls| &ls.bands) {
+                    for &(kp, desc) in &bs.results {
+                        stats.descriptors_computed += 1;
+                        heap.push(kp.score, (kp, desc));
                     }
                 }
                 let mut kps = Vec::with_capacity(heap.len());
@@ -568,10 +434,15 @@ impl OrbExtractor {
             }
             Workflow::Original => {
                 let mut heap: BestHeap<Keypoint> = BestHeap::new(self.config.max_features);
-                for ls in levels.iter() {
-                    for &kp in &ls.keypoints {
+                for bs in levels.iter().flat_map(|ls| &ls.bands) {
+                    for &kp in &bs.keypoints {
                         heap.push(kp.score, kp);
                     }
+                }
+                // The band rings are gone by now: the N survivors are
+                // described off full smoothed levels.
+                for ((_, img), ls) in pyramid.iter().zip(levels.iter_mut()) {
+                    gaussian_blur_7x7_fixed_into(img, &mut ls.smoothed, &mut ls.blur_scratch);
                 }
                 let mut kps = Vec::with_capacity(heap.len());
                 let mut descs = Vec::with_capacity(heap.len());
@@ -591,57 +462,6 @@ impl OrbExtractor {
             keypoints,
             descriptors,
             stats,
-        }
-    }
-
-    /// The per-level pipeline stage; independent across levels.
-    pub(crate) fn process_level(
-        &self,
-        img: &GrayImage,
-        level: usize,
-        scale: f64,
-        ls: &mut LevelScratch,
-    ) {
-        fast::detect_into(img, self.config.fast_threshold, &mut ls.detections);
-        ls.fast_count = ls.detections.len();
-        ls.scored.clear();
-        for d in &ls.detections {
-            ls.scored.push(ScoredPoint {
-                x: d.x,
-                y: d.y,
-                score: harris_score(img, d.x, d.y),
-            });
-        }
-        suppress_sorted_into(&ls.scored, &mut ls.surviving, &mut ls.nms);
-        ls.candidates.clear();
-        ls.candidates.extend(ls.surviving.iter().filter(|p| {
-            p.x >= EDGE_MARGIN
-                && p.y >= EDGE_MARGIN
-                && p.x + EDGE_MARGIN < img.width()
-                && p.y + EDGE_MARGIN < img.height()
-        }));
-        ls.cand_count = ls.candidates.len();
-        gaussian_blur_7x7_fixed_into(img, &mut ls.smoothed, &mut ls.blur_scratch);
-        self.prepare_offsets(img.width(), ls);
-
-        ls.results.clear();
-        ls.keypoints.clear();
-        match self.config.workflow {
-            Workflow::Rescheduled => {
-                for i in 0..ls.candidates.len() {
-                    let c = ls.candidates[i];
-                    let kp = self.orient(&ls.smoothed, &c, level, scale);
-                    let desc = self.describe_level(&ls.smoothed, &kp, ls.offsets.as_ref());
-                    ls.results.push((kp, desc));
-                }
-            }
-            Workflow::Original => {
-                for i in 0..ls.candidates.len() {
-                    let c = ls.candidates[i];
-                    ls.keypoints
-                        .push(self.orient(&ls.smoothed, &c, level, scale));
-                }
-            }
         }
     }
 
@@ -743,7 +563,7 @@ impl OrbExtractor {
     /// when the geometry or the pattern changed since the last frame —
     /// the fingerprint guards scratch buffers shared across extractors
     /// with different engines or pattern seeds).
-    pub(crate) fn prepare_offsets(&self, width: u32, ls: &mut LevelScratch) {
+    fn prepare_offsets(&self, width: u32, ls: &mut LevelScratch) {
         if let Engine::Rs(rs) = &self.engine {
             let fp = pattern_fingerprint(rs.pattern());
             if ls
@@ -1024,9 +844,10 @@ mod tests {
 
     #[test]
     fn optimized_extractor_matches_scalar_reference() {
-        // The headline equivalence: bitmask FAST + row-sliced kernels +
-        // offset-table descriptors + parallel levels vs the sequential
-        // per-pixel reference, bit for bit — features AND stats.
+        // The headline equivalence: bitmask FAST + the banded streaming
+        // pass + offset-table descriptors + the parallel band schedule vs
+        // the sequential per-pixel reference, bit for bit — features AND
+        // stats.
         for seed in 0..3u64 {
             let img = test_image(200, 150, seed);
             for kind in [
@@ -1063,7 +884,10 @@ mod tests {
             descriptor: DescriptorKind::OriginalLut,
             ..Default::default()
         });
-        assert_eq!(lut.extract_with(&img, &mut scratch), lut.extract(&img));
+        assert_eq!(
+            lut.extract_with(&img, &mut scratch),
+            lut.extract_reference(&img)
+        );
 
         let rs_other = OrbExtractor::new(OrbConfig {
             pattern_seed: 0x1234,
@@ -1071,7 +895,16 @@ mod tests {
         });
         assert_eq!(
             rs_other.extract_with(&img, &mut scratch),
-            rs_other.extract(&img)
+            rs_other.extract_reference(&img)
+        );
+
+        let original = OrbExtractor::new(OrbConfig {
+            workflow: Workflow::Original,
+            ..Default::default()
+        });
+        assert_eq!(
+            original.extract_with(&img, &mut scratch),
+            original.extract_reference(&img)
         );
     }
 
@@ -1082,11 +915,14 @@ mod tests {
         for seed in 0..4u64 {
             let img = test_image(160, 120, seed);
             let with_scratch = e.extract_with(&img, &mut scratch);
-            assert_eq!(with_scratch, e.extract(&img), "frame {seed}");
+            assert_eq!(with_scratch, e.extract_reference(&img), "frame {seed}");
         }
         // Geometry changes mid-stream must also be handled.
         let small = test_image(96, 80, 9);
-        assert_eq!(e.extract_with(&small, &mut scratch), e.extract(&small));
+        assert_eq!(
+            e.extract_with(&small, &mut scratch),
+            e.extract_reference(&small)
+        );
     }
 
     #[test]

@@ -6,9 +6,9 @@
 //! sampler all tap the stream at fixed latencies. This module is the
 //! software mirror of that dataflow — one pass over each level, tiling
 //! the image through L1/L2 once, with a small ring of line buffers
-//! carrying the halo rows between stages. The legacy pass pipeline
-//! (`OrbExtractor::process_level`) stays as the bit-exact oracle,
-//! exactly like the PR 1 `*_reference` pattern.
+//! carrying the halo rows between stages. It is the extractor's only
+//! production path; the sequential scalar
+//! [`OrbExtractor::extract_reference`] is its bit-exact oracle.
 //!
 //! # Per-stage latency offsets
 //!
@@ -47,20 +47,25 @@
 //! Blur work is *lazy*: smoothed rows are produced only when a surviving
 //! candidate needs them, skipping ahead over candidate-free spans. Peak
 //! extraction working memory is `O(width)` — independent of image
-//! height (`64·w` ring bytes + `2·8·w` h-row bytes per level), where the
-//! pass pipeline holds a full smoothed frame plus a `u16` scratch
+//! height (`64·w` ring bytes + `2·8·w` h-row bytes per level), where a
+//! full-frame blur holds a smoothed frame plus a `u16` scratch
 //! (`3·w·h` bytes).
 //!
 //! # Bit-identity
 //!
-//! Every stage reuses the exact kernels of the pass pipeline (shared
-//! band producers for blur, the same FAST decision, the same Harris
-//! arithmetic, the local NMS rule of [`crate::nms::suppress`], the same
-//! interior moments/descriptor paths), candidates are emitted in the
-//! same raster order per level, and the merge is unchanged — so
-//! keypoints, responses, angles, descriptors *and stats* are
-//! bit-identical to the pass pipeline. `tests/stream_equivalence.rs`
+//! Every stage computes exactly what the scalar reference computes
+//! (the band producers of the full-frame blur, the same FAST decision,
+//! the same Harris arithmetic, the local NMS rule of
+//! [`crate::nms::suppress`], the same interior moments/descriptor
+//! paths), candidates are emitted in the reference's raster order per
+//! level, and the heap sees them in the same order — so keypoints,
+//! responses, angles, descriptors *and stats* are bit-identical to
+//! [`OrbExtractor::extract_reference`]. `tests/stream_equivalence.rs`
 //! proves it across the paper sequences.
+//!
+//! Under [`Workflow::Original`] the bands detect and orient only; the
+//! extractor describes the N features its heap keeps afterwards, off
+//! full smoothed levels, so exactly N descriptors are computed.
 //!
 //! # Band parallelism
 //!
@@ -77,7 +82,8 @@
 //! tasks of a frame run on one depth-first schedule
 //! ([`depth_first_schedule`]) across the worker pool: heavy level-0
 //! bands dispatch first and the small upper-level bands fill the tail,
-//! replacing the old one-task-per-level barrier. Band count comes from
+//! with no per-level barrier. One band per level is one task per level,
+//! and a 1-thread pool runs the tasks inline. Band count comes from
 //! [`BandMode`] in [`OrbConfig`](crate::orb::OrbConfig) (`Auto` = pool
 //! threads), overridable per process via [`BANDS_ENV`].
 
@@ -87,16 +93,12 @@ use crate::envopt;
 use crate::fast::{self, FastDetection};
 use crate::harris;
 use crate::nms::ScoredPoint;
-use crate::orb::{Keypoint, LevelScratch, OrbExtractor, Workflow, EDGE_MARGIN};
+use crate::orb::{Keypoint, OrbExtractor, Workflow, EDGE_MARGIN};
 use crate::orientation::patch_moments_ring;
 use eslam_image::filter::{blur_hrow_7x7_into, blur_vrow_7x7_into};
 use eslam_image::GrayImage;
 use std::ops::Range;
 use std::sync::OnceLock;
-
-/// Environment override selecting the extraction path; values `stream`,
-/// `passes`, or `auto` (see [`ExtractMode`] and `eslam_core::overrides`).
-pub const EXTRACT_ENV: &str = "ESLAM_EXTRACT";
 
 /// Environment override forcing the per-level row-band count of the
 /// band-parallel streaming pass; `auto` (or unset/empty) defers to
@@ -136,84 +138,6 @@ pub const STREAM_LATENCY_ROWS: u32 = {
         fast_chain
     }
 };
-
-/// Extraction-path selector carried in
-/// [`OrbConfig`](crate::orb::OrbConfig) and overridable per process via
-/// [`EXTRACT_ENV`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExtractMode {
-    /// Pick automatically: the streaming pass wherever the workflow
-    /// supports it (everything but [`Workflow::Original`], whose
-    /// post-filter descriptor stage needs the full smoothed frame).
-    #[default]
-    Auto,
-    /// Force the fused streaming pass (falls back to the pass pipeline,
-    /// with a one-time warning, where the workflow cannot stream).
-    Stream,
-    /// Force the legacy multi-pass pipeline (the oracle path).
-    Passes,
-}
-
-impl ExtractMode {
-    /// Parses a lowercased override value; `None` for anything outside
-    /// `auto` / `stream` / `passes`.
-    pub fn parse(value: &str) -> Option<ExtractMode> {
-        match value {
-            "auto" => Some(ExtractMode::Auto),
-            "stream" => Some(ExtractMode::Stream),
-            "passes" => Some(ExtractMode::Passes),
-            _ => None,
-        }
-    }
-}
-
-impl std::fmt::Display for ExtractMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            ExtractMode::Auto => "auto",
-            ExtractMode::Stream => "stream",
-            ExtractMode::Passes => "passes",
-        })
-    }
-}
-
-/// The process-wide forced mode, read once. Typos hard-error via
-/// [`envopt::forced`]; `auto` (or unset/empty) forces nothing.
-pub(crate) fn forced_mode() -> Option<ExtractMode> {
-    static FORCED: OnceLock<Option<ExtractMode>> = OnceLock::new();
-    *FORCED.get_or_init(|| {
-        envopt::forced(EXTRACT_ENV, "stream, passes, or auto", |v| match v {
-            "stream" => Some(ExtractMode::Stream),
-            "passes" => Some(ExtractMode::Passes),
-            _ => None,
-        })
-    })
-}
-
-/// Resolves whether extraction takes the streaming path: the forced env
-/// mode wins over the configured mode; `Auto` streams exactly where the
-/// workflow supports it. Forcing `stream` onto [`Workflow::Original`]
-/// warns once (through the telemetry event ring) and keeps the pass
-/// pipeline, mirroring the matcher's unsupported-kernel fallback.
-pub(crate) fn stream_active(config_mode: ExtractMode, workflow: Workflow) -> bool {
-    let mode = forced_mode().unwrap_or(config_mode);
-    match (mode, workflow) {
-        (ExtractMode::Passes, _) => false,
-        (_, Workflow::Rescheduled) => true,
-        (ExtractMode::Stream, Workflow::Original) => {
-            static WARNED: OnceLock<()> = OnceLock::new();
-            WARNED.get_or_init(|| {
-                eslam_telemetry::events::warn(
-                    "ESLAM_EXTRACT=stream requested but the Original workflow's \
-                     post-filter descriptor stage needs the full smoothed frame; \
-                     using the pass pipeline",
-                );
-            });
-            false
-        }
-        (ExtractMode::Auto, Workflow::Original) => false,
-    }
-}
 
 /// Row-band count selector for the band-parallel streaming pass,
 /// carried in [`OrbConfig`](crate::orb::OrbConfig) and overridable per
@@ -357,41 +281,29 @@ pub fn depth_first_schedule(dims: &[(u32, u32)], requested: usize) -> Vec<BandTa
     tasks
 }
 
-/// Ring buffers of the streaming pass, held per level inside
-/// [`OrbScratch`](crate::orb::OrbScratch) and reused across frames.
-#[derive(Debug, Default)]
-pub(crate) struct StreamScratch {
-    /// Mirrored smoothed ring: `2 · SMOOTH_RING_ROWS` physical rows.
-    pub(crate) ring: GrayImage,
-    /// Horizontal blur sums: `HROW_RING_ROWS` rows of `u16`.
-    pub(crate) hrows: Vec<u16>,
-    /// Scored detections of the three NMS window rows, indexed `y % 3`.
-    pub(crate) rows: [Vec<ScoredPoint>; 3],
-}
-
-impl StreamScratch {
-    /// Bytes currently held by the line buffers (diagnostic; constant in
-    /// image height for a fixed width).
-    pub(crate) fn working_bytes(&self) -> usize {
-        self.ring.as_raw().len() + 2 * self.hrows.len()
-    }
-}
-
-/// Per-band state of the band-parallel streaming pass: each band owns
-/// its own line-buffer rings, detection buffer, result list and
-/// counters, so bands of one level stream concurrently with no shared
-/// mutable state. Held per level inside
-/// [`OrbScratch`](crate::orb::OrbScratch) and reused across frames.
+/// Per-band state of the streaming pass: each band owns its own
+/// line-buffer rings, detection buffer, result lists and counters, so
+/// bands of one level stream concurrently with no shared mutable state.
+/// Held per level inside [`OrbScratch`](crate::orb::OrbScratch) and
+/// reused across frames. The rings span the full level width — the
+/// per-band halo duplication the working-memory accounting must
+/// include.
 #[derive(Debug, Default)]
 pub(crate) struct BandScratch {
     /// One-row FAST detection buffer.
-    pub(crate) detections: Vec<FastDetection>,
-    /// The band's own ring buffers (full level width — the per-band
-    /// halo duplication the working-memory accounting must include).
-    pub(crate) stream: StreamScratch,
+    detections: Vec<FastDetection>,
+    /// Mirrored smoothed ring: `2 · SMOOTH_RING_ROWS` physical rows.
+    ring: GrayImage,
+    /// Horizontal blur sums: `HROW_RING_ROWS` rows of `u16`.
+    hrows: Vec<u16>,
+    /// Scored detections of the three NMS window rows, indexed `y % 3`.
+    rows: [Vec<ScoredPoint>; 3],
     /// Oriented + described survivors of the band's owned rows, in
-    /// raster order.
+    /// raster order ([`Workflow::Rescheduled`]).
     pub(crate) results: Vec<(Keypoint, Descriptor)>,
+    /// Oriented survivors of the band's owned rows, in raster order
+    /// ([`Workflow::Original`], which describes after filtering).
+    pub(crate) keypoints: Vec<Keypoint>,
     /// Raw FAST detections on the band's owned scan rows (halo rows are
     /// scanned by two bands but counted by their owner only).
     pub(crate) fast_count: usize,
@@ -400,22 +312,11 @@ pub(crate) struct BandScratch {
 }
 
 impl BandScratch {
-    /// Bytes currently held by the band's line buffers.
+    /// Bytes currently held by the band's line buffers (diagnostic;
+    /// constant in image height for a fixed width).
     pub(crate) fn working_bytes(&self) -> usize {
-        self.stream.working_bytes()
+        self.ring.as_raw().len() + 2 * self.hrows.len()
     }
-}
-
-/// The mutable buffers one band streams through — grouped so the band
-/// runner can be fed either from a [`LevelScratch`]'s own fields (the
-/// single-band path) or from a [`BandScratch`] (the band-parallel
-/// path).
-struct BandBuffers<'a> {
-    detections: &'a mut Vec<FastDetection>,
-    stream: &'a mut StreamScratch,
-    results: &'a mut Vec<(Keypoint, Descriptor)>,
-    fast_count: &'a mut usize,
-    cand_count: &'a mut usize,
 }
 
 /// `q` suppresses `p` under the 3×3 NMS rule of
@@ -455,6 +356,7 @@ struct StreamLevel<'a> {
     hrows: &'a mut [u16],
     offsets: Option<&'a PatternOffsets>,
     results: &'a mut Vec<(Keypoint, Descriptor)>,
+    keypoints: &'a mut Vec<Keypoint>,
     cand_count: &'a mut usize,
     /// Next raw row to run the horizontal blur on.
     h_next: usize,
@@ -465,7 +367,7 @@ struct StreamLevel<'a> {
 impl StreamLevel<'_> {
     /// Finalizes NMS for row `yf` and emits every survivor behind the
     /// edge margin, in x order — the raster order
-    /// [`crate::nms::suppress_sorted_into`] + margin filtering produce.
+    /// [`crate::nms::suppress`] + margin filtering produce.
     fn finalize_row(&mut self, prev: &[ScoredPoint], cur: &[ScoredPoint], next: &[ScoredPoint]) {
         'candidate: for (i, p) in cur.iter().enumerate() {
             // In-row neighbours are adjacent in the sorted row.
@@ -502,7 +404,8 @@ impl StreamLevel<'_> {
         }
     }
 
-    /// Orients and describes one surviving candidate off the ring.
+    /// Orients one surviving candidate off the ring and, under
+    /// [`Workflow::Rescheduled`], describes it there too.
     fn emit(&mut self, p: &ScoredPoint) {
         let yc = p.y as usize;
         let halo = STREAM_PATCH_HALO as usize;
@@ -512,6 +415,10 @@ impl StreamLevel<'_> {
         let kp = self
             .ex
             .orient_from_moments(moments, p, self.level, self.scale);
+        if self.ex.config().workflow == Workflow::Original {
+            self.keypoints.push(kp);
+            return;
+        }
         let desc = if let Some(table) = self.offsets {
             compute_descriptor_ring(self.ring, p.x, p.y, SMOOTH_RING_ROWS, table).steer(kp.label)
         } else {
@@ -568,62 +475,24 @@ impl StreamLevel<'_> {
     }
 }
 
-/// The fused per-level streaming pass: one scan over the level's rows
-/// drives FAST + Harris, 3×3 NMS one row behind, and — per surviving
-/// candidate — lazy blur, moments and descriptor off the ring buffers.
-/// Drop-in replacement for [`OrbExtractor::process_level`] under
-/// [`Workflow::Rescheduled`], bit-identical results and stats.
-pub(crate) fn process_level_stream(
-    ex: &OrbExtractor,
-    img: &GrayImage,
-    level: usize,
-    scale: f64,
-    ls: &mut LevelScratch,
-) {
-    if ex.config().workflow == Workflow::Original {
-        // Defensive: the Original schedule re-describes off the full
-        // smoothed frame after filtering; resolution should never route
-        // it here (see `stream_active`).
-        return ex.process_level(img, level, scale, ls);
-    }
-    ex.prepare_offsets(img.width(), ls);
-    ls.keypoints.clear();
-    let h = img.height() as usize;
-    let owned = if img.width() >= 7 && h >= 7 {
-        3..h - 3
-    } else {
-        0..0
-    };
-    let LevelScratch {
-        detections,
-        results,
-        stream,
-        offsets,
-        fast_count,
-        cand_count,
-        ..
-    } = ls;
-    stream_band(
-        ex,
-        img,
-        level,
-        scale,
-        offsets.as_ref(),
-        BandBuffers {
-            detections,
-            stream,
-            results,
-            fast_count,
-            cand_count,
-        },
-        owned,
-    );
-}
-
 /// Streams one row band of a level into its [`BandScratch`] — the task
-/// body of the band-parallel schedule. `offsets` must already be
+/// body of the band schedule. One scan over the band's rows drives
+/// FAST + Harris, 3×3 NMS one row behind, and — per surviving
+/// candidate — lazy blur, moments and (under [`Workflow::Rescheduled`])
+/// the descriptor off the ring buffers. `offsets` must already be
 /// prepared by the caller (the table is shared read-only across a
 /// level's bands).
+///
+/// Raw rows `max(3, owned.start − 1) .. min(h − 3, owned.end + 1)` are
+/// scanned and scored (one row of NMS halo on each interior side),
+/// exactly the `owned` rows are finalized, and survivors emit in raster
+/// order. The lazy blur chain independently re-produces up to
+/// [`STREAM_LATENCY_ROWS`] raw rows above the band's first candidate —
+/// the duplicated halo work that buys band independence. Stats count
+/// owned rows only, so per-band sums equal the single-band totals, and
+/// concatenating band outputs in band order reproduces the single-band
+/// emission sequence exactly — the partition is invisible in the
+/// results.
 pub(crate) fn process_band_stream(
     ex: &OrbExtractor,
     img: &GrayImage,
@@ -635,52 +504,19 @@ pub(crate) fn process_band_stream(
 ) {
     let BandScratch {
         detections,
-        stream,
+        ring,
+        hrows,
+        rows,
         results,
+        keypoints,
         fast_count,
         cand_count,
     } = bs;
-    stream_band(
-        ex,
-        img,
-        level,
-        scale,
-        offsets,
-        BandBuffers {
-            detections,
-            stream,
-            results,
-            fast_count,
-            cand_count,
-        },
-        owned,
-    );
-}
-
-/// Streams one band of a level: raw rows
-/// `max(3, owned.start − 1) .. min(h − 3, owned.end + 1)` are scanned
-/// and scored (one row of NMS halo on each interior side), exactly the
-/// `owned` rows are finalized, and survivors emit in raster order. The
-/// lazy blur chain independently re-produces up to
-/// [`STREAM_LATENCY_ROWS`] raw rows above the band's first candidate —
-/// the duplicated halo work that buys band independence. Stats count
-/// owned rows only, so per-band sums equal the single-band totals, and
-/// concatenating band outputs in band order reproduces the single-band
-/// emission sequence exactly — the partition is invisible in the
-/// results.
-fn stream_band(
-    ex: &OrbExtractor,
-    img: &GrayImage,
-    level: usize,
-    scale: f64,
-    offsets: Option<&PatternOffsets>,
-    buf: BandBuffers<'_>,
-    owned: Range<usize>,
-) {
-    buf.results.clear();
-    *buf.fast_count = 0;
-    *buf.cand_count = 0;
-    for row in &mut buf.stream.rows {
+    results.clear();
+    keypoints.clear();
+    *fast_count = 0;
+    *cand_count = 0;
+    for row in rows.iter_mut() {
         row.clear();
     }
     let w = img.width() as usize;
@@ -689,11 +525,9 @@ fn stream_band(
         return;
     }
     debug_assert!(owned.start >= 3 && owned.end <= h - 3);
-    buf.stream.ring.reshape(img.width(), 2 * SMOOTH_RING_ROWS);
-    buf.stream.hrows.resize(HROW_RING_ROWS as usize * w, 0);
+    ring.reshape(img.width(), 2 * SMOOTH_RING_ROWS);
+    hrows.resize(HROW_RING_ROWS as usize * w, 0);
 
-    let detections = buf.detections;
-    let StreamScratch { ring, hrows, rows } = buf.stream;
     let mut st = StreamLevel {
         ex,
         img,
@@ -704,8 +538,9 @@ fn stream_band(
         ring,
         hrows,
         offsets,
-        results: buf.results,
-        cand_count: buf.cand_count,
+        results,
+        keypoints,
+        cand_count,
         h_next: 0,
         smooth_next: 0,
     };
@@ -717,7 +552,7 @@ fn stream_band(
         detections.clear();
         fast::detect_band_into(img, threshold, y as u32..y as u32 + 1, detections);
         if owned.contains(&y) {
-            *buf.fast_count += detections.len();
+            *fast_count += detections.len();
         }
         let row = &mut rows[y % 3];
         row.clear();
@@ -783,16 +618,6 @@ mod tests {
         // The rings hold their widest consumer window.
         const { assert!(SMOOTH_RING_ROWS > 2 * STREAM_PATCH_HALO) };
         const { assert!(HROW_RING_ROWS > 2 * STREAM_BLUR_HALO) };
-    }
-
-    #[test]
-    fn extract_mode_parse_round_trips() {
-        for mode in [ExtractMode::Auto, ExtractMode::Stream, ExtractMode::Passes] {
-            assert_eq!(ExtractMode::parse(&mode.to_string()), Some(mode));
-        }
-        assert_eq!(ExtractMode::parse("strem"), None);
-        assert_eq!(ExtractMode::parse(""), None);
-        assert_eq!(ExtractMode::default(), ExtractMode::Auto);
     }
 
     #[test]
@@ -889,16 +714,16 @@ mod tests {
         // The tentpole identity at unit scale: Fixed(n) splits must be
         // invisible in the output (features AND stats) for every band
         // count, including counts past the interior-row clamp.
-        let passes = OrbExtractor::new(OrbConfig::default());
+        let reference = OrbExtractor::new(OrbConfig::default());
         for (w, h) in [(64u32, 64u32), (200, 150), (40, 400), (97, 83)] {
             let img = test_image(w, h, 21);
-            let oracle = passes.extract_passes_with(&img, &mut OrbScratch::default());
+            let oracle = reference.extract_reference(&img);
             for bands in [1usize, 2, 3, 4, 7, 64, 500] {
                 let e = OrbExtractor::new(OrbConfig {
                     bands: BandMode::Fixed(bands),
                     ..Default::default()
                 });
-                let split = e.extract_stream_with(&img, &mut OrbScratch::default());
+                let split = e.extract_with(&img, &mut OrbScratch::default());
                 assert_eq!(split, oracle, "{w}x{h} bands={bands}");
             }
         }
@@ -912,9 +737,9 @@ mod tests {
             #![proptest_config(ProptestConfig::with_cases(32))]
 
             // Satellite: degenerate sizes down to 1×1 must degrade the
-            // band count, never panic or drift from the multi-pass path.
+            // band count, never panic or drift from the scalar reference.
             #[test]
-            fn banded_stream_matches_passes_on_degenerate_sizes(
+            fn banded_stream_matches_reference_on_degenerate_sizes(
                 w in 1u32..40, h in 1u32..40, bands in 1usize..10, seed in 0u64..1000,
             ) {
                 let img = test_image(w, h, seed);
@@ -922,9 +747,8 @@ mod tests {
                     bands: BandMode::Fixed(bands),
                     ..Default::default()
                 });
-                let split = e.extract_stream_with(&img, &mut OrbScratch::default());
-                let oracle = e.extract_passes_with(&img, &mut OrbScratch::default());
-                prop_assert_eq!(split, oracle);
+                let split = e.extract_with(&img, &mut OrbScratch::default());
+                prop_assert_eq!(split, e.extract_reference(&img));
             }
 
             #[test]
@@ -957,9 +781,12 @@ mod tests {
                 ..Default::default()
             });
             let img = test_image(160, 120, frame);
-            let reused = e.extract_stream_with(&img, &mut scratch);
-            let fresh = e.extract_passes_with(&img, &mut OrbScratch::default());
-            assert_eq!(reused, fresh, "frame {frame} bands {bands}");
+            let reused = e.extract_with(&img, &mut scratch);
+            assert_eq!(
+                reused,
+                e.extract_reference(&img),
+                "frame {frame} bands {bands}"
+            );
         }
         let small = test_image(96, 80, 9);
         let e = OrbExtractor::new(OrbConfig {
@@ -967,28 +794,34 @@ mod tests {
             ..Default::default()
         });
         assert_eq!(
-            e.extract_stream_with(&small, &mut scratch),
-            e.extract_passes_with(&small, &mut OrbScratch::default())
+            e.extract_with(&small, &mut scratch),
+            e.extract_reference(&small)
         );
     }
 
     #[test]
-    fn stream_matches_passes_across_kinds_and_sizes() {
+    fn stream_matches_reference_across_kinds_and_sizes() {
         for kind in [
             DescriptorKind::RsBrief,
             DescriptorKind::OriginalLut,
             DescriptorKind::OriginalDirect,
         ] {
-            let e = OrbExtractor::new(OrbConfig {
-                descriptor: kind,
-                max_features: 200,
-                ..Default::default()
-            });
-            for (w, h) in [(200u32, 150u32), (64, 64), (40, 400), (400, 40)] {
-                let img = test_image(w, h, kind as u64);
-                let stream = e.extract_stream_with(&img, &mut OrbScratch::default());
-                let passes = e.extract_passes_with(&img, &mut OrbScratch::default());
-                assert_eq!(stream, passes, "{kind:?} {w}x{h}");
+            for workflow in [Workflow::Rescheduled, Workflow::Original] {
+                let e = OrbExtractor::new(OrbConfig {
+                    descriptor: kind,
+                    workflow,
+                    max_features: 200,
+                    ..Default::default()
+                });
+                for (w, h) in [(200u32, 150u32), (64, 64), (40, 400), (400, 40)] {
+                    let img = test_image(w, h, kind as u64);
+                    let stream = e.extract_with(&img, &mut OrbScratch::default());
+                    assert_eq!(
+                        stream,
+                        e.extract_reference(&img),
+                        "{kind:?} {workflow:?} {w}x{h}"
+                    );
+                }
             }
         }
     }
@@ -998,9 +831,8 @@ mod tests {
         let e = OrbExtractor::new(OrbConfig::default());
         for (w, h) in [(1u32, 1u32), (6, 6), (8, 40), (40, 8), (17, 19), (33, 33)] {
             let img = test_image(w, h, 7);
-            let stream = e.extract_stream_with(&img, &mut OrbScratch::default());
-            let passes = e.extract_passes_with(&img, &mut OrbScratch::default());
-            assert_eq!(stream, passes, "{w}x{h}");
+            let stream = e.extract_with(&img, &mut OrbScratch::default());
+            assert_eq!(stream, e.extract_reference(&img), "{w}x{h}");
         }
     }
 
@@ -1010,15 +842,15 @@ mod tests {
         let mut scratch = OrbScratch::default();
         for seed in 0..3u64 {
             let img = test_image(160, 120, seed);
-            let reused = e.extract_stream_with(&img, &mut scratch);
-            let fresh = e.extract_stream_with(&img, &mut OrbScratch::default());
+            let reused = e.extract_with(&img, &mut scratch);
+            let fresh = e.extract_with(&img, &mut OrbScratch::default());
             assert_eq!(reused, fresh, "frame {seed}");
         }
         // Geometry change mid-stream.
         let small = test_image(96, 80, 9);
         assert_eq!(
-            e.extract_stream_with(&small, &mut scratch),
-            e.extract_passes_with(&small, &mut OrbScratch::default())
+            e.extract_with(&small, &mut scratch),
+            e.extract_reference(&small)
         );
     }
 
@@ -1027,8 +859,8 @@ mod tests {
         let e = OrbExtractor::new(OrbConfig::default());
         let mut short = OrbScratch::default();
         let mut tall = OrbScratch::default();
-        e.extract_stream_with(&test_image(128, 96, 0), &mut short);
-        e.extract_stream_with(&test_image(128, 768, 0), &mut tall);
+        e.extract_with(&test_image(128, 96, 0), &mut short);
+        e.extract_with(&test_image(128, 768, 0), &mut tall);
         let bytes = short.stream_working_bytes();
         assert!(bytes > 0, "streaming pass must have used its rings");
         assert_eq!(
@@ -1039,15 +871,23 @@ mod tests {
     }
 
     #[test]
-    fn original_workflow_falls_back_to_passes() {
+    fn original_workflow_streams_and_matches_reference() {
+        // Original streams detection and orientation through the bands
+        // and describes only the kept N off smoothed levels held in the
+        // scratch; reuse across frames and a geometry change must not
+        // leak stale smoothed rows into the descriptors.
         let e = OrbExtractor::new(OrbConfig {
             workflow: Workflow::Original,
+            max_features: 100,
+            bands: BandMode::Fixed(3),
             ..Default::default()
         });
-        let img = test_image(160, 120, 3);
-        assert_eq!(
-            e.extract_stream_with(&img, &mut OrbScratch::default()),
-            e.extract_passes_with(&img, &mut OrbScratch::default())
-        );
+        let mut scratch = OrbScratch::default();
+        for (w, h, seed) in [(160u32, 120u32, 3u64), (160, 120, 4), (96, 80, 9)] {
+            let img = test_image(w, h, seed);
+            let f = e.extract_with(&img, &mut scratch);
+            assert_eq!(f.stats.descriptors_computed, f.stats.kept);
+            assert_eq!(f, e.extract_reference(&img), "{w}x{h} seed {seed}");
+        }
     }
 }

@@ -4,19 +4,18 @@
 //!
 //! * bitmask+LUT FAST scanner ≡ per-pixel segment test;
 //! * row-sliced blur / resize ≡ clamped per-pixel reference;
-//! * sorted NMS ≡ hash-map NMS;
 //! * word-parallel descriptor rotation ≡ per-bit rotation;
 //! * tiled/pooled matcher (whatever kernel rung the host dispatches
 //!   to — see `tests/matcher_kernels.rs` for the per-rung suite) ≡
 //!   scalar argmin loops;
-//! * the full parallel extractor (persistent worker pool) ≡ the
+//! * the banded streaming extractor (persistent worker pool) ≡ the
 //!   sequential scalar extractor.
 
 use eslam_features::matcher::{
     match_brute_force, match_brute_force_reference, match_with_ratio, match_with_ratio_reference,
 };
 use eslam_features::orb::{DescriptorKind, OrbConfig, OrbExtractor, Workflow};
-use eslam_features::{fast, nms, Descriptor};
+use eslam_features::{fast, Descriptor};
 use eslam_image::filter::{gaussian_blur_7x7_fixed, gaussian_blur_7x7_fixed_reference};
 use eslam_image::pyramid::{resize_nearest, resize_nearest_reference};
 use eslam_image::GrayImage;
@@ -89,24 +88,6 @@ proptest! {
     }
 
     #[test]
-    fn sorted_nms_equals_hashmap_nms(seed in 0u64..2000, threshold in 5u8..40) {
-        // Real detector output (raster-ordered, unique) scored by a hash.
-        let img = corner_image(64, 48, seed);
-        let detections = fast::detect(&img, threshold);
-        let scored: Vec<nms::ScoredPoint> = detections
-            .iter()
-            .map(|d| nms::ScoredPoint {
-                x: d.x,
-                y: d.y,
-                score: ((d.x as u64 * 37 + d.y as u64 * 113 + seed) % 17) as f64,
-            })
-            .collect();
-        let mut out = Vec::new();
-        nms::suppress_sorted_into(&scored, &mut out, &mut nms::NmsScratch::default());
-        prop_assert_eq!(out, nms::suppress(&scored));
-    }
-
-    #[test]
     fn word_parallel_rotation_equals_per_bit(
         a in any::<u64>(), b in any::<u64>(), c in any::<u64>(), d in any::<u64>(),
         bits in 0usize..512,
@@ -137,25 +118,23 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     #[test]
-    fn parallel_extractor_equals_sequential_reference(
-        seed in 0u64..100,
-        kind_idx in 0usize..3,
-        workflow_idx in 0usize..2,
-    ) {
-        let kind = [
+    fn parallel_extractor_equals_sequential_reference(seed in 0u64..100) {
+        let img = corner_image(160, 120, seed);
+        for kind in [
             DescriptorKind::RsBrief,
             DescriptorKind::OriginalLut,
             DescriptorKind::OriginalDirect,
-        ][kind_idx];
-        let workflow = [Workflow::Rescheduled, Workflow::Original][workflow_idx];
-        let img = corner_image(160, 120, seed);
-        let extractor = OrbExtractor::new(OrbConfig {
-            descriptor: kind,
-            workflow,
-            max_features: 150,
-            pattern_seed: seed ^ 0xe51a,
-            ..Default::default()
-        });
-        prop_assert_eq!(extractor.extract(&img), extractor.extract_reference(&img));
+        ] {
+            for workflow in [Workflow::Rescheduled, Workflow::Original] {
+                let extractor = OrbExtractor::new(OrbConfig {
+                    descriptor: kind,
+                    workflow,
+                    max_features: 150,
+                    pattern_seed: seed ^ 0xe51a,
+                    ..Default::default()
+                });
+                prop_assert_eq!(extractor.extract(&img), extractor.extract_reference(&img));
+            }
+        }
     }
 }

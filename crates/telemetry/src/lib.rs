@@ -158,11 +158,9 @@ pub enum Stage {
     Track,
     /// Image-pyramid build (downscale chain) for one frame.
     PyramidBuild,
-    /// One pyramid level's detect→describe pass (parallel per level).
-    ExtractLevel,
-    /// One row band's streaming pass under the band-parallel schedule
-    /// (one span per (level, band) task; Perfetto worker tracks show
-    /// the realized overlap).
+    /// One row band's streaming pass (one span per (level, band) task
+    /// of the extraction schedule; Perfetto worker tracks show the
+    /// realized overlap).
     ExtractBand,
     /// The whole feature-extraction stage of one frame.
     Extraction,
@@ -197,14 +195,13 @@ pub enum Stage {
 
 impl Stage {
     /// Number of stages (array dimension for per-stage state).
-    pub const COUNT: usize = 18;
+    pub const COUNT: usize = 17;
 
     /// Every stage, in declaration order (index == discriminant).
     pub const ALL: [Stage; Stage::COUNT] = [
         Stage::FrameWait,
         Stage::Track,
         Stage::PyramidBuild,
-        Stage::ExtractLevel,
         Stage::ExtractBand,
         Stage::Extraction,
         Stage::PoolQueueWait,
@@ -227,7 +224,6 @@ impl Stage {
             Stage::FrameWait => "frame_wait",
             Stage::Track => "track",
             Stage::PyramidBuild => "pyramid_build",
-            Stage::ExtractLevel => "extract_level",
             Stage::ExtractBand => "extract_band",
             Stage::Extraction => "extraction",
             Stage::PoolQueueWait => "pool_queue_wait",

@@ -174,7 +174,7 @@ mod tests {
         let b = buf.clone();
         buf.push(EventKind::Stage(Stage::Matching), 0, 1);
         std::thread::spawn(move || {
-            b.push(EventKind::Stage(Stage::ExtractLevel), 10, 1);
+            b.push(EventKind::Stage(Stage::ExtractBand), 10, 1);
         })
         .join()
         .unwrap();

@@ -215,12 +215,13 @@ fn local_ba_reduces_trajectory_error_on_paper_sequences() {
         eprintln!("ESLAM_BACKEND is forced; skipping off-vs-on ATE comparison");
         return;
     }
-    // Measured ATE rmse (cm) off → on at this exact configuration:
+    // Measured ATE rmse (cm) off → on at this exact configuration, each
+    // sequence tracked through the camera it was rendered with:
     //   fr1/xyz   2.640 → 2.151  (−0.489)
-    //   fr2/xyz   2.211 → 2.127  (−0.084)
+    //   fr2/xyz   2.158 → 2.027  (−0.131)
     //   fr1/desk  0.665 → 0.670  (+0.005, margin noise at sub-mm)
     //   fr1/room  7.823 → 7.533  (−0.290)
-    //   fr2/rpy   3.424 → 3.661  (+0.237, rotation-only: no parallax
+    //   fr2/rpy   2.552 → 2.686  (+0.134, rotation-only: no parallax
     //                              for BA to exploit, margin noise)
     let mut improved = 0;
     let mut total_off = 0.0;
@@ -230,6 +231,7 @@ fn local_ba_reduces_trajectory_error_on_paper_sequences() {
         let seq = spec.build();
         let run = |mode: BackendMode| {
             let mut cfg = config();
+            cfg.camera = spec.camera;
             cfg.backend.mode = mode;
             run_sequence(&seq, cfg)
         };

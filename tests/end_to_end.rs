@@ -23,6 +23,7 @@ fn run_sequence(
     let spec = &SequenceSpec::paper_sequences(FRAMES, IMAGE_SCALE)[spec_index];
     let seq = spec.build();
     let mut config = SlamConfig::scaled_for_tests(1.0 / IMAGE_SCALE);
+    config.camera = spec.camera;
     config.orb.descriptor = descriptor;
     let mut slam = Slam::builder().config(config).build();
     let mut tracked = 0;
