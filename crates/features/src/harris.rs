@@ -1,11 +1,46 @@
 //! Harris corner response.
 //!
 //! The paper's FAST Detection module "computes Harris corner score for
-//! each keypoint" (§3.1); the score drives both non-maximum suppression
-//! and the top-1024 Heap filtering. As in the original ORB, the response
-//! is evaluated on a small block around the keypoint with Sobel
+//! each keypoint" (§3.1) inside the pixel stream, one pixel per cycle
+//! off line buffers; the score drives both non-maximum suppression and
+//! the top-1024 Heap filtering. As in the original ORB, the response is
+//! evaluated on the 7×7 block around the keypoint with 3×3 Sobel
 //! derivatives.
+//!
+//! Two implementations compute it:
+//!
+//! * [`harris_score`] — the scalar per-point formula in `f64`, the
+//!   oracle behind
+//!   [`OrbExtractor::extract_reference`](crate::orb::OrbExtractor::extract_reference).
+//! * `HarrisScorer` — the streaming scorer each row band of the
+//!   extractor ([`crate::stream`]) holds. It computes the clamped Sobel
+//!   gradients of each raw row once, into a ring of [`GRAD_RING_ROWS`]
+//!   `i16` rows, and only for rows some detection's block reaches
+//!   (spans without detections are skipped, as the lazy blur chain
+//!   skips them). For each row of detections it sums the three gradient
+//!   products down the block's 7 rows once per column, in `i32`, over
+//!   the detections' column span; each detection then adds 7 of those
+//!   column sums and finishes with [`harris_score`]'s `f64` expression.
+//!   Neighbouring detections share every gradient and column sum
+//!   instead of recomputing 49 Sobel pairs each.
+//!
+//! # Exactness
+//!
+//! The scorer equals [`harris_score`] bit for bit by construction, not
+//! within a tolerance. Pixels are 8-bit, so every Sobel gradient is an
+//! integer of magnitude at most 4 · 255 = 1020 (it fits `i16`), every
+//! product is at most 1020², and a 7×7 block sum is at most
+//! 49 · 1020² = 50,979,600 — below 2³¹ (it fits `i32`) and far below 2⁵³.
+//! Every `f64` partial sum [`harris_score`] forms is therefore an exact
+//! integer, equal to the scorer's `i32` sum in any order of summation,
+//! and both finish through the same `response` expression. The
+//! in-crate property test compares the two by `f64::to_bits` on every
+//! FAST detection of noise, saturated and sparse images, border rows
+//! and columns included.
 
+use crate::fast::FastDetection;
+use crate::nms::ScoredPoint;
+use crate::stream::GRAD_RING_ROWS;
 use eslam_image::GrayImage;
 
 /// Harris detector constant `k` in `det(M) − k·trace(M)²`.
@@ -69,6 +104,15 @@ pub fn harris_score(img: &GrayImage, x: u32, y: u32) -> f64 {
             }
         }
     }
+    response(sum_xx, sum_xy, sum_yy)
+}
+
+/// The Harris response of a block's structure-tensor sums
+/// `(Σ Ix², Σ Ix·Iy, Σ Iy²)`: the one finishing expression both
+/// [`harris_score`] and [`HarrisScorer`] evaluate, so their order of
+/// operations cannot drift apart.
+#[inline]
+fn response(sum_xx: f64, sum_xy: f64, sum_yy: f64) -> f64 {
     let norm = 1.0 / ((4 * (2 * BLOCK_HALF + 1).pow(2)) as f64);
     let (a, b, c) = (
         sum_xx * norm * norm,
@@ -80,22 +124,176 @@ pub fn harris_score(img: &GrayImage, x: u32, y: u32) -> f64 {
     det - HARRIS_K * trace * trace
 }
 
-/// Band-aware scoring entry of the streaming front-end: appends one
-/// [`ScoredPoint`](crate::nms::ScoredPoint) per detection (the
-/// detections of one scanned row),
-/// preserving order. Identical arithmetic to calling [`harris_score`]
-/// per point — the band shape only batches the calls.
-pub fn score_band(
-    img: &GrayImage,
-    detections: &[crate::fast::FastDetection],
-    out: &mut Vec<crate::nms::ScoredPoint>,
-) {
-    for d in detections {
-        out.push(crate::nms::ScoredPoint {
-            x: d.x,
-            y: d.y,
-            score: harris_score(img, d.x, d.y),
-        });
+/// Line buffers of the streaming Harris scorer: a ring of
+/// [`GRAD_RING_ROWS`] rows of Sobel gradients and one row of 7-row
+/// column sums. Held per row band in the extractor's scratch and reused
+/// across frames; [`HarrisScorer::stream`] binds it to one image.
+#[derive(Debug, Default)]
+pub(crate) struct HarrisScorer {
+    /// Horizontal gradients `Ix`; raw row `r` lives at slot
+    /// `r % GRAD_RING_ROWS`.
+    gx: Vec<i16>,
+    /// Vertical gradients `Iy`, in the same slots.
+    gy: Vec<i16>,
+    /// Column sums of `Ix²`, `Ix·Iy` and `Iy²` down the 7 block rows of
+    /// the row being scored.
+    sum_xx: Vec<i32>,
+    sum_xy: Vec<i32>,
+    sum_yy: Vec<i32>,
+}
+
+impl HarrisScorer {
+    /// Sizes the buffers for `img` and starts a fresh pass over it: no
+    /// gradient row of an earlier image or pass survives into the
+    /// returned stream.
+    pub(crate) fn stream<'a>(&'a mut self, img: &'a GrayImage) -> HarrisStream<'a> {
+        let w = img.width() as usize;
+        let ring = GRAD_RING_ROWS as usize * w;
+        self.gx.resize(ring, 0);
+        self.gy.resize(ring, 0);
+        for sums in [&mut self.sum_xx, &mut self.sum_xy, &mut self.sum_yy] {
+            sums.resize(w, 0);
+        }
+        HarrisStream {
+            img,
+            bufs: self,
+            next: 0,
+        }
+    }
+
+    /// Bytes held by the gradient ring and the column-sum rows — linear
+    /// in the width of the last image streamed, independent of its
+    /// height.
+    pub(crate) fn working_bytes(&self) -> usize {
+        std::mem::size_of::<i16>() * (self.gx.len() + self.gy.len())
+            + std::mem::size_of::<i32>()
+                * (self.sum_xx.len() + self.sum_xy.len() + self.sum_yy.len())
+    }
+}
+
+/// One pass of a [`HarrisScorer`] over one image: rows of detections are
+/// scored top to bottom, and gradient rows are produced as the blocks
+/// reach them.
+pub(crate) struct HarrisStream<'a> {
+    img: &'a GrayImage,
+    bufs: &'a mut HarrisScorer,
+    /// Next raw row whose gradients the ring does not hold yet.
+    next: usize,
+}
+
+impl HarrisStream<'_> {
+    /// Appends one [`ScoredPoint`] per detection, in order. The
+    /// detections are those of one image row, sorted by `x`, as one
+    /// FAST row scan yields them; rows must arrive in ascending order.
+    /// Every score is bit-identical to [`harris_score`] at the same
+    /// point.
+    ///
+    /// # Panics
+    ///
+    /// If a detection's 7×7 block leaves the image (FAST never detects
+    /// within 3 pixels of the border).
+    pub(crate) fn score_row(&mut self, detections: &[FastDetection], out: &mut Vec<ScoredPoint>) {
+        let (Some(first), Some(last)) = (detections.first(), detections.last()) else {
+            return;
+        };
+        let half = BLOCK_HALF as usize;
+        let (w, h) = (self.img.width() as usize, self.img.height() as usize);
+        let (y, x0, x1) = (first.y as usize, first.x as usize, last.x as usize);
+        assert!(
+            y >= half && y + half < h && x0 >= half && x1 + half < w,
+            "Harris block of row {y} leaves the {w}x{h} image"
+        );
+        debug_assert!(detections.iter().all(|d| d.y == first.y));
+        // The column span every block of the row covers.
+        let (lo, hi) = (x0 - half, x1 + half + 1);
+        self.ensure_gradients(y - half, y + half);
+
+        let HarrisScorer {
+            gx,
+            gy,
+            sum_xx,
+            sum_xy,
+            sum_yy,
+        } = &mut *self.bufs;
+        let (sum_xx, sum_xy, sum_yy) = (
+            &mut sum_xx[lo..hi],
+            &mut sum_xy[lo..hi],
+            &mut sum_yy[lo..hi],
+        );
+        sum_xx.fill(0);
+        sum_xy.fill(0);
+        sum_yy.fill(0);
+        for r in y - half..=y + half {
+            let slot = (r % GRAD_RING_ROWS as usize) * w;
+            let (ix, iy) = (&gx[slot + lo..slot + hi], &gy[slot + lo..slot + hi]);
+            for i in 0..hi - lo {
+                let (a, b) = (ix[i] as i32, iy[i] as i32);
+                sum_xx[i] += a * a;
+                sum_xy[i] += a * b;
+                sum_yy[i] += b * b;
+            }
+        }
+        for d in detections {
+            let block = d.x as usize - half - lo..d.x as usize + half + 1 - lo;
+            let total = |sums: &[i32]| sums[block.clone()].iter().sum::<i32>() as f64;
+            out.push(ScoredPoint {
+                x: d.x,
+                y: d.y,
+                score: response(total(sum_xx), total(sum_xy), total(sum_yy)),
+            });
+        }
+    }
+
+    /// Fills the ring with gradient rows `lo..=upto`. Rows below `lo`
+    /// that the ring has not reached yet are skipped, not computed: no
+    /// block of this or a later row reads them.
+    fn ensure_gradients(&mut self, lo: usize, upto: usize) {
+        debug_assert!(self.next <= upto + 1, "rows scored out of order");
+        self.next = self.next.max(lo);
+        let w = self.img.width() as usize;
+        while self.next <= upto {
+            let slot = (self.next % GRAD_RING_ROWS as usize) * w;
+            sobel_row(
+                self.img,
+                self.next,
+                &mut self.bufs.gx[slot..slot + w],
+                &mut self.bufs.gy[slot..slot + w],
+            );
+            self.next += 1;
+        }
+    }
+}
+
+/// The clamped 3×3 Sobel gradients of raw row `r` — the integers
+/// [`harris_score`] forms in `f64`, with the same border replication.
+fn sobel_row(img: &GrayImage, r: usize, gx: &mut [i16], gy: &mut [i16]) {
+    let (w, h) = (img.width() as usize, img.height() as usize);
+    let data = img.as_raw();
+    let row = |j: usize| &data[j * w..(j + 1) * w];
+    let (up, mid, down) = (row(r.saturating_sub(1)), row(r), row((r + 1).min(h - 1)));
+    // Border columns replicate their outermost neighbour.
+    let at = |row: &[u8], x: usize, dx: isize| {
+        row[(x as isize + dx).clamp(0, w as isize - 1) as usize] as i16
+    };
+    for x in [0, w - 1] {
+        gx[x] = (at(up, x, 1) + 2 * at(mid, x, 1) + at(down, x, 1))
+            - (at(up, x, -1) + 2 * at(mid, x, -1) + at(down, x, -1));
+        gy[x] = (at(down, x, -1) + 2 * at(down, x, 0) + at(down, x, 1))
+            - (at(up, x, -1) + 2 * at(up, x, 0) + at(up, x, 1));
+    }
+    if w < 3 {
+        return;
+    }
+    // Interior columns: equal-length slices let the loop vectorize.
+    let n = w - 2;
+    let (ul, uc, ur) = (&up[..n], &up[1..n + 1], &up[2..]);
+    let (ml, mr) = (&mid[..n], &mid[2..]);
+    let (dl, dc, dr) = (&down[..n], &down[1..n + 1], &down[2..]);
+    let (gx, gy) = (&mut gx[1..n + 1], &mut gy[1..n + 1]);
+    for i in 0..n {
+        let p = |v: &[u8]| v[i] as i16;
+        gx[i] = (p(ur) + 2 * p(mr) + p(dr)) - (p(ul) + 2 * p(ml) + p(dl));
+        gy[i] = (p(dl) + 2 * p(dc) + p(dr)) - (p(ul) + 2 * p(uc) + p(ur));
     }
 }
 
@@ -114,6 +312,7 @@ fn sobel_y(img: &GrayImage, x: i64, y: i64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::{prop_assert_eq, TestCaseError};
 
     fn corner_image() -> GrayImage {
         // Bright quadrant: a strong L-corner at (16, 16).
@@ -208,6 +407,176 @@ mod tests {
                     fast == reference,
                     "({x},{y}): fast {fast} vs reference {reference}"
                 );
+            }
+        }
+    }
+
+    /// A pseudo-random 64-bit value per pixel (splitmix64 finalizer).
+    fn mix(seed: u64, x: u32, y: u32) -> u64 {
+        let mut z =
+            seed ^ ((u64::from(x) << 32) | u64::from(y)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn noise(w: u32, h: u32, seed: u64) -> GrayImage {
+        GrayImage::from_fn(w, h, |x, y| mix(seed, x, y) as u8)
+    }
+
+    /// Scores `rows` of detections (each one image row, sorted by `x`,
+    /// rows ascending) through one stream of `scorer` and checks every
+    /// score against [`harris_score`] bit for bit.
+    fn check_rows(
+        scorer: &mut HarrisScorer,
+        img: &GrayImage,
+        rows: &[Vec<FastDetection>],
+    ) -> Result<(), TestCaseError> {
+        let mut stream = scorer.stream(img);
+        let mut scored = Vec::new();
+        for row in rows {
+            scored.clear();
+            stream.score_row(row, &mut scored);
+            prop_assert_eq!(scored.len(), row.len());
+            for (d, p) in row.iter().zip(&scored) {
+                let oracle = harris_score(img, d.x, d.y);
+                prop_assert_eq!((p.x, p.y), (d.x, d.y));
+                prop_assert_eq!(
+                    p.score.to_bits(),
+                    oracle.to_bits(),
+                    "{}x{} at ({}, {}): scorer {} vs harris_score {}",
+                    img.width(),
+                    img.height(),
+                    d.x,
+                    d.y,
+                    p.score,
+                    oracle
+                );
+            }
+        }
+        Ok(())
+    }
+
+    /// The FAST detections of `img`, one row scan at a time — the rows
+    /// the extractor's band scan hands the scorer.
+    fn fast_rows(img: &GrayImage, threshold: u8) -> Vec<Vec<FastDetection>> {
+        (0..img.height())
+            .map(|y| {
+                let mut row = Vec::new();
+                crate::fast::detect_band_into(img, threshold, y..y + 1, &mut row);
+                row
+            })
+            .filter(|row| !row.is_empty())
+            .collect()
+    }
+
+    #[test]
+    fn scorer_is_exact_on_the_clamped_border_lines() {
+        // Low-amplitude noise with a full-swing spike every 4 pixels
+        // along the outermost detectable rows and columns: each spike is
+        // a FAST corner whose block's Sobel taps clamp at the image edge.
+        for (w, h) in [(7u32, 7u32), (8, 7), (7, 9), (12, 11), (23, 17), (64, 61)] {
+            let img = GrayImage::from_fn(w, h, |x, y| {
+                let spike = ((x == 3 || x == w - 4) && y % 4 == 3)
+                    || ((y == 3 || y == h - 4) && x % 4 == 3);
+                if spike {
+                    255
+                } else {
+                    100 + (mix(u64::from(w), x, y) % 57) as u8
+                }
+            });
+            let rows = fast_rows(&img, 20);
+            let all: Vec<&FastDetection> = rows.iter().flatten().collect();
+            assert!(all.iter().any(|d| d.x == 3), "{w}x{h}");
+            assert!(all.iter().any(|d| d.y == 3), "{w}x{h}");
+            assert!(all.iter().any(|d| d.x == w - 4), "{w}x{h}");
+            assert!(all.iter().any(|d| d.y == h - 4), "{w}x{h}");
+            check_rows(&mut HarrisScorer::default(), &img, &rows).unwrap();
+        }
+    }
+
+    #[test]
+    fn scorer_is_exact_at_full_gradient_swing() {
+        // 0/255 columns of period 4 make every gradient |Ix| = 1020 and
+        // every block sum of Ix² 49 · 1020² = 50,979,600, the i32
+        // headroom bound; scored at every interior pixel, as a dense
+        // detection row, in both polarities and both orientations.
+        let stripes = |x: u32, _y: u32| if x % 4 < 2 { 0 } else { 255 };
+        for img in [
+            GrayImage::from_fn(40, 24, stripes),
+            GrayImage::from_fn(40, 24, |x, y| 255 - stripes(x, y)),
+            GrayImage::from_fn(24, 40, |x, y| stripes(y, x)),
+        ] {
+            let (w, h) = (img.width(), img.height());
+            let rows: Vec<Vec<FastDetection>> = (3..h - 3)
+                .map(|y| (3..w - 3).map(|x| FastDetection { x, y }).collect())
+                .collect();
+            let mut scorer = HarrisScorer::default();
+            check_rows(&mut scorer, &img, &rows).unwrap();
+            let peak = scorer.gx.iter().chain(&scorer.gy).map(|g| g.abs()).max();
+            assert_eq!(peak, Some(1020));
+        }
+    }
+
+    mod scorer_props {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            #[test]
+            fn scorer_matches_oracle_on_noise(
+                w in 7u32..65, h in 7u32..65, seed in 0u64..u64::MAX, threshold in 1u8..40,
+            ) {
+                let img = noise(w, h, seed);
+                check_rows(&mut HarrisScorer::default(), &img, &fast_rows(&img, threshold))?;
+            }
+
+            #[test]
+            fn scorer_matches_oracle_on_saturated_patterns(
+                w in 7u32..65, h in 7u32..65, seed in 0u64..u64::MAX, cell in 1u32..4,
+            ) {
+                // Random 0/255 cells push gradients to ±1020.
+                let img = GrayImage::from_fn(w, h, |x, y| {
+                    if mix(seed, x / cell, y / cell) & 1 == 0 { 0 } else { 255 }
+                });
+                check_rows(&mut HarrisScorer::default(), &img, &fast_rows(&img, 20))?;
+            }
+
+            #[test]
+            fn scorer_skips_rows_without_detections(
+                w in 7u32..65, gap in 9u32..40, stripes in 2u32..6, seed in 0u64..u64::MAX,
+            ) {
+                // Alternating 0/255 rows, `gap` rows apart, on a field
+                // of noise too faint to fire FAST: every pixel of those
+                // rows is a corner and no other pixel is, so the gradient
+                // chain jumps over the `gap − 7` rows between blocks.
+                let h = 4 + stripes * gap;
+                let img = GrayImage::from_fn(w, h, |x, y| {
+                    if y % gap == 3 {
+                        ((u64::from(x) + seed) % 2) as u8 * 255
+                    } else {
+                        120 + (mix(seed, x, y) % 17) as u8
+                    }
+                });
+                let rows = fast_rows(&img, 30);
+                prop_assert_eq!(rows.len() as u32, stripes);
+                prop_assert!(rows.iter().all(|r| r[0].y % gap == 3));
+                check_rows(&mut HarrisScorer::default(), &img, &rows)?;
+            }
+
+            #[test]
+            fn scorer_reused_across_widths(
+                w1 in 7u32..65, w2 in 7u32..65, h in 7u32..40, seed in 0u64..u64::MAX,
+            ) {
+                // One scorer, images of two widths in turn and back: no
+                // gradient row of one image leaks into the next.
+                let mut scorer = HarrisScorer::default();
+                for (i, w) in [w1, w2, w1].into_iter().enumerate() {
+                    let img = noise(w, h, seed.wrapping_add(i as u64));
+                    check_rows(&mut scorer, &img, &fast_rows(&img, 10))?;
+                }
             }
         }
     }

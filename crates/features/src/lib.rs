@@ -4,7 +4,8 @@
 //!
 //! * [`fast`] — FAST-9/16 segment-test detection (the FAST Detection
 //!   module of §3.1);
-//! * [`harris`] — Harris corner response used for filtering;
+//! * [`harris`] — Harris corner response used for filtering, streamed
+//!   per row band through a Sobel line buffer in exact integer sums;
 //! * [`nms`] — 3×3 non-maximum suppression;
 //! * [`orientation`] — intensity-centroid orientation with the paper's
 //!   32-label hardware LUT discretization;

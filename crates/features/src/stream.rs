@@ -20,14 +20,17 @@
 //! | horizontal blur (h-row)  | `j` only          | 0 ([`STREAM_BLUR_HALO`] cols) |
 //! | vertical blur (smoothed) | h-rows `k ± 3`    | [`STREAM_BLUR_HALO`] = 3      |
 //! | FAST scan of row `y`     | raw `y ± 3`       | [`STREAM_FAST_HALO`] = 3      |
+//! | Harris score of row `y`  | raw `y ± 4`       | [`STREAM_HARRIS_HALO`] = 4    |
 //! | NMS finalize of row `yf` | scores `yf ± 1`   | [`STREAM_NMS_DELAY`] = 1 scan |
 //! | moments / descriptor     | smoothed `yc ± 15`| [`STREAM_PATCH_HALO`] = 15    |
 //!
-//! A candidate finalized at row `yc` therefore needs raw rows up to
-//! `max(yc + FAST + NMS, yc + PATCH + BLUR) = yc +`
-//! [`STREAM_LATENCY_ROWS`] (= 18): the FAST/NMS chain trails the scan by
-//! 4 rows while the smoothing/descriptor chain trails it by 18, which is
-//! the figure the `eslam-hw` band schedule mirrors stage for stage.
+//! The Harris halo is the 7×7 block's 3 gradient rows plus the Sobel
+//! tap's 1 raw row. A candidate finalized at row `yc` therefore needs
+//! raw rows up to `max(yc + max(FAST, HARRIS) + NMS, yc + PATCH + BLUR)
+//! = yc +` [`STREAM_LATENCY_ROWS`] (= 18): the FAST/Harris/NMS chain
+//! trails the scan by 5 rows while the smoothing/descriptor chain trails
+//! it by 18, which is the figure the `eslam-hw` band schedule mirrors
+//! stage for stage.
 //!
 //! # Ring buffers
 //!
@@ -41,21 +44,28 @@
 //! * **H-row ring** — [`HROW_RING_ROWS`] (8) rows of 16-bit horizontal
 //!   blur sums, covering the vertical tap window (7) under monotone
 //!   advance.
+//! * **Gradient ring** — [`GRAD_RING_ROWS`] (8) rows of 16-bit Sobel
+//!   gradient pairs `(Ix, Iy)`, covering the 7-row Harris block, plus
+//!   one row of three 32-bit column sums of the block's gradient
+//!   products ([`crate::harris`]).
 //! * **Score rows** — 3 rotating rows of scored detections for the 3×3
 //!   NMS window.
 //!
-//! Blur work is *lazy*: smoothed rows are produced only when a surviving
-//! candidate needs them, skipping ahead over candidate-free spans. Peak
-//! extraction working memory is `O(width)` — independent of image
-//! height (`64·w` ring bytes + `2·8·w` h-row bytes per level), where a
-//! full-frame blur holds a smoothed frame plus a `u16` scratch
-//! (`3·w·h` bytes).
+//! Blur and gradient work is *lazy*: smoothed rows are produced only
+//! when a surviving candidate needs them, gradient rows only when a
+//! detection's block reaches them, and both chains skip ahead over
+//! spans nobody reads. Peak extraction working memory is `O(width)` —
+//! independent of image height: every band of a level holds its own
+//! full-width rings, `64·w` smoothed-ring bytes + `2·8·w` h-row bytes +
+//! `2·2·8·w` gradient bytes + `3·4·w` column-sum bytes = `124·w` bytes
+//! per band, where a full-frame blur holds a smoothed frame plus a `u16`
+//! scratch (`3·w·h` bytes).
 //!
 //! # Bit-identity
 //!
 //! Every stage computes exactly what the scalar reference computes
 //! (the band producers of the full-frame blur, the same FAST decision,
-//! the same Harris arithmetic, the local NMS rule of
+//! the same Harris score in exact integer sums, the local NMS rule of
 //! [`crate::nms::suppress`], the same interior moments/descriptor
 //! paths), candidates are emitted in the reference's raster order per
 //! level, and the heap sees them in the same order — so keypoints,
@@ -91,7 +101,7 @@ use crate::brief::{compute_descriptor_ring, PatternOffsets};
 use crate::descriptor::Descriptor;
 use crate::envopt;
 use crate::fast::{self, FastDetection};
-use crate::harris;
+use crate::harris::{HarrisScorer, BLOCK_HALF};
 use crate::nms::ScoredPoint;
 use crate::orb::{Keypoint, OrbExtractor, Workflow, EDGE_MARGIN};
 use crate::orientation::patch_moments_ring;
@@ -111,6 +121,9 @@ pub const BANDS_ENV: &str = "ESLAM_BANDS";
 pub const STREAM_BLUR_HALO: u32 = 3;
 /// Rows of halo the FAST segment test needs (radius-3 Bresenham circle).
 pub const STREAM_FAST_HALO: u32 = 3;
+/// Rows of halo the Harris score needs: the 7×7 block's
+/// [`BLOCK_HALF`] gradient rows plus the 3×3 Sobel tap's one raw row.
+pub const STREAM_HARRIS_HALO: u32 = BLOCK_HALF as u32 + 1;
 /// Scan rows the 3×3 NMS trails behind the FAST scan (row `y` finalizes
 /// once row `y + 1` is scored).
 pub const STREAM_NMS_DELAY: u32 = 1;
@@ -124,13 +137,23 @@ pub const SMOOTH_RING_ROWS: u32 = 32;
 /// Rows of the horizontal-blur ring: the vertical tap window is
 /// `2 · STREAM_BLUR_HALO + 1 = 7` rows, rounded up to a power of two.
 pub const HROW_RING_ROWS: u32 = 8;
+/// Rows of the Sobel gradient ring: the Harris block spans
+/// `2 · BLOCK_HALF + 1 = 7` gradient rows, rounded up to a power of two.
+pub const GRAD_RING_ROWS: u32 = 8;
 
 /// Raw-row lookahead between a candidate's row and the last raw row its
-/// emission touches: the maximum of the FAST/NMS chain
-/// (`STREAM_FAST_HALO + STREAM_NMS_DELAY`) and the smoothing/descriptor
-/// chain (`STREAM_PATCH_HALO + STREAM_BLUR_HALO`).
+/// emission touches: the maximum of the detection chain (FAST and
+/// Harris side by side, then NMS:
+/// `max(STREAM_FAST_HALO, STREAM_HARRIS_HALO) + STREAM_NMS_DELAY`) and
+/// the smoothing/descriptor chain (`STREAM_PATCH_HALO +
+/// STREAM_BLUR_HALO`).
 pub const STREAM_LATENCY_ROWS: u32 = {
-    let fast_chain = STREAM_FAST_HALO + STREAM_NMS_DELAY;
+    let score_halo = if STREAM_HARRIS_HALO > STREAM_FAST_HALO {
+        STREAM_HARRIS_HALO
+    } else {
+        STREAM_FAST_HALO
+    };
+    let fast_chain = score_halo + STREAM_NMS_DELAY;
     let descriptor_chain = STREAM_PATCH_HALO + STREAM_BLUR_HALO;
     if descriptor_chain > fast_chain {
         descriptor_chain
@@ -296,6 +319,8 @@ pub(crate) struct BandScratch {
     ring: GrayImage,
     /// Horizontal blur sums: `HROW_RING_ROWS` rows of `u16`.
     hrows: Vec<u16>,
+    /// Sobel gradient ring and column sums of the Harris scorer.
+    harris: HarrisScorer,
     /// Scored detections of the three NMS window rows, indexed `y % 3`.
     rows: [Vec<ScoredPoint>; 3],
     /// Oriented + described survivors of the band's owned rows, in
@@ -315,7 +340,7 @@ impl BandScratch {
     /// Bytes currently held by the band's line buffers (diagnostic;
     /// constant in image height for a fixed width).
     pub(crate) fn working_bytes(&self) -> usize {
-        self.ring.as_raw().len() + 2 * self.hrows.len()
+        self.ring.as_raw().len() + 2 * self.hrows.len() + self.harris.working_bytes()
     }
 }
 
@@ -506,6 +531,7 @@ pub(crate) fn process_band_stream(
         detections,
         ring,
         hrows,
+        harris,
         rows,
         results,
         keypoints,
@@ -527,6 +553,7 @@ pub(crate) fn process_band_stream(
     debug_assert!(owned.start >= 3 && owned.end <= h - 3);
     ring.reshape(img.width(), 2 * SMOOTH_RING_ROWS);
     hrows.resize(HROW_RING_ROWS as usize * w, 0);
+    let mut scorer = harris.stream(img);
 
     let mut st = StreamLevel {
         ex,
@@ -556,7 +583,7 @@ pub(crate) fn process_band_stream(
         }
         let row = &mut rows[y % 3];
         row.clear();
-        harris::score_band(img, detections, row);
+        scorer.score_row(detections, row);
         if y > scan_lo {
             let yf = y - 1;
             // A band's first owned row sees its upper neighbour either
@@ -582,11 +609,12 @@ pub(crate) fn process_band_stream(
 /// Re-exported consistency hook for `eslam-hw`: `(halo rows carried per
 /// stage, total raw-row latency)` — the numbers the hardware model's
 /// band schedule must mirror.
-pub fn latency_schedule() -> ([(&'static str, u32); 4], u32) {
+pub fn latency_schedule() -> ([(&'static str, u32); 5], u32) {
     (
         [
             ("blur", STREAM_BLUR_HALO),
             ("fast", STREAM_FAST_HALO),
+            ("harris", STREAM_HARRIS_HALO),
             ("nms", STREAM_NMS_DELAY),
             ("patch", STREAM_PATCH_HALO),
         ],
@@ -613,11 +641,14 @@ mod tests {
     #[test]
     fn latency_is_descriptor_chain_bound() {
         assert_eq!(STREAM_LATENCY_ROWS, 18);
+        assert_eq!(STREAM_HARRIS_HALO, 4);
         const { assert!(STREAM_LATENCY_ROWS >= STREAM_FAST_HALO + STREAM_NMS_DELAY) };
+        const { assert!(STREAM_LATENCY_ROWS >= STREAM_HARRIS_HALO + STREAM_NMS_DELAY) };
         assert_eq!(STREAM_LATENCY_ROWS, STREAM_PATCH_HALO + STREAM_BLUR_HALO);
         // The rings hold their widest consumer window.
         const { assert!(SMOOTH_RING_ROWS > 2 * STREAM_PATCH_HALO) };
         const { assert!(HROW_RING_ROWS > 2 * STREAM_BLUR_HALO) };
+        const { assert!(GRAD_RING_ROWS as i64 > 2 * BLOCK_HALF) };
     }
 
     #[test]

@@ -270,7 +270,7 @@ pub struct BandStage {
     /// smoothed ring's mirror copy).
     pub buffer_rows: u32,
     /// Bits per buffered pixel (8-bit pixels, 16-bit horizontal blur
-    /// sums).
+    /// sums, a pair of 16-bit Sobel gradients).
     pub bits_per_pixel: u32,
 }
 
@@ -284,8 +284,9 @@ pub struct BandStage {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BandSchedule {
     /// The fused stages in dataflow order: horizontal/vertical blur,
-    /// FAST segment test, NMS, and the orientation/descriptor patch.
-    pub stages: [BandStage; 4],
+    /// FAST segment test, Harris score, NMS, and the
+    /// orientation/descriptor patch.
+    pub stages: [BandStage; 5],
 }
 
 impl Default for BandSchedule {
@@ -307,6 +308,18 @@ impl Default for BandSchedule {
                     halo_rows: stream::STREAM_FAST_HALO,
                     buffer_rows: 2 * stream::STREAM_FAST_HALO + 1,
                     bits_per_pixel: 8,
+                },
+                // Harris: ±4 raw rows (the 7×7 block's ±3 gradient rows
+                // plus the Sobel tap); the gradient ring holds one
+                // (Ix, Iy) pair of 16-bit gradients per pixel. The
+                // software's row of column sums batches the block adds
+                // per detection row; a pixel-per-cycle datapath sums the
+                // 7 ring rows in its adder tree, so it is not charged.
+                BandStage {
+                    name: "harris",
+                    halo_rows: stream::STREAM_HARRIS_HALO,
+                    buffer_rows: stream::GRAD_RING_ROWS,
+                    bits_per_pixel: 32,
                 },
                 // 3×3 NMS trails the FAST scan by one row; the score
                 // rows hold f64 responses but only for the (sparse)
@@ -334,9 +347,10 @@ impl Default for BandSchedule {
 
 impl BandSchedule {
     /// Raw-row latency between a candidate's row and the last raw row
-    /// its emission touches: the maximum of the FAST → NMS chain and the
-    /// blur → patch chain (the two paths from the raw stream to a
-    /// finished feature).
+    /// its emission touches: the maximum of the FAST/Harris → NMS chain
+    /// (FAST and Harris read the stream side by side, so the wider halo
+    /// counts) and the blur → patch chain (the two paths from the raw
+    /// stream to a finished feature).
     pub fn latency_rows(&self) -> u32 {
         let halo = |name: &str| {
             self.stages
@@ -345,7 +359,7 @@ impl BandSchedule {
                 .expect("stage present")
                 .halo_rows
         };
-        (halo("fast") + halo("nms")).max(halo("blur") + halo("patch"))
+        (halo("fast").max(halo("harris")) + halo("nms")).max(halo("blur") + halo("patch"))
     }
 
     /// Total line-buffer bits for a level of the given width — linear in
@@ -592,6 +606,7 @@ mod tests {
         assert_eq!(schedule.latency_rows(), stream::STREAM_LATENCY_ROWS);
         // The ring buffers cover their widest consumer windows.
         const { assert!(stream::HROW_RING_ROWS > 2 * stream::STREAM_BLUR_HALO) };
+        const { assert!(stream::GRAD_RING_ROWS > 2 * (stream::STREAM_HARRIS_HALO - 1)) };
         const { assert!(stream::SMOOTH_RING_ROWS > 2 * stream::STREAM_PATCH_HALO) };
     }
 
@@ -601,12 +616,13 @@ mod tests {
         let vga = schedule.line_buffer_bits(640);
         assert_eq!(vga, 2 * schedule.line_buffer_bits(320));
         // Mirrored smoothed ring (64 rows × 8 b) + h-row ring
-        // (8 rows × 16 b) + FAST window (7 rows × 8 b) + NMS scores
-        // (3 rows × 64 b) = 888 bits/column.
-        assert_eq!(vga, 640 * 888);
-        // Far below the full-frame alternative (a VGA smoothed frame
-        // alone is 640 × 480 × 8 bits).
-        assert!(vga < 640 * 480 * 8 / 4);
+        // (8 rows × 16 b) + FAST window (7 rows × 8 b) + gradient ring
+        // (8 rows × 2 × 16 b) + NMS scores (3 rows × 64 b)
+        // = 1144 bits/column.
+        assert_eq!(vga, 640 * 1144);
+        // Over 3× below the full-frame alternative (a VGA smoothed frame
+        // alone is 640 × 480 × 8 bits = 3840 bits/column).
+        assert!(vga < 640 * 480 * 8 / 3);
     }
 
     #[test]
