@@ -5,13 +5,20 @@
 //!
 //! Every tracked id carries its parallelism: `…/t1` benches run one band
 //! per level on a 1-thread pool with scratch reused across iterations,
-//! so their numbers do not depend on the host's core count.
+//! and `…/t2` benches on an owned 2-thread pool, so their numbers do
+//! not depend on the host's core count.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use eslam_dataset::sequence::SequenceSpec;
-use eslam_features::orb::{OrbConfig, OrbExtractor, OrbScratch};
-use eslam_features::BandMode;
-use eslam_image::pyramid::PyramidConfig;
+use eslam_features::brief::{compute_descriptor_interior, PatternOffsets, RsBrief};
+use eslam_features::fast;
+use eslam_features::harris::harris_score;
+use eslam_features::nms::{suppress, ScoredPoint};
+use eslam_features::orb::{OrbConfig, OrbExtractor, OrbScratch, EDGE_MARGIN};
+use eslam_features::orientation::patch_moments;
+use eslam_features::{BandMode, WorkerPool};
+use eslam_image::filter::gaussian_blur_7x7_fixed;
+use eslam_image::pyramid::{ImagePyramid, PyramidConfig};
 use eslam_image::GrayImage;
 use std::hint::black_box;
 
@@ -49,15 +56,93 @@ fn bench_extraction_sizes(c: &mut Criterion) {
     group.finish();
 }
 
+/// Frame 10 of fr1/xyz at 640×480.
+fn paper_frame() -> GrayImage {
+    SequenceSpec::paper_sequences(90, 1.0)[0]
+        .build()
+        .frame(10)
+        .gray
+}
+
+/// Per pyramid level of the paper frame: the smoothed level and its NMS
+/// survivors behind the edge margin — the candidates the rescheduled
+/// workflow orients and describes (~25k over the four levels).
+fn paper_frame_candidates(config: &OrbConfig) -> Vec<(GrayImage, Vec<(u32, u32)>)> {
+    let pyramid = ImagePyramid::build(&paper_frame(), &config.pyramid);
+    pyramid
+        .iter()
+        .map(|(_, level)| {
+            let scored: Vec<ScoredPoint> = fast::detect(level, config.fast_threshold)
+                .iter()
+                .map(|d| ScoredPoint {
+                    x: d.x,
+                    y: d.y,
+                    score: harris_score(level, d.x, d.y),
+                })
+                .collect();
+            let (w, h) = (level.width(), level.height());
+            let kept = suppress(&scored)
+                .into_iter()
+                .filter(|p| {
+                    p.x >= EDGE_MARGIN
+                        && p.y >= EDGE_MARGIN
+                        && p.x + EDGE_MARGIN < w
+                        && p.y + EDGE_MARGIN < h
+                })
+                .map(|p| (p.x, p.y))
+                .collect();
+            (gaussian_blur_7x7_fixed(level), kept)
+        })
+        .collect()
+}
+
+fn bench_candidate_kernels(c: &mut Criterion) {
+    // The two per-candidate kernels alone, one thread, over every
+    // candidate of the paper frame: intensity-centroid moments, and the
+    // RS-BRIEF sampler through each level's compiled offset table.
+    let config = OrbConfig::default();
+    let levels = paper_frame_candidates(&config);
+    let mut group = c.benchmark_group("feature_extraction/orient");
+    group.bench_function("paper_frame/t1", |b| {
+        b.iter(|| {
+            for (smoothed, candidates) in &levels {
+                for &(x, y) in candidates {
+                    black_box(patch_moments(black_box(smoothed), x, y));
+                }
+            }
+        })
+    });
+    group.finish();
+
+    let rs = RsBrief::new(config.pattern_seed);
+    let tables: Vec<PatternOffsets> = levels
+        .iter()
+        .map(|(smoothed, _)| PatternOffsets::new(rs.pattern(), smoothed.width()))
+        .collect();
+    let mut group = c.benchmark_group("feature_extraction/describe");
+    group.bench_function("paper_frame/t1", |b| {
+        b.iter(|| {
+            for ((smoothed, candidates), table) in levels.iter().zip(&tables) {
+                for &(x, y) in candidates {
+                    black_box(compute_descriptor_interior(
+                        black_box(smoothed),
+                        x,
+                        y,
+                        table,
+                    ));
+                }
+            }
+        })
+    });
+    group.finish();
+}
+
 fn bench_extraction_paper_frame(c: &mut Criterion) {
     // A rendered paper frame carries the real detection load (~160k
     // FAST hits over the pyramid, against ~800 on the VGA checkerboard
     // above), so scoring and NMS costs show here.
     let mut group = c.benchmark_group("feature_extraction/paper_frame");
-    let img = SequenceSpec::paper_sequences(90, 1.0)[0]
-        .build()
-        .frame(10)
-        .gray;
+    let img = paper_frame();
     let extractor = single_band(OrbConfig::default());
     let mut scratch = OrbScratch::with_threads(Some(1));
     group.bench_with_input(BenchmarkId::from_parameter("640x480/t1"), &img, |b, img| {
@@ -67,9 +152,10 @@ fn bench_extraction_paper_frame(c: &mut Criterion) {
 }
 
 fn bench_extraction_bands(c: &mut Criterion) {
-    // The band-parallel axis on the VGA workload, on the global pool:
-    // bands=2/4 show the split cost on one core and the realized overlap
-    // when the pool has threads to dispatch onto.
+    // The band-parallel axis on the VGA workload, on an owned 2-thread
+    // pool (unclamped, so a 1-core host runs the same schedule): bands=2
+    // matches the pool, bands=1 overlaps only across pyramid levels, and
+    // bands=4 pays two more halo re-scans per level.
     let mut group = c.benchmark_group("feature_extraction/bands");
     let img = test_image(640, 480);
     for bands in [1usize, 2, 4] {
@@ -77,10 +163,12 @@ fn bench_extraction_bands(c: &mut Criterion) {
             bands: BandMode::Fixed(bands),
             ..Default::default()
         });
-        let mut scratch = OrbScratch::default();
-        group.bench_with_input(BenchmarkId::from_parameter(bands), &img, |b, img| {
-            b.iter(|| black_box(extractor.extract_with(img, &mut scratch)))
-        });
+        let mut scratch = OrbScratch::with_pool(WorkerPool::new(2));
+        group.bench_with_input(
+            BenchmarkId::from_parameter(format!("{bands}/t2")),
+            &img,
+            |b, img| b.iter(|| black_box(extractor.extract_with(img, &mut scratch))),
+        );
     }
     group.finish();
 }
@@ -111,6 +199,7 @@ criterion_group!(
     benches,
     bench_extraction_sizes,
     bench_extraction_paper_frame,
+    bench_candidate_kernels,
     bench_extraction_bands,
     bench_extraction_pyramid_depth
 );

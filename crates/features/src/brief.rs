@@ -2,10 +2,34 @@
 //! paper (§2.2): direct per-feature rotation (Eq. 2), the classic 30-angle
 //! lookup table \[8\], and RS-BRIEF where steering is a pure descriptor
 //! rotation.
+//!
+//! # Sampling kernels
+//!
+//! [`compute_descriptor`] samples with border clamping and is the oracle.
+//! The production sampler, [`compute_descriptor_interior`], reads through
+//! a [`PatternOffsets`] table compiled for the image stride, after one
+//! margin check per centre, with one kernel per platform:
+//!
+//! * **AVX2** (x86-64 hosts that report it): eight test pairs per step,
+//!   one `vpgatherdd` for the eight `S` locations and one for the eight
+//!   `D` locations, at byte offsets the table stores as two `i32` rows.
+//!   Each gathered dword keeps its low byte, so `vpcmpgtd` compares the
+//!   two pixels exactly as `u8`s, and `movmskps` yields the eight
+//!   descriptor bits in pattern order.
+//! * **Scalar** everywhere else: one indexed load per test location.
+//!
+//! A dword gather reads 3 bytes past its sample, so the AVX2 kernel runs
+//! only where the table's furthest sample plus those 3 bytes stays
+//! inside the image buffer. Only a centre on the last rows the margin
+//! admits can miss that, when its furthest sample lands within 3 bytes
+//! of the buffer's end; the scalar kernel takes such centres. Both
+//! produce the same 256 bits.
 
 use crate::descriptor::Descriptor;
 use crate::orientation::ORIENTATION_BINS;
-use crate::pattern::{BriefPattern, SteeredPatternLut, RS_SEED_PAIRS, RS_STEP_RADIANS};
+use crate::pattern::{
+    BriefPattern, SteeredPatternLut, PATTERN_PAIRS, RS_SEED_PAIRS, RS_STEP_RADIANS,
+};
 use eslam_image::GrayImage;
 
 /// Computes a descriptor by sampling the (smoothened) image at the
@@ -32,8 +56,19 @@ pub fn compute_descriptor(img: &GrayImage, x: u32, y: u32, pattern: &BriefPatter
 #[derive(Debug, Clone, PartialEq)]
 pub struct PatternOffsets {
     width: u32,
-    /// Per-pair `(S, D)` linear offsets relative to the centre pixel.
-    offsets: Vec<(i32, i32)>,
+    /// Per-pair `S` linear offsets relative to the centre pixel, in
+    /// pattern order (apart from `d` so eight consecutive pairs load as
+    /// one gather index vector).
+    s: [i32; PATTERN_PAIRS],
+    /// Per-pair `D` linear offsets relative to the centre pixel.
+    d: [i32; PATTERN_PAIRS],
+    /// Bytes the furthest sample lies before the centre (0 if none does);
+    /// only the AVX2 gather needs it.
+    #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+    back: usize,
+    /// Bytes the furthest sample lies after the centre (0 if none does).
+    #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+    reach: usize,
     /// Maximum |dx| / |dy| over all test locations (the interior margin).
     margin: u32,
     /// Fingerprint of the source pattern (see [`pattern_fingerprint`]).
@@ -66,26 +101,27 @@ impl PatternOffsets {
     pub fn new(pattern: &BriefPattern, width: u32) -> Self {
         let w = width as i64;
         let mut margin = 0i32;
-        let offsets = pattern
-            .pairs()
-            .iter()
-            .map(|pair| {
-                let (sx, sy) = pair.s.to_offset();
-                let (dx, dy) = pair.d.to_offset();
-                margin = margin
-                    .max(sx.abs())
-                    .max(sy.abs())
-                    .max(dx.abs())
-                    .max(dy.abs());
-                (
-                    (sy as i64 * w + sx as i64) as i32,
-                    (dy as i64 * w + dx as i64) as i32,
-                )
-            })
-            .collect();
+        let mut s = [0i32; PATTERN_PAIRS];
+        let mut d = [0i32; PATTERN_PAIRS];
+        for (i, pair) in pattern.pairs().iter().enumerate() {
+            let (sx, sy) = pair.s.to_offset();
+            let (dx, dy) = pair.d.to_offset();
+            margin = margin
+                .max(sx.abs())
+                .max(sy.abs())
+                .max(dx.abs())
+                .max(dy.abs());
+            s[i] = (sy as i64 * w + sx as i64) as i32;
+            d[i] = (dy as i64 * w + dx as i64) as i32;
+        }
+        let lowest = s.iter().chain(&d).copied().min().unwrap_or(0);
+        let highest = s.iter().chain(&d).copied().max().unwrap_or(0);
         PatternOffsets {
             width,
-            offsets,
+            s,
+            d,
+            back: lowest.min(0).unsigned_abs() as usize,
+            reach: highest.max(0) as usize,
             margin: margin as u32,
             fingerprint: pattern_fingerprint(pattern),
         }
@@ -110,7 +146,9 @@ impl PatternOffsets {
 /// Descriptor computation through a compiled [`PatternOffsets`] table.
 /// Bit-identical to [`compute_descriptor`] with the source pattern, for
 /// centres at least [`PatternOffsets::margin`] pixels from every border
-/// (clamping never engages there).
+/// (clamping never engages there). Runs the AVX2 gather kernel where
+/// the CPU has it and its reads stay inside the image, the scalar
+/// sampler otherwise (see the module docs).
 ///
 /// # Panics
 /// Panics if the centre violates the interior margin or the table was
@@ -133,13 +171,76 @@ pub fn compute_descriptor_interior(
     );
     let base = (y as usize) * img.width() as usize + x as usize;
     let data = img.as_raw();
+    #[cfg(target_arch = "x86_64")]
+    if base + table.reach + 3 < data.len() && crate::avx2_available() {
+        // SAFETY: AVX2 was detected on this CPU.
+        return unsafe { x86::gather_descriptor(data, base, table) };
+    }
+    sample_descriptor(data, base, table)
+}
+
+/// The scalar sampler: one indexed load per test location around the
+/// centre byte `base`.
+fn sample_descriptor(data: &[u8], base: usize, table: &PatternOffsets) -> Descriptor {
     let mut words = [0u64; 4];
-    for (i, &(so, d_o)) in table.offsets.iter().enumerate() {
+    for (i, (&so, &d_o)) in table.s.iter().zip(&table.d).enumerate() {
         let is = data[(base as i64 + so as i64) as usize];
         let id = data[(base as i64 + d_o as i64) as usize];
         words[i / 64] |= ((is > id) as u64) << (i % 64);
     }
     Descriptor::from_words(words)
+}
+
+#[cfg(target_arch = "x86_64")]
+mod x86 {
+    use super::PatternOffsets;
+    use crate::descriptor::Descriptor;
+    use std::arch::x86_64::*;
+
+    /// AVX2 sampler around the centre byte `base`: eight test pairs per
+    /// step, gathered as dwords whose low byte is the sample.
+    ///
+    /// # Panics
+    /// Panics unless every byte the gathers read, `base − back` through
+    /// `base + reach + 3`, lies inside `data`.
+    #[target_feature(enable = "avx2")]
+    pub(super) fn gather_descriptor(
+        data: &[u8],
+        base: usize,
+        table: &PatternOffsets,
+    ) -> Descriptor {
+        assert!(
+            base >= table.back && base + table.reach + 3 < data.len(),
+            "gathers around byte {base} leave the {}-byte image",
+            data.len()
+        );
+        // SAFETY: `base < data.len()` by the assert.
+        let centre = unsafe { data.as_ptr().add(base) } as *const i32;
+        let low_byte = _mm256_set1_epi32(0xff);
+        let mut words = [0u64; 4];
+        let groups = table.s.chunks_exact(8).zip(table.d.chunks_exact(8));
+        for (g, (s, d)) in groups.enumerate() {
+            // SAFETY: AVX2 is enabled on this function; `s` and `d` are
+            // eight `i32`s each; every offset lies in `−back ..= reach`,
+            // so each dword read starts at or after `data[0]` and ends
+            // at or before `data[base + reach + 3]`, inside `data`.
+            let (is, id) = unsafe {
+                let si = _mm256_loadu_si256(s.as_ptr() as *const __m256i);
+                let di = _mm256_loadu_si256(d.as_ptr() as *const __m256i);
+                (
+                    _mm256_i32gather_epi32::<1>(centre, si),
+                    _mm256_i32gather_epi32::<1>(centre, di),
+                )
+            };
+            let gt = _mm256_cmpgt_epi32(
+                _mm256_and_si256(is, low_byte),
+                _mm256_and_si256(id, low_byte),
+            );
+            let bits = _mm256_movemask_ps(_mm256_castsi256_ps(gt)) as u32 as u64;
+            words[g / 8] |= bits << (8 * (g % 8));
+        }
+        Descriptor::from_words(words)
+    }
 }
 
 /// Band-aware descriptor entry of the streaming front-end: samples the
@@ -453,5 +554,160 @@ mod tests {
             dist < 80,
             "steered distance {dist} should be well below chance"
         );
+    }
+
+    mod kernel_props {
+        use super::*;
+        use crate::pattern::{TestPair, TestPoint};
+        use proptest::prelude::*;
+
+        /// Deterministic per-pixel noise over the full `u8` range.
+        fn noise(w: u32, h: u32, seed: u64) -> GrayImage {
+            GrayImage::from_fn(w, h, |x, y| {
+                let v = (u64::from(x) << 32 | u64::from(y)) ^ seed;
+                (v.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 56) as u8
+            })
+        }
+
+        /// The extractor's default pattern seed and one other.
+        const SEEDS: [u64; 2] = [0xe51a, 7];
+
+        /// An RS-BRIEF pattern whose first pair also tests the patch
+        /// corners `(15, 15)` and `(−15, −15)`: at the bottom-right
+        /// centre the margin admits, its last gather would read 3 bytes
+        /// past the image, so the sampler must fall back there.
+        fn cornered(seed: u64) -> BriefPattern {
+            let mut pairs = BriefPattern::rs_brief(seed).pairs().to_vec();
+            pairs[0] = TestPair {
+                s: TestPoint { x: 15.0, y: 15.0 },
+                d: TestPoint { x: -15.0, y: -15.0 },
+            };
+            BriefPattern::new(pairs)
+        }
+
+        /// Checks every sampler at `(x, y)` against the clamped oracle:
+        /// the dispatching entry, the scalar sampler (called directly,
+        /// since AVX2 hosts never dispatch to it), and the gather kernel
+        /// wherever this CPU has AVX2 and its reads stay in the image.
+        fn check(
+            img: &GrayImage,
+            x: u32,
+            y: u32,
+            pattern: &BriefPattern,
+            table: &PatternOffsets,
+        ) -> Result<Descriptor, TestCaseError> {
+            let oracle = compute_descriptor(img, x, y, pattern);
+            let at = (img.width(), img.height(), x, y);
+            let data = img.as_raw();
+            let base = y as usize * img.width() as usize + x as usize;
+            prop_assert_eq!(
+                compute_descriptor_interior(img, x, y, table),
+                oracle,
+                "dispatch {:?}",
+                at
+            );
+            prop_assert_eq!(
+                sample_descriptor(data, base, table),
+                oracle,
+                "scalar {:?}",
+                at
+            );
+            #[cfg(target_arch = "x86_64")]
+            if crate::avx2_available() && base + table.reach + 3 < data.len() {
+                // SAFETY: AVX2 was detected on this CPU.
+                let avx2 = unsafe { x86::gather_descriptor(data, base, table) };
+                prop_assert_eq!(avx2, oracle, "avx2 {:?}", at);
+            }
+            Ok(oracle)
+        }
+
+        /// The four corner centres the table's margin admits on a
+        /// `w × h` image.
+        fn extremes(w: u32, h: u32, m: u32) -> [(u32, u32); 4] {
+            [
+                (m, m),
+                (w - 1 - m, m),
+                (m, h - 1 - m),
+                (w - 1 - m, h - 1 - m),
+            ]
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(32))]
+
+            #[test]
+            fn samplers_match_oracle_at_every_label(
+                narrow in 31u32..48, h in 31u32..48, seed in 0u64..u64::MAX,
+                which in 0usize..2, px in 0u32..1000, py in 0u32..1000,
+            ) {
+                // A narrow image whose linear offsets interleave rows,
+                // and VGA width; both with no slack rows or columns.
+                let rs = RsBrief::new(SEEDS[which]);
+                for w in [narrow, 640] {
+                    let img = noise(w, h, seed);
+                    let table = PatternOffsets::new(rs.pattern(), w);
+                    let m = table.margin();
+                    let centre = (m + px % (w - 2 * m), m + py % (h - 2 * m));
+                    for (x, y) in extremes(w, h, m) {
+                        check(&img, x, y, rs.pattern(), &table)?;
+                    }
+                    let (x, y) = centre;
+                    let raw = check(&img, x, y, rs.pattern(), &table)?;
+                    for label in 0..ORIENTATION_BINS {
+                        prop_assert_eq!(
+                            raw.steer(label),
+                            rs.compute_by_reindexing(&img, x, y, label),
+                            "label {} at ({}, {})", label, x, y
+                        );
+                    }
+                }
+            }
+
+            #[test]
+            fn samplers_fall_back_at_the_buffer_end(
+                w in 31u32..48, h in 31u32..48, seed in 0u64..u64::MAX, which in 0usize..2,
+            ) {
+                let pattern = cornered(SEEDS[which]);
+                for w in [w, 640] {
+                    let img = noise(w, h, seed);
+                    let table = PatternOffsets::new(&pattern, w);
+                    // The bottom-right centre's gather would end 3 bytes
+                    // past the buffer.
+                    prop_assert_eq!(table.reach, 15 * w as usize + 15);
+                    prop_assert_eq!(table.margin(), 15);
+                    for (x, y) in extremes(w, h, table.margin()) {
+                        check(&img, x, y, &pattern, &table)?;
+                    }
+                }
+            }
+
+            #[test]
+            fn ring_slots_15_and_46_match_the_full_frame(
+                w in 31u32..90, seed in 0u64..u64::MAX, which in 0usize..2, px in 0u32..1000,
+            ) {
+                // Virtual rows 15/47 sit at ring slot 15 and rows 46/78
+                // at slot 46 of a mirrored 32-slot ring.
+                let rs = RsBrief::new(SEEDS[which]);
+                let table = PatternOffsets::new(rs.pattern(), w);
+                let full = noise(w, 94, seed);
+                for y in [15u32, 46, 47, 78] {
+                    let mut ring = noise(w, 64, 0xfeed);
+                    for v in y - 15..=y + 15 {
+                        for x in 0..w {
+                            ring.set(x, v % 32, full.get(x, v));
+                            ring.set(x, v % 32 + 32, full.get(x, v));
+                        }
+                    }
+                    let m = table.margin();
+                    for x in [m, m + px % (w - 2 * m), w - 1 - m] {
+                        prop_assert_eq!(
+                            compute_descriptor_ring(&ring, x, y, 32, &table),
+                            compute_descriptor(&full, x, y, rs.pattern()),
+                            "{}-wide ring at ({}, {})", w, x, y
+                        );
+                    }
+                }
+            }
+        }
     }
 }

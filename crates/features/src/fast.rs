@@ -300,12 +300,6 @@ fn scan_row_scalar(
 mod x86 {
     use super::{CircleRows, FastDetection};
     use std::arch::x86_64::*;
-    use std::sync::OnceLock;
-
-    pub(super) fn avx2_available() -> bool {
-        static AVAILABLE: OnceLock<bool> = OnceLock::new();
-        *AVAILABLE.get_or_init(|| std::arch::is_x86_feature_detected!("avx2"))
-    }
 
     #[inline(always)]
     unsafe fn loadu(p: *const u8) -> __m256i {
@@ -473,7 +467,7 @@ pub fn detect_band_into(
     let y1 = (rows.end as usize).min(h - 3);
 
     #[cfg(target_arch = "x86_64")]
-    let use_avx2 = x86::avx2_available();
+    let use_avx2 = crate::avx2_available();
 
     for y in y0..y1 {
         let r = CircleRows::new(data, w, y);

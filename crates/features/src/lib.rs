@@ -8,11 +8,13 @@
 //!   per row band through a Sobel line buffer in exact integer sums;
 //! * [`nms`] — 3×3 non-maximum suppression;
 //! * [`orientation`] — intensity-centroid orientation with the paper's
-//!   32-label hardware LUT discretization;
+//!   32-label hardware LUT discretization; the patch moments run as an
+//!   exact AVX2 row-pair kernel where the CPU has it;
 //! * [`pattern`] / [`brief`] — BRIEF test patterns, including the paper's
 //!   headline contribution **RS-BRIEF** (§2.2): a 32-fold rotationally
 //!   symmetric pattern whose steering degenerates to a descriptor byte
-//!   rotation (the BRIEF Rotator);
+//!   rotation (the BRIEF Rotator); the compiled sampler gathers eight
+//!   test pairs per AVX2 step where the CPU has it;
 //! * [`heap`] — the bounded best-1024 Heap filter;
 //! * [`matcher`] — Hamming-distance brute-force matching (the BRIEF
 //!   Matcher, §3.2);
@@ -68,6 +70,15 @@ pub use matcher::{DescriptorMatch, MatchKernel};
 pub use orb::{Keypoint, OrbConfig, OrbExtractor, OrbFeatures};
 pub use pool::WorkerPool;
 pub use stream::BandMode;
+
+/// Whether the CPU supports AVX2, detected once per process. The FAST
+/// scan, the moments kernel and the descriptor sampler all dispatch on
+/// this one answer.
+#[cfg(target_arch = "x86_64")]
+pub(crate) fn avx2_available() -> bool {
+    static AVAILABLE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+    *AVAILABLE.get_or_init(|| std::arch::is_x86_feature_detected!("avx2"))
+}
 
 #[cfg(test)]
 mod proptests {
