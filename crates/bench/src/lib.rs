@@ -5,6 +5,8 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod ab;
+mod json;
 pub mod regress;
 
 use std::fmt::Display;

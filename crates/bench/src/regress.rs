@@ -24,6 +24,7 @@
 //! together, so requiring both keeps the gate sensitive to real
 //! regressions while ignoring one-sided noise.
 
+use crate::json::Json;
 use std::fmt::Write as _;
 
 /// One benchmark's measured times, in nanoseconds.
@@ -130,7 +131,8 @@ pub fn parse_harness_output(text: &str) -> HarnessRun {
 /// (`"name": [min_ns, median_ns]`).
 pub fn to_json(records: &[BenchRecord], note: &str) -> String {
     let mut s = String::from("{\n");
-    let _ = writeln!(s, "  \"note\": \"{}\",", note.replace('"', "'"));
+    let note = note.replace('\\', "\\\\").replace('"', "\\\"");
+    let _ = writeln!(s, "  \"note\": \"{note}\",");
     s.push_str("  \"benches\": {\n");
     for (i, r) in records.iter().enumerate() {
         let comma = if i + 1 < records.len() { "," } else { "" };
@@ -148,33 +150,25 @@ pub fn to_json(records: &[BenchRecord], note: &str) -> String {
 /// structural surprise — the caller should fail loudly rather than
 /// compare against garbage.
 pub fn parse_json(text: &str) -> Option<Vec<BenchRecord>> {
-    let (_, rest) = text.split_once("\"benches\"")?;
-    let (_, body) = rest.split_once('{')?;
-    let (body, _) = body.split_once('}')?;
-    let mut out = Vec::new();
-    // Entries look like `"name": [min, median],` — split on `]` so the
-    // comma inside the array survives.
-    for entry in body.split(']') {
-        let entry = entry.trim().trim_start_matches(',').trim();
-        if entry.is_empty() {
-            continue;
-        }
-        let (name, values) = entry.split_once(':')?;
-        let name = name.trim().trim_matches('"');
-        let values = values.trim().strip_prefix('[')?;
-        let (min, median) = values.split_once(',')?;
-        let min_ns: f64 = min.trim().parse().ok()?;
-        let median_ns: f64 = median.trim().parse().ok()?;
-        if name.is_empty() {
-            return None;
-        }
-        out.push(BenchRecord {
-            name: name.to_string(),
-            min_ns,
-            median_ns,
-        });
-    }
-    Some(out)
+    let Some(Json::Object(benches)) = Json::parse(text)?.get("benches").cloned() else {
+        return None;
+    };
+    benches
+        .into_iter()
+        .map(|(name, times)| {
+            let Json::Array(times) = times else {
+                return None;
+            };
+            let [min, median] = times.as_slice() else {
+                return None;
+            };
+            (!name.is_empty()).then_some(BenchRecord {
+                min_ns: min.as_f64()?,
+                median_ns: median.as_f64()?,
+                name,
+            })
+        })
+        .collect()
 }
 
 /// Compares the current run against the baseline. `tolerance` is the
@@ -290,7 +284,7 @@ bench_tiny                                       time:   [2.000 ns 3.000 ns 4.00
     #[test]
     fn json_round_trips() {
         let run = parse_harness_output(SAMPLE);
-        let json = to_json(&run.records, "unit test");
+        let json = to_json(&run.records, "unit \"test\" in C:\\bench");
         let back = parse_json(&json).expect("round trip");
         assert_eq!(back.len(), run.records.len());
         for (a, b) in run.records.iter().zip(&back) {
@@ -298,6 +292,10 @@ bench_tiny                                       time:   [2.000 ns 3.000 ns 4.00
             assert!((a.min_ns - b.min_ns).abs() < 0.5, "{}", a.name);
             assert!((a.median_ns - b.median_ns).abs() < 0.5, "{}", a.name);
         }
+        let baseline = parse_json(include_str!("../BENCH_baseline.json")).expect("baseline");
+        assert!(baseline
+            .iter()
+            .any(|r| r.name.starts_with("feature_extraction/")));
     }
 
     fn rec(name: &str, min: f64, median: f64) -> BenchRecord {

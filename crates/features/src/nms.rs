@@ -3,6 +3,11 @@
 //! The paper's NMS module "removes FAST keypoints that are too close to
 //! each other, and only reserves the one with maximum Harris score in any
 //! 3 × 3 pixels patch" (§3.1).
+//!
+//! [`suppress`] is the oracle. The extractor runs the same rule as a
+//! streaming comparator over three dense score rows, where `≥` against
+//! the neighbours earlier in raster order and `>` against the later ones
+//! is this tie rule (see [`crate::stream`], "3×3 NMS").
 
 use std::collections::HashMap;
 

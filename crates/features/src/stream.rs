@@ -48,8 +48,12 @@
 //!   gradient pairs `(Ix, Iy)`, covering the 7-row Harris block, plus
 //!   one row of three 32-bit column sums of the block's gradient
 //!   products ([`crate::harris`]).
-//! * **Score rows** — 3 rotating rows of scored detections for the 3×3
-//!   NMS window.
+//! * **Score rows** — 3 dense `f64` rows of the level width, one per
+//!   row of the 3×3 NMS window (indexed `y % 3`), holding each scored
+//!   detection's Harris response at its column and `NEG_INFINITY` in
+//!   every other cell. A row is written as it is scored and reset
+//!   through its own hit list (the row's x-sorted scored detections)
+//!   before its slot is reused three rows later.
 //!
 //! Blur and gradient work is *lazy*: smoothed rows are produced only
 //! when a surviving candidate needs them, gradient rows only when a
@@ -57,9 +61,24 @@
 //! spans nobody reads. Peak extraction working memory is `O(width)` —
 //! independent of image height: every band of a level holds its own
 //! full-width rings, `64·w` smoothed-ring bytes + `2·8·w` h-row bytes +
-//! `2·2·8·w` gradient bytes + `3·4·w` column-sum bytes = `124·w` bytes
-//! per band, where a full-frame blur holds a smoothed frame plus a `u16`
-//! scratch (`3·w·h` bytes).
+//! `2·2·8·w` gradient bytes + `3·4·w` column-sum bytes + `3·8·w` score
+//! bytes = `148·w` bytes per band, where a full-frame blur holds a
+//! smoothed frame plus a `u16` scratch (`3·w·h` bytes).
+//!
+//! # 3×3 NMS
+//!
+//! A hit scoring `s` at column `x` of finalize row `yf` is suppressed
+//! when `max(prev[x−1..=x+1], cur[x−1]) ≥ s` or
+//! `max(cur[x+1], next[x−1..=x+1]) > s`, over the dense rows `yf − 1`,
+//! `yf` and `yf + 1`. A neighbour earlier in raster order wins a tie and
+//! a later one must score strictly higher: the `≥`/`>` split is exactly
+//! the raster tie rule of [`crate::nms::suppress`]. Empty cells never
+//! suppress, because Harris scores are finite (exact integer block sums,
+//! [`crate::harris`]) and so exceed `NEG_INFINITY`. Only rows in
+//! `[EDGE_MARGIN, h − EDGE_MARGIN)` are finalized, the only rows whose
+//! survivors can pass the edge margin; since `EDGE_MARGIN ≥
+//! STREAM_FAST_HALO + STREAM_NMS_DELAY`, the row below the last of them
+//! is always a scanned row.
 //!
 //! # Bit-identity
 //!
@@ -321,8 +340,12 @@ pub(crate) struct BandScratch {
     hrows: Vec<u16>,
     /// Sobel gradient ring and column sums of the Harris scorer.
     harris: HarrisScorer,
-    /// Scored detections of the three NMS window rows, indexed `y % 3`.
-    rows: [Vec<ScoredPoint>; 3],
+    /// Scored detections of the three NMS window rows, indexed `y % 3`,
+    /// sorted by x: the hits each dense row is walked and reset through.
+    hits: [Vec<ScoredPoint>; 3],
+    /// Dense score rows of the NMS window, indexed `y % 3`: the level
+    /// width each, `NEG_INFINITY` where a row has no detection.
+    scores: [Vec<f64>; 3],
     /// Oriented + described survivors of the band's owned rows, in
     /// raster order ([`Workflow::Rescheduled`]).
     pub(crate) results: Vec<(Keypoint, Descriptor)>,
@@ -340,32 +363,30 @@ impl BandScratch {
     /// Bytes currently held by the band's line buffers (diagnostic;
     /// constant in image height for a fixed width).
     pub(crate) fn working_bytes(&self) -> usize {
-        self.ring.as_raw().len() + 2 * self.hrows.len() + self.harris.working_bytes()
+        self.ring.as_raw().len()
+            + 2 * self.hrows.len()
+            + self.harris.working_bytes()
+            + std::mem::size_of::<f64>() * self.scores.iter().map(Vec::len).sum::<usize>()
     }
 }
 
-/// `q` suppresses `p` under the 3×3 NMS rule of
-/// [`crate::nms::suppress`]: strictly higher score, or an equal score at
-/// an earlier raster position.
-#[inline]
-fn beats(q: &ScoredPoint, p: &ScoredPoint) -> bool {
-    q.score > p.score || (q.score == p.score && (q.y, q.x) < (p.y, p.x))
-}
+// The last finalized row is `h − EDGE_MARGIN − 1`. Its NMS window needs
+// row `h − EDGE_MARGIN` scored, and the scan stops above row
+// `h − STREAM_FAST_HALO`.
+const _: () = assert!(EDGE_MARGIN >= STREAM_FAST_HALO + STREAM_NMS_DELAY);
 
-/// The detections of `row` (sorted by x) within `[x − 1, x + 1]`.
+/// The 3×3 NMS rule of [`crate::nms::suppress`] on dense score rows
+/// (`NEG_INFINITY` where no detection): the hit scoring `s` at column
+/// `x` of `cur` survives unless a neighbour earlier in raster order (the
+/// row above, or the left neighbour) scores at least `s`, or a later one
+/// (the right neighbour, or the row below) scores more than `s`. `x`
+/// needs a column on each side, and `s` must be finite.
 #[inline]
-fn row_neighbors(row: &[ScoredPoint], x: u32) -> &[ScoredPoint] {
-    let lo = x.saturating_sub(1);
-    let from = row.partition_point(|q| q.x < lo);
-    let to = from + row[from..].partition_point(|q| q.x <= x + 1);
-    &row[from..to]
-}
-
-/// The three score rows forming the NMS window around finalize row `yf`
-/// (`yf − 1`, `yf`, `yf + 1` at slots `(yf + 2) % 3`, `yf % 3`,
-/// `(yf + 1) % 3`).
-fn nms_window(rows: &[Vec<ScoredPoint>; 3], yf: usize) -> (&[ScoredPoint], &[ScoredPoint]) {
-    (&rows[(yf + 2) % 3], &rows[yf % 3])
+fn nms_survives(prev: &[f64], cur: &[f64], next: &[f64], x: usize, s: f64) -> bool {
+    let (prev, cur, next) = (&prev[x - 1..x + 2], &cur[x - 1..x + 2], &next[x - 1..x + 2]);
+    let earlier = (prev[0] >= s) | (prev[1] >= s) | (prev[2] >= s) | (cur[0] >= s);
+    let later = (cur[2] > s) | (next[0] > s) | (next[1] > s) | (next[2] > s);
+    !(earlier | later)
 }
 
 /// Per-level state of the streaming pass that advances the lazy
@@ -390,42 +411,19 @@ struct StreamLevel<'a> {
 }
 
 impl StreamLevel<'_> {
-    /// Finalizes NMS for row `yf` and emits every survivor behind the
-    /// edge margin, in x order — the raster order
-    /// [`crate::nms::suppress`] + margin filtering produce.
-    fn finalize_row(&mut self, prev: &[ScoredPoint], cur: &[ScoredPoint], next: &[ScoredPoint]) {
-        'candidate: for (i, p) in cur.iter().enumerate() {
-            // In-row neighbours are adjacent in the sorted row.
-            if i > 0 {
-                let q = &cur[i - 1];
-                if q.x + 1 == p.x && beats(q, p) {
-                    continue 'candidate;
-                }
+    /// Finalizes NMS for one row behind the edge margin and emits every
+    /// survivor clear of the margin columns, in x order — the raster
+    /// order [`crate::nms::suppress`] + margin filtering produce. `hits`
+    /// are the row's scored detections; `[prev, cur, next]` the dense
+    /// score rows above, of and below it.
+    fn finalize_row(&mut self, hits: &[ScoredPoint], [prev, cur, next]: [&[f64]; 3]) {
+        let margin = EDGE_MARGIN as usize;
+        for p in hits {
+            let x = p.x as usize;
+            if x >= margin && x + margin < self.w && nms_survives(prev, cur, next, x, p.score) {
+                *self.cand_count += 1;
+                self.emit(p);
             }
-            if let Some(q) = cur.get(i + 1) {
-                if q.x == p.x + 1 && beats(q, p) {
-                    continue 'candidate;
-                }
-            }
-            for q in row_neighbors(prev, p.x) {
-                if beats(q, p) {
-                    continue 'candidate;
-                }
-            }
-            for q in row_neighbors(next, p.x) {
-                if beats(q, p) {
-                    continue 'candidate;
-                }
-            }
-            if p.x < EDGE_MARGIN
-                || p.y < EDGE_MARGIN
-                || p.x + EDGE_MARGIN >= self.img.width()
-                || p.y + EDGE_MARGIN >= self.img.height()
-            {
-                continue 'candidate;
-            }
-            *self.cand_count += 1;
-            self.emit(p);
         }
     }
 
@@ -502,22 +500,22 @@ impl StreamLevel<'_> {
 
 /// Streams one row band of a level into its [`BandScratch`] — the task
 /// body of the band schedule. One scan over the band's rows drives
-/// FAST + Harris, 3×3 NMS one row behind, and — per surviving
-/// candidate — lazy blur, moments and (under [`Workflow::Rescheduled`])
-/// the descriptor off the ring buffers. `offsets` must already be
-/// prepared by the caller (the table is shared read-only across a
-/// level's bands).
+/// FAST + Harris into the dense score rows, 3×3 NMS one row behind, and
+/// — per surviving candidate — lazy blur, moments and (under
+/// [`Workflow::Rescheduled`]) the descriptor off the ring buffers.
+/// `offsets` must already be prepared by the caller (the table is shared
+/// read-only across a level's bands).
 ///
 /// Raw rows `max(3, owned.start − 1) .. min(h − 3, owned.end + 1)` are
-/// scanned and scored (one row of NMS halo on each interior side),
-/// exactly the `owned` rows are finalized, and survivors emit in raster
-/// order. The lazy blur chain independently re-produces up to
-/// [`STREAM_LATENCY_ROWS`] raw rows above the band's first candidate —
-/// the duplicated halo work that buys band independence. Stats count
-/// owned rows only, so per-band sums equal the single-band totals, and
-/// concatenating band outputs in band order reproduces the single-band
-/// emission sequence exactly — the partition is invisible in the
-/// results.
+/// scanned and scored (one row of NMS halo on each interior side), the
+/// `owned` rows inside `[EDGE_MARGIN, h − EDGE_MARGIN)` are finalized,
+/// and survivors emit in raster order. The lazy blur chain
+/// independently re-produces up to [`STREAM_LATENCY_ROWS`] raw rows
+/// above the band's first candidate — the duplicated halo work that buys
+/// band independence. Stats count owned rows only, so per-band sums
+/// equal the single-band totals, and concatenating band outputs in band
+/// order reproduces the single-band emission sequence exactly — the
+/// partition is invisible in the results.
 pub(crate) fn process_band_stream(
     ex: &OrbExtractor,
     img: &GrayImage,
@@ -532,7 +530,8 @@ pub(crate) fn process_band_stream(
         ring,
         hrows,
         harris,
-        rows,
+        hits,
+        scores,
         results,
         keypoints,
         fast_count,
@@ -542,9 +541,6 @@ pub(crate) fn process_band_stream(
     keypoints.clear();
     *fast_count = 0;
     *cand_count = 0;
-    for row in rows.iter_mut() {
-        row.clear();
-    }
     let w = img.width() as usize;
     let h = img.height() as usize;
     if w < 7 || h < 7 || owned.is_empty() {
@@ -553,6 +549,13 @@ pub(crate) fn process_band_stream(
     debug_assert!(owned.start >= 3 && owned.end <= h - 3);
     ring.reshape(img.width(), 2 * SMOOTH_RING_ROWS);
     hrows.resize(HROW_RING_ROWS as usize * w, 0);
+    // Every score cell starts empty, whatever width or image the band
+    // scratch streamed before.
+    for (row, dense) in hits.iter_mut().zip(scores.iter_mut()) {
+        row.clear();
+        dense.clear();
+        dense.resize(w, f64::NEG_INFINITY);
+    }
     let mut scorer = harris.stream(img);
 
     let mut st = StreamLevel {
@@ -573,6 +576,8 @@ pub(crate) fn process_band_stream(
     };
     let threshold = ex.config().fast_threshold;
 
+    let margin = EDGE_MARGIN as usize;
+    let finalize = owned.start.max(margin)..owned.end.min(h.saturating_sub(margin));
     let scan_lo = owned.start.max(4) - 1;
     let scan_hi = (owned.end + 1).min(h - 3);
     for y in scan_lo..scan_hi {
@@ -581,28 +586,27 @@ pub(crate) fn process_band_stream(
         if owned.contains(&y) {
             *fast_count += detections.len();
         }
-        let row = &mut rows[y % 3];
+        // Slot `y % 3` last held row `y − 3`: clear its cells through its
+        // hits, then score row `y` into it.
+        let (row, dense) = (&mut hits[y % 3], &mut scores[y % 3]);
+        for p in row.iter() {
+            dense[p.x as usize] = f64::NEG_INFINITY;
+        }
         row.clear();
         scorer.score_row(detections, row);
-        if y > scan_lo {
-            let yf = y - 1;
-            // A band's first owned row sees its upper neighbour either
-            // as the scanned halo row (interior band) or as the cleared
-            // ring slot (`owned.start == 3`, the image border).
-            if owned.contains(&yf) {
-                let (prev, cur) = nms_window(rows, yf);
-                st.finalize_row(prev, cur, &rows[(yf + 1) % 3]);
-            }
+        for p in row.iter() {
+            debug_assert!(
+                p.score.is_finite(),
+                "the empty-cell sentinel needs finite scores"
+            );
+            dense[p.x as usize] = p.score;
         }
-    }
-    // The level's last finalize row has no successor: finalize against
-    // an empty "next" row (its ring slot holds a stale row from 3 scans
-    // back). Interior bands already finalized their last owned row
-    // against the scanned halo row below inside the loop.
-    if owned.end == h - 3 {
-        let yf = h - 4;
-        let (prev, cur) = nms_window(rows, yf);
-        st.finalize_row(prev, cur, &[]);
+        // Row `y − 1` has its neighbours above and below scored now.
+        if finalize.contains(&(y - 1)) {
+            let yf = y - 1;
+            let window = [&scores[(yf + 2) % 3][..], &scores[yf % 3], &scores[y % 3]];
+            st.finalize_row(&hits[yf % 3], window);
+        }
     }
 }
 
@@ -626,6 +630,7 @@ pub fn latency_schedule() -> ([(&'static str, u32); 5], u32) {
 mod tests {
     use super::*;
     use crate::orb::{DescriptorKind, OrbConfig, OrbScratch};
+    use eslam_image::pyramid::ImagePyramid;
 
     fn test_image(w: u32, h: u32, seed: u64) -> GrayImage {
         GrayImage::from_fn(w, h, |x, y| {
@@ -666,8 +671,15 @@ mod tests {
 
     #[test]
     fn band_count_resolution_prefers_config_then_pool() {
-        // (No env override in-process: forced_bands is exercised by the
-        // subprocess probes in eslam_core::overrides.)
+        // `ESLAM_BANDS` (the CI matrix axis) wins over every config and
+        // pool shape; its parsing is exercised by the subprocess probes
+        // in eslam_core::overrides.
+        if let Some(forced) = forced_bands() {
+            for (mode, threads) in [(BandMode::Fixed(4), 1), (BandMode::Auto, 6)] {
+                assert_eq!(resolve_bands(mode, threads), forced);
+            }
+            return;
+        }
         assert_eq!(resolve_bands(BandMode::Fixed(4), 1), 4);
         assert_eq!(resolve_bands(BandMode::Fixed(0), 8), 1);
         assert_eq!(resolve_bands(BandMode::Auto, 1), 1);
@@ -887,18 +899,74 @@ mod tests {
 
     #[test]
     fn working_memory_is_independent_of_image_height() {
-        let e = OrbExtractor::new(OrbConfig::default());
+        let e = OrbExtractor::new(OrbConfig {
+            bands: BandMode::Fixed(1),
+            ..Default::default()
+        });
         let mut short = OrbScratch::default();
         let mut tall = OrbScratch::default();
-        e.extract_with(&test_image(128, 96, 0), &mut short);
+        let short_img = test_image(128, 96, 0);
+        e.extract_with(&short_img, &mut short);
         e.extract_with(&test_image(128, 768, 0), &mut tall);
         let bytes = short.stream_working_bytes();
-        assert!(bytes > 0, "streaming pass must have used its rings");
         assert_eq!(
             bytes,
             tall.stream_working_bytes(),
             "line-buffer memory must not scale with height"
         );
+        // Every band holds exactly the module docs' 148·w bytes
+        // (`ESLAM_BANDS` may override the configured single band).
+        let bands = resolve_bands(e.config().bands, 1);
+        let band_widths: usize = ImagePyramid::build(&short_img, &e.config().pyramid)
+            .iter()
+            .map(|(_, level)| level.width() as usize * band_partition(level.height(), bands).len())
+            .sum();
+        assert_eq!(bytes, 148 * band_widths);
+    }
+
+    mod nms_props {
+        use super::*;
+        use crate::nms::suppress;
+        use proptest::prelude::*;
+
+        /// Window width; the middle row's hits sit in `1..NMS_W - 1`.
+        const NMS_W: usize = 8;
+        /// Cell values: a few scores (ties are common, one is negative)
+        /// and, for the rest of the range, no detection.
+        const ALPHABET: [f64; 4] = [-1.0, 0.0, 0.5, 1.0];
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            #[test]
+            fn dense_window_rule_matches_suppress(
+                cells in proptest::collection::vec(0usize..8, 3 * NMS_W..3 * NMS_W + 1),
+            ) {
+                let mut rows = [[f64::NEG_INFINITY; NMS_W]; 3];
+                let mut points = Vec::new();
+                for (i, &c) in cells.iter().enumerate() {
+                    if let Some(&score) = ALPHABET.get(c) {
+                        let (x, y) = (i % NMS_W, i / NMS_W);
+                        rows[y][x] = score;
+                        points.push(ScoredPoint { x: x as u32, y: y as u32, score });
+                    }
+                }
+                let kept = suppress(&points);
+                for p in points.iter().filter(|p| p.y == 1) {
+                    let x = p.x as usize;
+                    if x == 0 || x == NMS_W - 1 {
+                        continue;
+                    }
+                    prop_assert_eq!(
+                        nms_survives(&rows[0], &rows[1], &rows[2], x, p.score),
+                        kept.contains(p),
+                        "hit at column {} of {:?}",
+                        x,
+                        rows
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -321,10 +321,9 @@ impl Default for BandSchedule {
                     buffer_rows: stream::GRAD_RING_ROWS,
                     bits_per_pixel: 32,
                 },
-                // 3×3 NMS trails the FAST scan by one row; the score
-                // rows hold f64 responses but only for the (sparse)
-                // detections, so they are not line buffers — charge the
-                // 3-row window at score width for the worst case.
+                // 3×3 NMS trails the FAST scan by one row: three dense
+                // score line buffers of f64 responses, the same rows
+                // the software streams through.
                 BandStage {
                     name: "nms",
                     halo_rows: stream::STREAM_NMS_DELAY,

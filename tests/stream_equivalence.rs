@@ -6,8 +6,10 @@
 //! odd and degenerate image sizes, every descriptor kind and workflow,
 //! and every band count and worker-pool shape.
 
-use eslam_core::{run_sequence, Slam, SlamConfig};
+use eslam_core::{run_sequence, Overrides, Slam, SlamConfig};
 use eslam_dataset::sequence::{SequenceSpec, SyntheticSequence};
+use eslam_features::fast::{self, FastDetection};
+use eslam_features::harris::harris_score;
 use eslam_features::orb::{DescriptorKind, OrbConfig, OrbExtractor, OrbScratch, Workflow};
 use eslam_features::BandMode;
 use eslam_image::pyramid::PyramidConfig;
@@ -32,6 +34,34 @@ fn textured(w: u32, h: u32, seed: u64) -> GrayImage {
             190
         };
         base + ((x as u64 * 31 + y as u64 * 17 + seed * 1009) % 23) as u8
+    })
+}
+
+/// Pairs of bright pixels on a flat background, one pair per 12×12
+/// cell, with varied contrast. Each pair is mirror-symmetric about the
+/// line (or, for the diagonal pairs, the point) between its two pixels,
+/// so both pixels are FAST hits with exactly equal Harris scores and the
+/// 3×3 NMS tie rule alone decides which survives. The pairs run
+/// horizontally, vertically and along both diagonals, so every one of
+/// the eight neighbour positions breaks a tie somewhere.
+fn tied_pairs(w: u32, h: u32) -> GrayImage {
+    const PAIRS: [[(u32, u32); 2]; 4] = [
+        [(0, 0), (1, 0)],
+        [(0, 0), (0, 1)],
+        [(0, 0), (1, 1)],
+        [(1, 0), (0, 1)],
+    ];
+    GrayImage::from_fn(w, h, |x, y| {
+        let (cx, cy) = (x / 12, y / 12);
+        let pair = PAIRS[((cx + cy) % 4) as usize];
+        if pair
+            .iter()
+            .any(|&(px, py)| (x % 12, y % 12) == (5 + px, 5 + py))
+        {
+            120 + 10 * ((cx * 7 + cy * 3) % 12) as u8
+        } else {
+            60
+        }
     })
 }
 
@@ -99,21 +129,38 @@ fn streaming_bit_identical_on_odd_and_degenerate_sizes() {
 fn streaming_bit_identical_for_all_descriptor_kinds_and_workflows() {
     // The Original workflow streams detection and orientation, then
     // describes only the kept N off smoothed levels; both workflows
-    // must agree with the reference exactly.
-    let img = textured(200, 150, 3);
-    for kind in [
-        DescriptorKind::RsBrief,
-        DescriptorKind::OriginalLut,
-        DescriptorKind::OriginalDirect,
-    ] {
-        for workflow in [Workflow::Rescheduled, Workflow::Original] {
-            let extractor = OrbExtractor::new(OrbConfig {
-                descriptor: kind,
-                workflow,
-                max_features: 200,
-                ..Default::default()
-            });
-            assert_matches_reference(&extractor, &img, &format!("{kind:?} {workflow:?}"));
+    // must agree with the reference exactly — on a corner-rich texture
+    // and on an image whose adjacent hits tie exactly.
+    let ties = tied_pairs(160, 120);
+    let hits = fast::detect(&ties, fast::DEFAULT_THRESHOLD);
+    let tied = |a: &FastDetection, (dx, dy): (i64, i64)| {
+        hits.iter().any(|b| {
+            (b.x as i64 - a.x as i64, b.y as i64 - a.y as i64) == (dx, dy)
+                && harris_score(&ties, a.x, a.y) == harris_score(&ties, b.x, b.y)
+        })
+    };
+    for step in [(1, 0), (0, 1), (1, 1), (-1, 1)] {
+        assert!(
+            hits.iter().any(|a| tied(a, step)),
+            "no exact score tie between level-0 hits {step:?} apart"
+        );
+    }
+    for (name, img) in [("textured", textured(200, 150, 3)), ("tied pairs", ties)] {
+        for kind in [
+            DescriptorKind::RsBrief,
+            DescriptorKind::OriginalLut,
+            DescriptorKind::OriginalDirect,
+        ] {
+            for workflow in [Workflow::Rescheduled, Workflow::Original] {
+                let extractor = OrbExtractor::new(OrbConfig {
+                    descriptor: kind,
+                    workflow,
+                    max_features: 200,
+                    ..Default::default()
+                });
+                let ctx = format!("{name} {kind:?} {workflow:?}");
+                assert_matches_reference(&extractor, &img, &ctx);
+            }
         }
     }
 }
@@ -290,10 +337,14 @@ fn band_parallel_working_memory_scales_with_bands_not_height() {
     });
     let mut one = OrbScratch::default();
     single.extract_with(&textured(160, 120, 5), &mut one);
+    // `ESLAM_BANDS` (the CI matrix axis) overrides both configured
+    // counts. The smallest level of these shapes has 63 finalize rows,
+    // so no band count up to that is clamped.
+    let bands = |configured: usize| Overrides::from_env().bands.unwrap_or(configured);
     assert_eq!(
-        four_band_bytes,
-        4 * one.stream_working_bytes(),
-        "4 bands must charge exactly 4 full line-buffer sets"
+        four_band_bytes * bands(1),
+        bands(4) * one.stream_working_bytes(),
+        "every band must charge exactly one full line-buffer set"
     );
 }
 
