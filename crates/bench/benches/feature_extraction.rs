@@ -65,8 +65,9 @@ fn paper_frame() -> GrayImage {
 }
 
 /// Per pyramid level of the paper frame: the smoothed level and its NMS
-/// survivors behind the edge margin — the candidates the rescheduled
-/// workflow orients and describes (~25k over the four levels).
+/// survivors behind the edge margin (~25k over the four levels). The
+/// kernel benches run over all of them; the extractor orients and
+/// describes only each level's best `max_features`.
 fn paper_frame_candidates(config: &OrbConfig) -> Vec<(GrayImage, Vec<(u32, u32)>)> {
     let pyramid = ImagePyramid::build(&paper_frame(), &config.pyramid);
     pyramid

@@ -2,10 +2,10 @@
 //! Original (detect → filter → compute) vs Rescheduled
 //! (detect → compute → filter) extraction schedules on the same frame.
 //!
-//! In software the rescheduled variant does strictly more work (M ≥ N
-//! descriptors); on hardware it wins by eliminating idle states. Both
-//! shapes are reported: wall-clock here, modelled cycles in
-//! `ablation_reschedule`.
+//! In software the rescheduled variant does more work (each level's
+//! best N descriptors, `Σ min(M_level, N)` ≥ N); on hardware it
+//! describes all M and wins by eliminating idle states. Both shapes are
+//! reported: wall-clock here, modelled cycles in `ablation_reschedule`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use eslam_features::orb::{OrbConfig, OrbExtractor, Workflow};

@@ -1,7 +1,8 @@
 //! Ablation of the §3.1 **workflow rescheduling**: latency and on-chip
 //! memory of the original (detect → filter → compute) vs rescheduled
 //! (detect → compute → filter) extraction schedules, plus the measured
-//! M − N descriptor overhead on real rendered frames.
+//! M − N descriptor overhead on real rendered frames: the accelerator's,
+//! and the software extractor's, which describes only each level's best N.
 
 use eslam_bench::{print_table, Row};
 use eslam_dataset::sequence::SequenceSpec;
@@ -67,11 +68,16 @@ fn main() {
         f.stats.kept
     );
     println!(
-        "rescheduled workflow computes {} extra descriptors ({}% overhead) to eliminate idle states",
+        "the rescheduled accelerator describes all M: {} extra descriptors ({}% overhead) to eliminate idle states",
         f.stats.candidates.saturating_sub(f.stats.kept),
         (100 * f.stats.candidates.saturating_sub(f.stats.kept))
             .checked_div(f.stats.kept)
             .unwrap_or(0)
+    );
+    println!(
+        "this software extractor describes each level's best N only: {} descriptors (sum of min(M_level, N)), {} extra",
+        f.stats.descriptors_computed,
+        f.stats.descriptors_computed.saturating_sub(f.stats.kept)
     );
     assert!(resched.total < orig.total);
 }

@@ -20,11 +20,12 @@
 //!   Matcher, §3.2);
 //! * [`orb`] — the complete extractor with the paper's Original vs
 //!   Rescheduled workflow schedules (§3.1);
-//! * [`stream`] — the fused single-pass streaming front-end: row bands
-//!   of every pyramid level scanned through ring line buffers, the
-//!   software mirror of the accelerator's dataflow and the extractor's
-//!   only production path (its oracle is the scalar
-//!   [`OrbExtractor::extract_reference`]).
+//! * [`stream`] — the two-pass streaming front-end: row bands of every
+//!   pyramid level scanned through ring line buffers, a detection pass
+//!   then a description pass bounded to each level's best
+//!   `max_features` candidates; the software mirror of the
+//!   accelerator's dataflow and the extractor's only production path
+//!   (its oracle is the scalar [`OrbExtractor::extract_reference`]).
 //!
 //! # Examples
 //!

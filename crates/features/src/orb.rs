@@ -17,7 +17,10 @@
 //!
 //! Both schedules produce **identical feature sets** (tested); they differ
 //! only in work/latency/memory, which [`ExtractionStats`] records and the
-//! `eslam-hw` timing model consumes.
+//! `eslam-hw` timing model consumes. The model's accelerator describes
+//! all M under Rescheduled; this extractor describes only each level's
+//! best N, `Σ min(M_level, N)`, since the heap can never keep the rest
+//! (the keep bound of [`crate::stream`]).
 
 use crate::brief::{
     compute_descriptor, compute_descriptor_interior, pattern_fingerprint, OriginalBrief,
@@ -59,7 +62,9 @@ pub enum DescriptorKind {
 pub enum Workflow {
     /// Detect → filter → compute (the pre-rescheduling baseline).
     Original,
-    /// Detect → compute → filter (the paper's streaming schedule).
+    /// Detect → compute → filter (the paper's streaming schedule). The
+    /// accelerator describes all M candidates; this extractor describes
+    /// each level's best N, `Σ min(M_level, N)`, and keeps the same N.
     Rescheduled,
 }
 
@@ -133,7 +138,9 @@ pub struct ExtractionStats {
     /// Features finally kept (the paper's N ≤ 1024).
     pub kept: usize,
     /// Descriptors actually computed: N for [`Workflow::Original`],
-    /// M for [`Workflow::Rescheduled`].
+    /// `Σ_levels min(M_level, N)` for [`Workflow::Rescheduled`] (each
+    /// level's best N; the accelerator of the `eslam-hw` model describes
+    /// all M).
     pub descriptors_computed: usize,
     /// Total pixels processed across the pyramid.
     pub pixels_processed: u64,
@@ -175,7 +182,8 @@ enum Engine {
 struct LevelScratch {
     /// RS-BRIEF sampling table compiled for this level's stride.
     offsets: Option<PatternOffsets>,
-    /// Per-band rings, results and counters of the streaming pass.
+    /// Per-band rings, candidates, results and counters of the two
+    /// streaming passes.
     bands: Vec<BandScratch>,
     /// The smoothed level [`Workflow::Original`] describes its kept
     /// features from (untouched under [`Workflow::Rescheduled`]).
@@ -199,6 +207,8 @@ pub struct OrbScratch {
     pyramid: ImagePyramid,
     pyramid_scratch: PyramidScratch,
     levels: Vec<LevelScratch>,
+    /// Selection scratch of the per-level keep bound.
+    keys: Vec<ScoredPoint>,
     /// Owned worker pool; `None` → [`WorkerPool::global`].
     pool: Option<WorkerPool>,
     /// Telemetry sink extraction records into; `None` → telemetry off.
@@ -279,10 +289,35 @@ pub struct OrbExtractor {
     lut: OrientationLut,
 }
 
-/// A band task parked in its (level, band) slot until the depth-first
-/// schedule moves it onto the pool (`Option` so each closure can be
-/// taken exactly once in schedule order).
-type BandTaskSlot<'env> = Option<Box<dyn FnOnce() + Send + 'env>>;
+/// Runs one batch of band tasks, parked in their `slots[level][band]`
+/// (`Option` so each is taken exactly once), on the depth-first
+/// `schedule` across `pool`: one `pool_queue_wait` record and one
+/// `extract_band` span per task, inside one `pool_dispatch` span.
+fn run_band_batch<'env, F: FnOnce() + Send + 'env>(
+    pool: &WorkerPool,
+    schedule: &[stream::BandTask],
+    timing: Option<&'env Telemetry>,
+    mut slots: Vec<Vec<Option<F>>>,
+) {
+    let tasks: Vec<Box<dyn FnOnce() + Send + 'env>> = schedule
+        .iter()
+        .map(|task| {
+            let body = slots[task.level][task.band]
+                .take()
+                .expect("each band scheduled once");
+            let enqueued = timing.map(|_| Instant::now());
+            Box::new(move || {
+                if let (Some(t), Some(start)) = (timing, enqueued) {
+                    t.record_since(Stage::PoolQueueWait, start);
+                }
+                let _span = Telemetry::span_opt(timing, Stage::ExtractBand);
+                body();
+            }) as Box<dyn FnOnce() + Send + 'env>
+        })
+        .collect();
+    let _span = Telemetry::span_opt(timing, Stage::PoolDispatch);
+    pool.scope_run(tasks);
+}
 
 impl OrbExtractor {
     /// Creates an extractor, generating the descriptor pattern from
@@ -323,18 +358,21 @@ impl OrbExtractor {
     /// Every pyramid level splits into horizontal row bands
     /// ([`stream::band_partition`]; band count from
     /// [`OrbConfig::bands`] / `ESLAM_BANDS`, one band per pool thread
-    /// under `Auto`), and all (level, band) tasks of the frame stream
-    /// through the fused single-pass front-end ([`crate::stream`]) on
-    /// one depth-first schedule across the worker pool. Results merge
-    /// in deterministic (level, band) order, so the result — keypoints,
-    /// descriptors, and [`ExtractionStats`] — is identical to the
-    /// sequential scalar reference ([`OrbExtractor::extract_reference`])
-    /// regardless of thread or band count.
+    /// under `Auto`), and the frame's (level, band) tasks run the two
+    /// passes of the streaming front-end ([`crate::stream`]) as two
+    /// batches on one depth-first schedule across the worker pool:
+    /// detection, then description of each level's best
+    /// `max_features` candidates. Results merge in deterministic
+    /// (level, band) order, so the result — keypoints, descriptors, and
+    /// [`ExtractionStats`] — is identical to the sequential scalar
+    /// reference ([`OrbExtractor::extract_reference`]) regardless of
+    /// thread or band count.
     pub fn extract_with(&self, image: &GrayImage, scratch: &mut OrbScratch) -> OrbFeatures {
         let OrbScratch {
             pyramid,
             pyramid_scratch,
             levels,
+            keys,
             pool,
             telemetry,
         } = scratch;
@@ -350,7 +388,7 @@ impl OrbExtractor {
         }
         levels.resize_with(pyramid.levels(), LevelScratch::default);
 
-        // Stage 1: every (level, band) task runs on one depth-first
+        // Both passes run every (level, band) task on one depth-first
         // schedule, so small upper levels fill in around the heavy
         // level-0 bands instead of waiting behind a per-level barrier.
         // Each band writes into its own `BandScratch` slot; the merge
@@ -358,51 +396,51 @@ impl OrbExtractor {
         // the result independent of the execution order.
         let pool = pool.as_ref().unwrap_or_else(|| WorkerPool::global());
         let bands = stream::resolve_bands(self.config.bands, pool.threads());
-        {
-            let dims: Vec<(u32, u32)> = pyramid
-                .iter()
-                .map(|(_, img)| (img.width(), img.height()))
+        let dims: Vec<(u32, u32)> = pyramid
+            .iter()
+            .map(|(_, img)| (img.width(), img.height()))
+            .collect();
+        let schedule = stream::depth_first_schedule(&dims, bands);
+
+        // Batch 1: detection — FAST, Harris and NMS leave each band's
+        // candidates in raster order.
+        let mut slots = Vec::with_capacity(levels.len());
+        for ((_, img), ls) in pyramid.iter().zip(levels.iter_mut()) {
+            let parts = stream::band_partition(img.height(), bands);
+            ls.bands.resize_with(parts.len(), BandScratch::default);
+            let level_tasks: Vec<_> = (ls.bands.iter_mut().zip(parts))
+                .map(|(bs, rows)| Some(move || stream::detect_band(self, img, bs, rows)))
                 .collect();
-            let schedule = stream::depth_first_schedule(&dims, bands);
-            let mut slots: Vec<Vec<BandTaskSlot<'_>>> = Vec::with_capacity(levels.len());
-            for ((level, img), ls) in pyramid.iter().zip(levels.iter_mut()) {
-                let scale = self.config.pyramid.scale_of(level);
-                // The offset table is compiled once up front and shared
-                // read-only across the level's bands.
-                self.prepare_offsets(img.width(), ls);
-                let parts = stream::band_partition(img.height(), bands);
-                ls.bands.resize_with(parts.len(), BandScratch::default);
-                let offsets = ls.offsets.as_ref();
-                let mut level_tasks = Vec::with_capacity(parts.len());
-                for (bs, rows) in ls.bands.iter_mut().zip(parts) {
-                    let enqueued = timing.map(|_| Instant::now());
-                    level_tasks.push(Some(Box::new(move || {
-                        if let (Some(t), Some(start)) = (timing, enqueued) {
-                            t.record_since(Stage::PoolQueueWait, start);
-                        }
-                        let _span = Telemetry::span_opt(timing, Stage::ExtractBand);
-                        stream::process_band_stream(self, img, level, scale, offsets, bs, rows);
+            slots.push(level_tasks);
+        }
+        run_band_batch(pool, &schedule, timing, slots);
+
+        // Batch 2: description, bounded per level by its N-th best
+        // candidate in the heap's order (the keep bound of
+        // `crate::stream`): the heap never keeps a candidate below it.
+        let mut slots = Vec::with_capacity(levels.len());
+        for ((level, img), ls) in pyramid.iter().zip(levels.iter_mut()) {
+            let scale = self.config.pyramid.scale_of(level);
+            let cutoff = stream::level_cutoff(&ls.bands, self.config.max_features, keys);
+            // The offset table is compiled once up front and shared
+            // read-only across the level's bands.
+            self.prepare_offsets(img.width(), ls);
+            let offsets = ls.offsets.as_ref();
+            let level_tasks: Vec<_> = (ls.bands.iter_mut())
+                .map(|bs| {
+                    Some(move || {
+                        stream::describe_band(self, img, level, scale, offsets, bs, cutoff)
                     })
-                        as Box<dyn FnOnce() + Send + '_>));
-                }
-                slots.push(level_tasks);
-            }
-            let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = schedule
-                .iter()
-                .map(|t| {
-                    slots[t.level][t.band]
-                        .take()
-                        .expect("each band scheduled once")
                 })
                 .collect();
-            let _span = Telemetry::span_opt(timing, Stage::PoolDispatch);
-            pool.scope_run(tasks);
+            slots.push(level_tasks);
         }
+        run_band_batch(pool, &schedule, timing, slots);
 
-        // Stage 2: deterministic merge in (level, band) order. Bands
-        // partition a level's finalize rows in raster order, so reading
-        // them in band order *is* the level's sequential emission order:
-        // the heap sees candidates exactly as the reference does, and
+        // Deterministic merge in (level, band) order. Bands partition a
+        // level's finalize rows in raster order, so reading them in band
+        // order *is* the level's sequential emission order: the heap sees
+        // the described candidates in the reference's order, and
         // tie-breaking by arrival matches it bit-for-bit (stats sum per
         // owning band for the same reason).
         let mut stats = ExtractionStats {
@@ -411,7 +449,7 @@ impl OrbExtractor {
         };
         for bs in levels.iter().flat_map(|ls| &ls.bands) {
             stats.fast_detections += bs.fast_count;
-            stats.candidates += bs.cand_count;
+            stats.candidates += bs.candidates.len();
         }
 
         let (keypoints, descriptors) = match self.config.workflow {
@@ -469,7 +507,10 @@ impl OrbExtractor {
     /// original per-pixel implementation built from the reference kernels
     /// ([`fast::detect_reference`], [`gaussian_blur_7x7_fixed_reference`],
     /// [`suppress`], clamped descriptor sampling). Retained as the
-    /// bit-exact oracle the optimized path is tested against.
+    /// bit-exact oracle the optimized path is tested against: under
+    /// [`Workflow::Rescheduled`] it describes every candidate, and
+    /// reports the `Σ min(M_level, N)` descriptors the keep bound
+    /// computes.
     pub fn extract_reference(&self, image: &GrayImage) -> OrbFeatures {
         let pyramid = ImagePyramid::build(image, &self.config.pyramid);
         let mut stats = ExtractionStats {
@@ -509,14 +550,16 @@ impl OrbExtractor {
         let (keypoints, descriptors) = match self.config.workflow {
             Workflow::Rescheduled => {
                 // Compute descriptors for every candidate, then filter.
+                // The count reported is the keep bound's: the streaming
+                // pass describes each level's best N only.
                 let mut heap: BestHeap<(Keypoint, Descriptor)> =
                     BestHeap::new(self.config.max_features);
                 for (level, candidates) in level_candidates.iter().enumerate() {
                     let scale = pyramid.scale_of(level);
+                    stats.descriptors_computed += candidates.len().min(self.config.max_features);
                     for c in candidates {
                         let kp = self.orient(&smoothed[level], c, level, scale);
                         let desc = self.describe(&smoothed[level], &kp);
-                        stats.descriptors_computed += 1;
                         heap.push(kp.score, (kp, desc));
                     }
                 }
@@ -748,28 +791,41 @@ mod tests {
 
     #[test]
     fn rescheduled_computes_more_descriptors() {
-        // The cost of streaming: M ≥ N descriptor computations.
-        let img = test_image(320, 240, 3);
-        let base = OrbConfig {
-            max_features: 50,
-            ..Default::default()
+        // The keep bound: Rescheduled describes min(M_level, N) per level
+        // — all M when N ≥ M, levels × N when every level has more than N
+        // — which still exceeds the N it keeps; Original describes N.
+        // Random 5×5 blocks have corners on every pyramid level (the
+        // checkerboard of `test_image` has none on level 0).
+        let img = GrayImage::from_fn(160, 120, |x, y| {
+            let block = ((x / 5) as u64 * 2_654_435_761) ^ ((y / 5) as u64 * 40_503);
+            (block.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56) as u8
+        });
+        let extract = |workflow, max_features| {
+            OrbExtractor::new(OrbConfig {
+                workflow,
+                max_features,
+                ..Default::default()
+            })
+            .extract(&img)
         };
-        let original = OrbExtractor::new(OrbConfig {
-            workflow: Workflow::Original,
-            ..base
-        })
-        .extract(&img);
-        let rescheduled = OrbExtractor::new(OrbConfig {
-            workflow: Workflow::Rescheduled,
-            ..base
-        })
-        .extract(&img);
+        let n = 64;
+        let rescheduled = extract(Workflow::Rescheduled, n);
+        let m = rescheduled.stats.candidates;
+        let all = extract(Workflow::Rescheduled, m);
+        assert_eq!(all.stats.kept, m);
+        assert_eq!(all.stats.descriptors_computed, m);
+        // Every candidate is kept at N = M, so its keypoints count each
+        // level's M.
+        let levels = PyramidConfig::default().levels;
+        for level in 0..levels {
+            let m_level = all.keypoints.iter().filter(|k| k.level == level).count();
+            assert!(m_level > n, "level {level} has {m_level} candidates");
+        }
+        assert_eq!(rescheduled.stats.descriptors_computed, levels * n);
+        assert!(rescheduled.stats.kept < rescheduled.stats.descriptors_computed);
+        let original = extract(Workflow::Original, n);
         assert_eq!(original.stats.descriptors_computed, original.stats.kept);
-        assert_eq!(
-            rescheduled.stats.descriptors_computed,
-            rescheduled.stats.candidates
-        );
-        assert!(rescheduled.stats.descriptors_computed >= original.stats.descriptors_computed);
+        assert_eq!(original.keypoints, rescheduled.keypoints);
     }
 
     #[test]

@@ -1,13 +1,22 @@
-//! Fused single-pass streaming extraction front-end.
+//! Two-pass streaming extraction front-end.
 //!
 //! The paper's accelerator (§3, Fig. 4) never materializes intermediate
 //! images: each pyramid level streams row by row through line buffers,
 //! and smoothing, FAST, scoring, NMS, orientation and the descriptor
 //! sampler all tap the stream at fixed latencies. This module is the
-//! software mirror of that dataflow — one pass over each level, tiling
-//! the image through L1/L2 once, with a small ring of line buffers
-//! carrying the halo rows between stages. It is the extractor's only
-//! production path; the sequential scalar
+//! software mirror of that dataflow, with a small ring of line buffers
+//! carrying the halo rows between stages. Each row band of a level
+//! streams twice:
+//!
+//! 1. the **detection pass** (`detect_band`) runs FAST, the Harris
+//!    score and the 3×3 NMS and leaves the band's candidates (the NMS +
+//!    edge-margin survivors) in raster order;
+//! 2. the **description pass** (`describe_band`) runs the lazy blur,
+//!    the moments, the orientation label and, under
+//!    [`Workflow::Rescheduled`], the descriptor, for the candidates the
+//!    keep bound lets through.
+//!
+//! It is the extractor's only production path; the sequential scalar
 //! [`OrbExtractor::extract_reference`] is its bit-exact oracle.
 //!
 //! # Per-stage latency offsets
@@ -30,7 +39,8 @@
 //! = yc +` [`STREAM_LATENCY_ROWS`] (= 18): the FAST/Harris/NMS chain
 //! trails the scan by 5 rows while the smoothing/descriptor chain trails
 //! it by 18, which is the figure the `eslam-hw` band schedule mirrors
-//! stage for stage.
+//! stage for stage. The hardware overlaps the two chains in one stream;
+//! here each runs in its own pass.
 //!
 //! # Ring buffers
 //!
@@ -56,7 +66,7 @@
 //!   before its slot is reused three rows later.
 //!
 //! Blur and gradient work is *lazy*: smoothed rows are produced only
-//! when a surviving candidate needs them, gradient rows only when a
+//! when a described candidate needs them, gradient rows only when a
 //! detection's block reaches them, and both chains skip ahead over
 //! spans nobody reads. Peak extraction working memory is `O(width)` —
 //! independent of image height: every band of a level holds its own
@@ -80,6 +90,27 @@
 //! STREAM_FAST_HALO + STREAM_NMS_DELAY`, the row below the last of them
 //! is always a scanned row.
 //!
+//! # Keep bound
+//!
+//! Between the passes each level gets a cutoff (`level_cutoff`): its
+//! N-th best candidate (N = `max_features`, the heap capacity) in
+//! [`BestHeap`](crate::heap::BestHeap)'s order — score descending, then
+//! raster order — or none when the level has at most N candidates. The
+//! description pass handles only the candidates at or above the cutoff,
+//! so a level describes `min(M_level, N)` of its `M_level`.
+//!
+//! The bound is exact. The heap keeps the frame's N best in score order,
+//! ties going to the earlier arrival, and candidates arrive level by
+//! level in raster order, so within one level the heap's order is the
+//! cutoff's order. A candidate with N better ones in its own level has
+//! N better ones in the frame and is never kept, and the candidates that
+//! are described reach the heap in the same relative order as they would
+//! if every candidate were.
+//! The cut is per level, never per band, so no count depends on the band
+//! split; each detection task pre-selects its own band's N best, so the
+//! serial select between the passes sees at most `bands · N` keys per
+//! level.
+//!
 //! # Bit-identity
 //!
 //! Every stage computes exactly what the scalar reference computes
@@ -87,12 +118,14 @@
 //! the same Harris score in exact integer sums, the local NMS rule of
 //! [`crate::nms::suppress`], the same interior moments/descriptor
 //! paths), candidates are emitted in the reference's raster order per
-//! level, and the heap sees them in the same order — so keypoints,
-//! responses, angles, descriptors *and stats* are bit-identical to
-//! [`OrbExtractor::extract_reference`]. `tests/stream_equivalence.rs`
-//! proves it across the paper sequences.
+//! level, and the keep bound drops only candidates the heap never keeps
+//! — so keypoints, responses, angles, descriptors *and stats* are
+//! bit-identical to [`OrbExtractor::extract_reference`], which describes
+//! every candidate and reports the bound's `Σ min(M_level, N)`.
+//! `tests/stream_equivalence.rs` proves it across the paper sequences
+//! and on inputs where the bound cuts through exact score ties.
 //!
-//! Under [`Workflow::Original`] the bands detect and orient only; the
+//! Under [`Workflow::Original`] the description pass orients only; the
 //! extractor describes the N features its heap keeps afterwards, off
 //! full smoothed levels, so exactly N descriptors are computed.
 //!
@@ -107,14 +140,15 @@
 //! pays between its parallel compute units). Bands finalize their owned
 //! rows only, count stats for their owned scan rows only, and emit in
 //! raster order, so concatenating band outputs in band order reproduces
-//! the single-band emission sequence bit for bit. All `(level, band)`
-//! tasks of a frame run on one depth-first schedule
-//! ([`depth_first_schedule`]) across the worker pool: heavy level-0
-//! bands dispatch first and the small upper-level bands fill the tail,
-//! with no per-level barrier. One band per level is one task per level,
-//! and a 1-thread pool runs the tasks inline. Band count comes from
-//! [`BandMode`] in [`OrbConfig`](crate::orb::OrbConfig) (`Auto` = pool
-//! threads), overridable per process via [`BANDS_ENV`].
+//! the single-band emission sequence bit for bit. Each pass runs all
+//! `(level, band)` tasks of a frame as one batch on the depth-first
+//! schedule ([`depth_first_schedule`]) across the worker pool: heavy
+//! level-0 bands dispatch first and the small upper-level bands fill
+//! the tail, with no per-level barrier; the level cutoffs are the one
+//! barrier between the two batches. One band per level is one task per
+//! level and pass, and a 1-thread pool runs the tasks inline. Band
+//! count comes from [`BandMode`] in [`OrbConfig`](crate::orb::OrbConfig)
+//! (`Auto` = pool threads), overridable per process via [`BANDS_ENV`].
 
 use crate::brief::{compute_descriptor_ring, PatternOffsets};
 use crate::descriptor::Descriptor;
@@ -126,6 +160,7 @@ use crate::orb::{Keypoint, OrbExtractor, Workflow, EDGE_MARGIN};
 use crate::orientation::patch_moments_ring;
 use eslam_image::filter::{blur_hrow_7x7_into, blur_vrow_7x7_into};
 use eslam_image::GrayImage;
+use std::cmp::Ordering;
 use std::ops::Range;
 use std::sync::OnceLock;
 
@@ -323,13 +358,13 @@ pub fn depth_first_schedule(dims: &[(u32, u32)], requested: usize) -> Vec<BandTa
     tasks
 }
 
-/// Per-band state of the streaming pass: each band owns its own
-/// line-buffer rings, detection buffer, result lists and counters, so
-/// bands of one level stream concurrently with no shared mutable state.
-/// Held per level inside [`OrbScratch`](crate::orb::OrbScratch) and
-/// reused across frames. The rings span the full level width — the
-/// per-band halo duplication the working-memory accounting must
-/// include.
+/// Per-band state of the two streaming passes: each band owns its own
+/// line-buffer rings, detection buffer, candidate and result lists and
+/// counters, so bands of one level stream concurrently with no shared
+/// mutable state. Held per level inside
+/// [`OrbScratch`](crate::orb::OrbScratch) and reused across frames. The
+/// rings span the full level width — the per-band halo duplication the
+/// working-memory accounting must include.
 #[derive(Debug, Default)]
 pub(crate) struct BandScratch {
     /// One-row FAST detection buffer.
@@ -346,17 +381,21 @@ pub(crate) struct BandScratch {
     /// Dense score rows of the NMS window, indexed `y % 3`: the level
     /// width each, `NEG_INFINITY` where a row has no detection.
     scores: [Vec<f64>; 3],
-    /// Oriented + described survivors of the band's owned rows, in
-    /// raster order ([`Workflow::Rescheduled`]).
+    /// Survivors of NMS + the edge margin on the band's owned rows, in
+    /// raster order: the detection pass's output.
+    pub(crate) candidates: Vec<ScoredPoint>,
+    /// The band's N best candidates in [`heap_order`], unordered, when
+    /// it has more than N (empty otherwise).
+    best: Vec<ScoredPoint>,
+    /// Oriented + described candidates within the keep bound, in raster
+    /// order ([`Workflow::Rescheduled`]).
     pub(crate) results: Vec<(Keypoint, Descriptor)>,
-    /// Oriented survivors of the band's owned rows, in raster order
+    /// Oriented candidates within the keep bound, in raster order
     /// ([`Workflow::Original`], which describes after filtering).
     pub(crate) keypoints: Vec<Keypoint>,
     /// Raw FAST detections on the band's owned scan rows (halo rows are
     /// scanned by two bands but counted by their owner only).
     pub(crate) fast_count: usize,
-    /// Survivors of NMS + the edge margin on the band's owned rows.
-    pub(crate) cand_count: usize,
 }
 
 impl BandScratch {
@@ -368,6 +407,53 @@ impl BandScratch {
             + self.harris.working_bytes()
             + std::mem::size_of::<f64>() * self.scores.iter().map(Vec::len).sum::<usize>()
     }
+
+    /// The band's `min(N, M_band)` best candidates, unordered: every
+    /// candidate of the band among its level's N best is in here.
+    fn best(&self) -> &[ScoredPoint] {
+        if self.best.is_empty() {
+            &self.candidates
+        } else {
+            &self.best
+        }
+    }
+}
+
+/// [`BestHeap`](crate::heap::BestHeap)'s order on one level's
+/// candidates, best first: score descending, then raster order (the
+/// arrival order the heap breaks ties by). Adding `0.0` folds −0.0 into
+/// +0.0, so `total_cmp` orders the finite scores exactly as the heap's
+/// `partial_cmp` does; its integer compares select ~2.5× faster.
+fn heap_order(a: &ScoredPoint, b: &ScoredPoint) -> Ordering {
+    (b.score + 0.0)
+        .total_cmp(&(a.score + 0.0))
+        .then((a.y, a.x).cmp(&(b.y, b.x)))
+}
+
+/// Whether `p` ranks at or above `cut` in [`heap_order`]: the keep
+/// bound's test.
+#[inline]
+fn at_or_above(p: &ScoredPoint, cut: &ScoredPoint) -> bool {
+    p.score > cut.score || (p.score == cut.score && (p.y, p.x) <= (cut.y, cut.x))
+}
+
+/// The keep bound of one level, between the two passes: the level's
+/// `n`-th best candidate in [`heap_order`], or `None` when its bands
+/// hold at most `n` candidates. Selects over the bands' own best lists;
+/// `keys` is scratch.
+pub(crate) fn level_cutoff(
+    bands: &[BandScratch],
+    n: usize,
+    keys: &mut Vec<ScoredPoint>,
+) -> Option<ScoredPoint> {
+    if bands.iter().map(|bs| bs.candidates.len()).sum::<usize>() <= n {
+        return None;
+    }
+    keys.clear();
+    for bs in bands {
+        keys.extend_from_slice(bs.best());
+    }
+    Some(*keys.select_nth_unstable_by(n - 1, heap_order).1)
 }
 
 // The last finalized row is `h − EDGE_MARGIN − 1`. Its NMS window needs
@@ -389,8 +475,8 @@ fn nms_survives(prev: &[f64], cur: &[f64], next: &[f64], x: usize, s: f64) -> bo
     !(earlier | later)
 }
 
-/// Per-level state of the streaming pass that advances the lazy
-/// smoothing chain and emits finished candidates.
+/// Per-band state of the description pass: advances the lazy smoothing
+/// chain and emits the oriented (and described) candidates.
 struct StreamLevel<'a> {
     ex: &'a OrbExtractor,
     img: &'a GrayImage,
@@ -403,7 +489,6 @@ struct StreamLevel<'a> {
     offsets: Option<&'a PatternOffsets>,
     results: &'a mut Vec<(Keypoint, Descriptor)>,
     keypoints: &'a mut Vec<Keypoint>,
-    cand_count: &'a mut usize,
     /// Next raw row to run the horizontal blur on.
     h_next: usize,
     /// Next smoothed row to produce into the ring.
@@ -411,23 +496,7 @@ struct StreamLevel<'a> {
 }
 
 impl StreamLevel<'_> {
-    /// Finalizes NMS for one row behind the edge margin and emits every
-    /// survivor clear of the margin columns, in x order — the raster
-    /// order [`crate::nms::suppress`] + margin filtering produce. `hits`
-    /// are the row's scored detections; `[prev, cur, next]` the dense
-    /// score rows above, of and below it.
-    fn finalize_row(&mut self, hits: &[ScoredPoint], [prev, cur, next]: [&[f64]; 3]) {
-        let margin = EDGE_MARGIN as usize;
-        for p in hits {
-            let x = p.x as usize;
-            if x >= margin && x + margin < self.w && nms_survives(prev, cur, next, x, p.score) {
-                *self.cand_count += 1;
-                self.emit(p);
-            }
-        }
-    }
-
-    /// Orients one surviving candidate off the ring and, under
+    /// Orients one candidate off the ring and, under
     /// [`Workflow::Rescheduled`], describes it there too.
     fn emit(&mut self, p: &ScoredPoint) {
         let yc = p.y as usize;
@@ -498,30 +567,23 @@ impl StreamLevel<'_> {
     }
 }
 
-/// Streams one row band of a level into its [`BandScratch`] — the task
-/// body of the band schedule. One scan over the band's rows drives
-/// FAST + Harris into the dense score rows, 3×3 NMS one row behind, and
-/// — per surviving candidate — lazy blur, moments and (under
-/// [`Workflow::Rescheduled`]) the descriptor off the ring buffers.
-/// `offsets` must already be prepared by the caller (the table is shared
-/// read-only across a level's bands).
+/// The detection pass of one row band of a level — the task body of the
+/// first batch. One scan over the band's rows drives FAST + Harris into
+/// the dense score rows and the 3×3 NMS one row behind, and collects the
+/// survivors clear of the edge margin into `bs.candidates` in raster
+/// order. When the band has more than `max_features` (N) candidates, it
+/// then pre-selects its N best for [`level_cutoff`].
 ///
 /// Raw rows `max(3, owned.start − 1) .. min(h − 3, owned.end + 1)` are
-/// scanned and scored (one row of NMS halo on each interior side), the
-/// `owned` rows inside `[EDGE_MARGIN, h − EDGE_MARGIN)` are finalized,
-/// and survivors emit in raster order. The lazy blur chain
-/// independently re-produces up to [`STREAM_LATENCY_ROWS`] raw rows
-/// above the band's first candidate — the duplicated halo work that buys
-/// band independence. Stats count owned rows only, so per-band sums
-/// equal the single-band totals, and concatenating band outputs in band
-/// order reproduces the single-band emission sequence exactly — the
-/// partition is invisible in the results.
-pub(crate) fn process_band_stream(
+/// scanned and scored (one row of NMS halo on each interior side), and
+/// the `owned` rows inside `[EDGE_MARGIN, h − EDGE_MARGIN)` are
+/// finalized. Stats count owned rows only, so per-band sums equal the
+/// single-band totals, and concatenating band candidates in band order
+/// reproduces the single-band sequence exactly — the partition is
+/// invisible in the results.
+pub(crate) fn detect_band(
     ex: &OrbExtractor,
     img: &GrayImage,
-    level: usize,
-    scale: f64,
-    offsets: Option<&PatternOffsets>,
     bs: &mut BandScratch,
     owned: Range<usize>,
 ) {
@@ -532,21 +594,22 @@ pub(crate) fn process_band_stream(
         harris,
         hits,
         scores,
-        results,
-        keypoints,
+        candidates,
+        best,
         fast_count,
-        cand_count,
+        ..
     } = bs;
-    results.clear();
-    keypoints.clear();
+    candidates.clear();
+    best.clear();
     *fast_count = 0;
-    *cand_count = 0;
     let w = img.width() as usize;
     let h = img.height() as usize;
     if w < 7 || h < 7 || owned.is_empty() {
         return;
     }
     debug_assert!(owned.start >= 3 && owned.end <= h - 3);
+    // The description pass's rings, sized with the detection buffers so
+    // every streamed band holds the same line-buffer set.
     ring.reshape(img.width(), 2 * SMOOTH_RING_ROWS);
     hrows.resize(HROW_RING_ROWS as usize * w, 0);
     // Every score cell starts empty, whatever width or image the band
@@ -557,23 +620,6 @@ pub(crate) fn process_band_stream(
         dense.resize(w, f64::NEG_INFINITY);
     }
     let mut scorer = harris.stream(img);
-
-    let mut st = StreamLevel {
-        ex,
-        img,
-        level,
-        scale,
-        w,
-        h,
-        ring,
-        hrows,
-        offsets,
-        results,
-        keypoints,
-        cand_count,
-        h_next: 0,
-        smooth_next: 0,
-    };
     let threshold = ex.config().fast_threshold;
 
     let margin = EDGE_MARGIN as usize;
@@ -601,11 +647,77 @@ pub(crate) fn process_band_stream(
             );
             dense[p.x as usize] = p.score;
         }
-        // Row `y − 1` has its neighbours above and below scored now.
+        // Row `y − 1` has its neighbours above and below scored now:
+        // its survivors clear of the margin columns join the candidates
+        // in x order — the raster order `nms::suppress` + margin
+        // filtering produce.
         if finalize.contains(&(y - 1)) {
             let yf = y - 1;
-            let window = [&scores[(yf + 2) % 3][..], &scores[yf % 3], &scores[y % 3]];
-            st.finalize_row(&hits[yf % 3], window);
+            let (prev, cur, next) = (&scores[(yf + 2) % 3], &scores[yf % 3], &scores[y % 3]);
+            for p in &hits[yf % 3] {
+                let x = p.x as usize;
+                if x >= margin && x + margin < w && nms_survives(prev, cur, next, x, p.score) {
+                    candidates.push(*p);
+                }
+            }
+        }
+    }
+    let n = ex.config().max_features;
+    if candidates.len() > n {
+        best.extend_from_slice(candidates);
+        best.select_nth_unstable_by(n - 1, heap_order);
+        best.truncate(n);
+    }
+}
+
+/// The description pass of one row band — the task body of the second
+/// batch. Per candidate at or above the level's `cutoff` (every
+/// candidate when `None`), in raster order: lazy blur, moments and
+/// orientation off the ring buffers and, under
+/// [`Workflow::Rescheduled`], the descriptor. `offsets` must already be
+/// prepared by the caller (the table is shared read-only across a
+/// level's bands).
+///
+/// The lazy blur chain independently re-produces up to
+/// [`STREAM_LATENCY_ROWS`] raw rows above the band's first described
+/// candidate — the duplicated halo work that buys band independence.
+pub(crate) fn describe_band(
+    ex: &OrbExtractor,
+    img: &GrayImage,
+    level: usize,
+    scale: f64,
+    offsets: Option<&PatternOffsets>,
+    bs: &mut BandScratch,
+    cutoff: Option<ScoredPoint>,
+) {
+    let BandScratch {
+        ring,
+        hrows,
+        candidates,
+        results,
+        keypoints,
+        ..
+    } = bs;
+    results.clear();
+    keypoints.clear();
+    let mut st = StreamLevel {
+        ex,
+        img,
+        level,
+        scale,
+        w: img.width() as usize,
+        h: img.height() as usize,
+        ring,
+        hrows,
+        offsets,
+        results,
+        keypoints,
+        h_next: 0,
+        smooth_next: 0,
+    };
+    for p in candidates.iter() {
+        if cutoff.is_none_or(|cut| at_or_above(p, &cut)) {
+            st.emit(p);
         }
     }
 }
@@ -965,6 +1077,28 @@ mod tests {
                         rows
                     );
                 }
+            }
+        }
+    }
+
+    mod keep_bound_props {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Scores with exact ties, signed zeros among them; positions on
+        /// a 3×3 grid so raster ties between distinct points are common
+        /// too.
+        const SCORES: [f64; 4] = [-1.0, -0.0, 0.0, 2.5];
+
+        proptest! {
+            #[test]
+            fn keep_test_is_the_heap_order(
+                (ax, ay, a) in (0u32..3, 0u32..3, 0usize..4),
+                (bx, by, b) in (0u32..3, 0u32..3, 0usize..4),
+            ) {
+                let p = ScoredPoint { x: ax, y: ay, score: SCORES[a] };
+                let cut = ScoredPoint { x: bx, y: by, score: SCORES[b] };
+                prop_assert_eq!(at_or_above(&p, &cut), heap_order(&p, &cut).is_le());
             }
         }
     }

@@ -158,16 +158,17 @@ pub enum Stage {
     Track,
     /// Image-pyramid build (downscale chain) for one frame.
     PyramidBuild,
-    /// One row band's streaming pass (one span per (level, band) task
-    /// of the extraction schedule; Perfetto worker tracks show the
-    /// realized overlap).
+    /// One row band's streaming pass: one span per (level, band) task
+    /// and pass, so two per band and frame (detection, then
+    /// description); Perfetto worker tracks show the realized overlap.
     ExtractBand,
     /// The whole feature-extraction stage of one frame.
     Extraction,
-    /// Time an extraction task waited in the worker-pool queue before a
-    /// worker picked it up.
+    /// Time an extraction task of either pass waited in the
+    /// worker-pool queue before a worker picked it up.
     PoolQueueWait,
-    /// Dispatch + drain of one parallel extraction batch on the pool.
+    /// Dispatch + drain of one parallel extraction batch on the pool
+    /// (two per frame: the detection pass, then the description pass).
     PoolDispatch,
     /// Descriptor matching against the map.
     Matching,

@@ -1,10 +1,11 @@
-//! The streaming front-end oracle: everything the banded single-pass
+//! The streaming front-end oracle: everything the banded two-pass
 //! streaming extractor produces must be **bit-identical** to the
 //! sequential scalar reference (`OrbExtractor::extract_reference`) —
 //! keypoints, Harris responses, orientation angles/labels, descriptors,
 //! and extraction stats — for every paper sequence, every pyramid depth,
 //! odd and degenerate image sizes, every descriptor kind and workflow,
-//! and every band count and worker-pool shape.
+//! every band count and worker-pool shape, and heap capacities where the
+//! per-level keep bound cuts through exact score ties.
 
 use eslam_core::{run_sequence, Overrides, Slam, SlamConfig};
 use eslam_dataset::sequence::{SequenceSpec, SyntheticSequence};
@@ -130,7 +131,10 @@ fn streaming_bit_identical_for_all_descriptor_kinds_and_workflows() {
     // The Original workflow streams detection and orientation, then
     // describes only the kept N off smoothed levels; both workflows
     // must agree with the reference exactly — on a corner-rich texture
-    // and on an image whose adjacent hits tie exactly.
+    // and on an image whose adjacent hits tie exactly — for every band
+    // count and for heap capacities N at which the per-level keep bound
+    // cuts every level of the tie image (1, 7), only its busiest (64),
+    // or none (200).
     let ties = tied_pairs(160, 120);
     let hits = fast::detect(&ties, fast::DEFAULT_THRESHOLD);
     let tied = |a: &FastDetection, (dx, dy): (i64, i64)| {
@@ -145,6 +149,26 @@ fn streaming_bit_identical_for_all_descriptor_kinds_and_workflows() {
             "no exact score tie between level-0 hits {step:?} apart"
         );
     }
+    const CAPACITIES: [usize; 4] = [1, 7, 64, 200];
+    // Some level's N-th and (N+1)-th best candidates tie exactly, so the
+    // raster clause of the keep bound decides between them.
+    let every = OrbExtractor::new(OrbConfig {
+        max_features: 4096,
+        ..Default::default()
+    })
+    .extract(&ties);
+    assert!(every.stats.kept < 4096);
+    let cut_ties = CAPACITIES.iter().any(|&n| {
+        (0..OrbConfig::default().pyramid.levels).any(|level| {
+            let mut scores: Vec<f64> = (every.keypoints.iter())
+                .filter(|k| k.level == level)
+                .map(|k| k.score)
+                .collect();
+            scores.sort_by(|a, b| b.total_cmp(a));
+            scores.len() > n && scores[n - 1] == scores[n]
+        })
+    });
+    assert!(cut_ties, "no keep-bound cutoff falls inside a score tie");
     for (name, img) in [("textured", textured(200, 150, 3)), ("tied pairs", ties)] {
         for kind in [
             DescriptorKind::RsBrief,
@@ -152,14 +176,25 @@ fn streaming_bit_identical_for_all_descriptor_kinds_and_workflows() {
             DescriptorKind::OriginalDirect,
         ] {
             for workflow in [Workflow::Rescheduled, Workflow::Original] {
-                let extractor = OrbExtractor::new(OrbConfig {
-                    descriptor: kind,
-                    workflow,
-                    max_features: 200,
-                    ..Default::default()
-                });
-                let ctx = format!("{name} {kind:?} {workflow:?}");
-                assert_matches_reference(&extractor, &img, &ctx);
+                for max_features in CAPACITIES {
+                    let config = OrbConfig {
+                        descriptor: kind,
+                        workflow,
+                        max_features,
+                        ..Default::default()
+                    };
+                    let oracle = OrbExtractor::new(config).extract_reference(&img);
+                    for bands in 1..=4 {
+                        let extractor = OrbExtractor::new(OrbConfig {
+                            bands: BandMode::Fixed(bands),
+                            ..config
+                        });
+                        let streamed = extractor.extract_with(&img, &mut OrbScratch::default());
+                        let ctx =
+                            format!("{name} {kind:?} {workflow:?} N {max_features} bands {bands}");
+                        assert_eq!(streamed, oracle, "{ctx}");
+                    }
+                }
             }
         }
     }
