@@ -36,14 +36,6 @@ use eslam_telemetry::{Counter, Stage, Telemetry};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
-/// Environment variable forcing the backend execution mode: `off`,
-/// `sync`, `async`, or `auto` (honour the configured mode). Works
-/// exactly like `ESLAM_PREFETCH`/`ESLAM_MATCH_KERNEL`: when set it
-/// overrides [`BackendConfig::mode`] process-wide, which is how the CI
-/// matrix runs the whole test suite under both execution modes. An
-/// unrecognised value panics so matrix typos fail loudly.
-pub const BACKEND_ENV: &str = "ESLAM_BACKEND";
-
 /// Execution mode of the keyframe backend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BackendMode {
@@ -58,28 +50,6 @@ pub enum BackendMode {
     /// tracking never blocks unless the solve outlasts a whole frame).
     #[default]
     Async,
-}
-
-impl BackendMode {
-    /// Resolves the mode, honouring [`BACKEND_ENV`] first (read once
-    /// per process, like the prefetch and kernel overrides).
-    ///
-    /// # Panics
-    /// Panics when [`BACKEND_ENV`] holds an unrecognised value.
-    pub fn resolved(self) -> BackendMode {
-        static FORCED: std::sync::OnceLock<Option<BackendMode>> = std::sync::OnceLock::new();
-        let forced = *FORCED.get_or_init(|| {
-            eslam_features::envopt::forced(BACKEND_ENV, "auto, off, sync or async", |value| {
-                match value {
-                    "off" => Some(BackendMode::Off),
-                    "sync" => Some(BackendMode::Sync),
-                    "async" => Some(BackendMode::Async),
-                    _ => None,
-                }
-            })
-        });
-        forced.unwrap_or(self)
-    }
 }
 
 /// Configuration of redundant-keyframe culling: a keyframe retires
@@ -117,7 +87,7 @@ impl Default for KeyframeCullConfig {
 /// Configuration of the keyframe backend.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BackendConfig {
-    /// Execution mode (overridden by [`BACKEND_ENV`] when set).
+    /// Execution mode.
     pub mode: BackendMode,
     /// Sliding-window size: the last `window` keyframes are jointly
     /// refined (at least 2).
@@ -620,8 +590,6 @@ pub struct BackendRunner {
     mapper: LocalMapper,
     config: BackendConfig,
     camera: PinholeCamera,
-    /// Resolved execution mode (env override applied once).
-    asynchronous: bool,
     pending: VecDeque<PendingJob>,
     /// Place recognition state; `None` when loop closure is disabled.
     detector: Option<LoopDetector>,
@@ -632,18 +600,15 @@ pub struct BackendRunner {
 }
 
 impl BackendRunner {
-    /// Creates a runner for the resolved mode, or `None` when the
-    /// backend is off (configured `Off`, or forced off via
-    /// [`BACKEND_ENV`]).
+    /// Creates a runner for the configured mode, or `None` when it is
+    /// [`BackendMode::Off`].
     pub fn new(config: BackendConfig, camera: PinholeCamera) -> Option<Self> {
-        let mode = config.mode.resolved();
-        if mode == BackendMode::Off {
+        if config.mode == BackendMode::Off {
             return None;
         }
         Some(BackendRunner {
             mapper: LocalMapper::new(),
             camera,
-            asynchronous: mode == BackendMode::Async,
             pending: VecDeque::new(),
             detector: config
                 .loop_closure
@@ -670,7 +635,7 @@ impl BackendRunner {
 
     /// Whether solves run on the worker pool rather than inline.
     pub fn is_async(&self) -> bool {
-        self.asynchronous
+        self.config.mode == BackendMode::Async
     }
 
     /// Aggregate diagnostics.
@@ -750,7 +715,7 @@ impl BackendRunner {
                     .as_ref()
                     .filter(|t| t.timing())
                     .map(Arc::clone);
-                if self.asynchronous {
+                if self.is_async() {
                     self.pending_loops
                         .push_back(PendingLoop::Handle(pool.submit(move || {
                             let _span =
@@ -779,7 +744,7 @@ impl BackendRunner {
             .as_ref()
             .filter(|t| t.timing())
             .map(Arc::clone);
-        if self.asynchronous {
+        if self.is_async() {
             self.pending
                 .push_back(PendingJob::Handle(pool.submit(move || {
                     let _span = Telemetry::span_opt(telemetry.as_deref(), Stage::BackendSolve);
@@ -972,13 +937,10 @@ mod tests {
     #[test]
     fn sync_runner_refines_the_tracked_pose() {
         let (points, _, truth1, kf0, kf1) = scene();
-        let mut config = BackendConfig::default();
-        // Pin the mode so a forced ESLAM_BACKEND=off cannot null this
-        // test's runner (sync vs async does not matter here).
-        if config.mode.resolved() == BackendMode::Off {
-            return;
-        }
-        config.mode = BackendMode::Sync;
+        let config = BackendConfig {
+            mode: BackendMode::Sync,
+            ..Default::default()
+        };
         let tracked = kf1.pose_w2c;
         let mut runner = BackendRunner::new(config, camera()).unwrap();
         let pool = WorkerPool::new(1);
@@ -1010,9 +972,6 @@ mod tests {
     #[test]
     fn async_runner_matches_sync_runner_bitwise() {
         let (points, _, _, kf0, kf1) = scene();
-        if BackendMode::Async.resolved() == BackendMode::Off {
-            return;
-        }
         let run = |mode: BackendMode, threads: usize| {
             let config = BackendConfig {
                 mode,
@@ -1040,13 +999,7 @@ mod tests {
             mode: BackendMode::Off,
             ..Default::default()
         };
-        // With ESLAM_BACKEND forcing sync/async this returns Some —
-        // both outcomes are legal depending on the environment.
-        let runner = BackendRunner::new(config, camera());
-        match BackendMode::Off.resolved() {
-            BackendMode::Off => assert!(runner.is_none()),
-            _ => assert!(runner.is_some()),
-        }
+        assert!(BackendRunner::new(config, camera()).is_none());
     }
 
     #[test]
@@ -1189,9 +1142,6 @@ mod tests {
         // must tolerate the surplus (this panicked in debug builds).
         // Redundant identical keyframes with descriptors force a cull
         // while the loop detector is active.
-        if BackendMode::Sync.resolved() == BackendMode::Off {
-            return;
-        }
         let camera = camera();
         let pose = Se3::identity();
         let points: Vec<Vec3> = (0..30)

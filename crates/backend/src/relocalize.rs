@@ -17,7 +17,7 @@
 //!    to keyframes sharing words with the query;
 //! 2. **cross-checked SIMD match** — candidates are verified with the
 //!    same forward+backward brute-force Hamming match the loop
-//!    verifier uses, on the process-wide pinned kernel rung;
+//!    verifier uses, on the kernel rung the CPU supports;
 //! 3. **P3P/RANSAC** — matched pixels solve PnP against the
 //!    candidate's promotion-time **camera-frame** landmark positions
 //!    (drift-free RGB-D measurements), so the estimated pose is the

@@ -1,8 +1,8 @@
 //! Criterion bench: one matcher workload per dispatch rung of the
 //! Hamming kernel ladder (scalar → popcnt → avx2 → avx512), pinned via
 //! [`match_brute_force_with_kernel`] so the comparison is independent of
-//! `ESLAM_MATCH_KERNEL` and of runtime auto-detection. Single-threaded
-//! by construction: this measures the kernels, not the pool.
+//! which rung runtime auto-detection picks. Single-threaded by
+//! construction: this measures the kernels, not the pool.
 //!
 //! Rungs the host CPU cannot run print a `<name>: skipped` line (on
 //! stdout, where the bench-regression tool can see it) instead of a

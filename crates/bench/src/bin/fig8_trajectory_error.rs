@@ -3,19 +3,27 @@
 //! stand-in) TUM sequences.
 //!
 //! Full VGA frames are expensive; pass `--fast` to run at quarter scale,
-//! or `--frames N` / `--scale S` to customize.
+//! or `--frames N` / `--scale S` to customize. `ESLAM_*` toggles set in
+//! the environment win over the figure's config (see
+//! `eslam_core::overrides`).
 
 use eslam_bench::{print_table, Row};
-use eslam_core::{Slam, SlamConfig};
+use eslam_core::{Overrides, Slam, SlamConfig};
 use eslam_dataset::sequence::SequenceSpec;
 use eslam_dataset::{absolute_trajectory_error, Trajectory};
 use eslam_features::orb::DescriptorKind;
 
-fn run(spec: &SequenceSpec, descriptor: DescriptorKind, image_scale: f64) -> Option<f64> {
+fn run(
+    spec: &SequenceSpec,
+    descriptor: DescriptorKind,
+    image_scale: f64,
+    overrides: &Overrides,
+) -> Option<f64> {
     let seq = spec.build();
     let mut config = SlamConfig::scaled_for_tests(1.0 / image_scale);
     config.camera = spec.camera;
     config.orb.descriptor = descriptor;
+    overrides.apply(&mut config);
     let mut slam = Slam::builder().config(config).build();
     for frame in seq.frames() {
         slam.process(frame.timestamp, &frame.gray, &frame.depth);
@@ -30,6 +38,7 @@ fn run(spec: &SequenceSpec, descriptor: DescriptorKind, image_scale: f64) -> Opt
 }
 
 fn main() {
+    let overrides = Overrides::from_env();
     let args: Vec<String> = std::env::args().collect();
     let fast = args.iter().any(|a| a == "--fast");
     let frames = arg_value(&args, "--frames").unwrap_or(if fast { 12.0 } else { 30.0 }) as usize;
@@ -46,8 +55,8 @@ fn main() {
     let mut orig_sum = 0.0;
     let mut n = 0.0;
     for (i, spec) in specs.iter().enumerate() {
-        let rs = run(spec, DescriptorKind::RsBrief, scale);
-        let orig = run(spec, DescriptorKind::OriginalLut, scale);
+        let rs = run(spec, DescriptorKind::RsBrief, scale, &overrides);
+        let orig = run(spec, DescriptorKind::OriginalLut, scale, &overrides);
         match (rs, orig) {
             (Some(rs), Some(orig)) => {
                 rs_sum += rs;

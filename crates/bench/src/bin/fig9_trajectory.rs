@@ -1,8 +1,10 @@
 //! Regenerates **Figure 9**: estimated vs ground-truth trajectory on the
 //! fr1/desk stand-in, as a PPM overlay plot and a CSV of both tracks.
+//! `ESLAM_*` toggles set in the environment win over the figure's config
+//! (see `eslam_core::overrides`).
 
 use eslam_bench::out_dir;
-use eslam_core::{Slam, SlamConfig};
+use eslam_core::{Overrides, Slam, SlamConfig};
 use eslam_dataset::sequence::SequenceSpec;
 use eslam_dataset::{absolute_trajectory_error, Trajectory};
 use eslam_features::orb::DescriptorKind;
@@ -10,11 +12,17 @@ use eslam_image::draw::plot_polyline;
 use eslam_image::RgbImage;
 use std::io::Write;
 
-fn track(descriptor: DescriptorKind, frames: usize, scale: f64) -> (Trajectory, Trajectory) {
+fn track(
+    descriptor: DescriptorKind,
+    frames: usize,
+    scale: f64,
+    overrides: &Overrides,
+) -> (Trajectory, Trajectory) {
     let spec = &SequenceSpec::paper_sequences(frames, scale)[2]; // fr1/desk
     let seq = spec.build();
     let mut config = SlamConfig::scaled_for_tests(1.0 / scale);
     config.orb.descriptor = descriptor;
+    overrides.apply(&mut config);
     let mut slam = Slam::builder().config(config).build();
     for frame in seq.frames() {
         slam.process(frame.timestamp, &frame.gray, &frame.depth);
@@ -28,12 +36,13 @@ fn track(descriptor: DescriptorKind, frames: usize, scale: f64) -> (Trajectory, 
 }
 
 fn main() {
+    let overrides = Overrides::from_env();
     let fast = std::env::args().any(|a| a == "--fast");
     let (frames, scale) = if fast { (15, 0.25) } else { (40, 0.5) };
     println!("Fig. 9: fr1/desk trajectories ({frames} frames at {scale}x resolution)");
 
-    let (est_rs, truth) = track(DescriptorKind::RsBrief, frames, scale);
-    let (est_orig, _) = track(DescriptorKind::OriginalLut, frames, scale);
+    let (est_rs, truth) = track(DescriptorKind::RsBrief, frames, scale, &overrides);
+    let (est_orig, _) = track(DescriptorKind::OriginalLut, frames, scale, &overrides);
 
     let dir = out_dir();
     // CSV with all three tracks.

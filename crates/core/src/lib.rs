@@ -37,35 +37,18 @@
 //!   [`atlas::Atlas`], and re-entered cold by a [`session::Session`]
 //!   via BoW relocalization (`eslam_backend::Relocalizer`).
 //!
-//! # Environment overrides
+//! # Configuration
 //!
-//! All process-wide toggles live behind the one typed surface of
-//! [`overrides`] ([`overrides::Overrides::from_env`] parses and
-//! validates the whole set in one shot):
-//!
-//! * `ESLAM_MATCH_KERNEL` (`auto`/`scalar`/`popcnt`/`avx2`/`avx512`) —
-//!   pins the Hamming-matcher kernel rung
-//!   (`eslam_features::matcher::active_kernel`);
-//! * `ESLAM_PREFETCH` (`auto`/`on`/`off`) — forces the dataset
-//!   prefetch decision over the configured [`config::PrefetchMode`]
-//!   ([`config::PREFETCH_ENV`]). CI runs the suite under both forced
-//!   values;
-//! * `ESLAM_BACKEND` (`auto`/`off`/`sync`/`async`) — forces the
-//!   keyframe-backend execution mode over the configured
-//!   [`config::BackendConfig::mode`] ([`config::BACKEND_ENV`]). CI
-//!   runs the suite under both `sync` and `async`;
-//! * `ESLAM_BANDS` (`auto`/a positive integer) — forces the per-level
-//!   row-band count of the streaming extractor over the configured
-//!   `eslam_features::OrbConfig::bands` (`eslam_features::stream::BANDS_ENV`).
-//!   Output is bit-identical for every count (`tests/stream_equivalence.rs`);
-//! * `ESLAM_TELEMETRY` (`auto`/`off`/`counters`/`full`) — forces the
-//!   telemetry recording mode over the configured
-//!   [`config::SlamConfig::telemetry`] ([`config::TELEMETRY_ENV`]).
-//!   Telemetry observes only: trajectories are bit-identical under
-//!   every mode (`tests/telemetry.rs`);
-//! * `ESLAM_ATLAS` (a filesystem path) — names an atlas file for
-//!   sessions to load at start ([`overrides::ATLAS_ENV`],
-//!   [`atlas::Atlas::load_from_env`]).
+//! [`Slam`], [`Session`] and [`run_sequence`] honour [`SlamConfig`]
+//! exactly: library code never reads the process environment. The
+//! `ESLAM_*` operator toggles (`ESLAM_PREFETCH`, `ESLAM_BACKEND`,
+//! `ESLAM_BANDS`, `ESLAM_TELEMETRY`) are read only by
+//! [`overrides::Overrides::from_env`], and a harness binary that
+//! honours them writes them into its config with
+//! [`overrides::Overrides::apply`]. The test tiers prove every mode
+//! they select equivalent in-process
+//! (`tests/{prefetch,backend,stream}_equivalence.rs`,
+//! `tests/telemetry.rs`).
 //!
 //! # Examples
 //!
@@ -148,10 +131,10 @@ pub use eslam_telemetry as telemetry;
 pub use atlas::{Atlas, AtlasState};
 pub use config::{
     Backend, BackendConfig, BackendMode, KeyframeCullConfig, LoopClosureConfig, PrefetchMode,
-    SlamConfig, TelemetryConfig, TelemetryMode, BACKEND_ENV, PREFETCH_ENV, TELEMETRY_ENV,
+    SlamConfig, TelemetryConfig, TelemetryMode,
 };
 pub use map::{Map, MapPoint, PointObservation};
-pub use overrides::{Overrides, ATLAS_ENV};
+pub use overrides::Overrides;
 pub use persist::{AtlasContents, AtlasError};
 pub use pipeline::{sequence_timing, PlatformSequenceTiming, SequenceWallTiming};
 pub use runner::{run_sequence, RunResult, Stage};

@@ -52,7 +52,6 @@
 pub mod bow;
 pub mod brief;
 pub mod descriptor;
-pub mod envopt;
 pub mod fast;
 pub mod grid;
 pub mod harris;

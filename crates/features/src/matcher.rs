@@ -32,15 +32,15 @@
 //! * [`MatchKernel::Scalar`] — the same loop without any target-feature
 //!   enablement (LLVM's SWAR popcount on baseline x86-64).
 //!
-//! The `ESLAM_MATCH_KERNEL` environment variable ([`MATCH_KERNEL_ENV`])
-//! forces a rung for CI's per-kernel test matrix; see [`active_kernel`].
-//! The straightforward scalar loops are retained as
+//! The production entry points run the fastest rung the CPU supports
+//! ([`active_kernel`]); the `*_with_kernel` hooks pin any rung, which is
+//! how the per-kernel property tests and benches cover the whole ladder
+//! in one process. The straightforward scalar loops are retained as
 //! [`match_brute_force_reference`] / [`match_with_ratio_reference`]; all
 //! kernels are bit-identical to them (proven by unit and property tests).
 
 use crate::descriptor::Descriptor;
 use crate::pool::WorkerPool;
-use std::sync::OnceLock;
 
 /// Train descriptors per tile: 128 × 32 B = 4 KiB, comfortably
 /// L1-resident together with a query block.
@@ -50,12 +50,6 @@ const QUERY_BLOCK: usize = 8;
 /// Minimum query rows per additional thread — below this the spawn
 /// overhead outweighs the parallelism.
 const MIN_ROWS_PER_THREAD: usize = 64;
-
-/// Environment variable forcing the matcher kernel: `auto` (default),
-/// `scalar`, `popcnt`, `avx2`, or `avx512`. CI runs the test suite once
-/// per value so every rung of the dispatch ladder is exercised on every
-/// PR.
-pub const MATCH_KERNEL_ENV: &str = "ESLAM_MATCH_KERNEL";
 
 /// One rung of the Hamming-kernel dispatch ladder (fastest first:
 /// `Avx512` → `Avx2` → `Popcnt` → `Scalar`). All rungs are
@@ -120,7 +114,7 @@ impl MatchKernel {
         }
     }
 
-    /// The kernel's lowercase name (the `ESLAM_MATCH_KERNEL` value).
+    /// The kernel's lowercase name, for logs and run headers.
     pub fn name(self) -> &'static str {
         match self {
             MatchKernel::Scalar => "scalar",
@@ -129,48 +123,13 @@ impl MatchKernel {
             MatchKernel::Avx512 => "avx512",
         }
     }
-
-    /// Parses a kernel name (`"scalar"`, `"popcnt"`, `"avx2"`).
-    pub fn from_name(name: &str) -> Option<MatchKernel> {
-        match name {
-            "scalar" => Some(MatchKernel::Scalar),
-            "popcnt" => Some(MatchKernel::Popcnt),
-            "avx2" => Some(MatchKernel::Avx2),
-            "avx512" => Some(MatchKernel::Avx512),
-            _ => None,
-        }
-    }
 }
 
-/// The kernel the production entry points dispatch to, resolved once:
-/// the fastest supported rung, unless [`MATCH_KERNEL_ENV`] forces one.
-/// A forced kernel the CPU cannot run falls back to [`MatchKernel::detect`]
-/// (with a warning through the telemetry event ring) so a `avx2`-forced
-/// suite still runs on an AVX2-less machine; an unrecognised value
-/// panics, so CI matrix typos fail loudly instead of silently testing
-/// the auto-detected rung.
+/// The kernel the production entry points dispatch to: the fastest rung
+/// the running CPU supports ([`MatchKernel::detect`]; std caches the
+/// feature probes).
 pub fn active_kernel() -> MatchKernel {
-    static ACTIVE: OnceLock<MatchKernel> = OnceLock::new();
-    *ACTIVE.get_or_init(|| {
-        let forced = crate::envopt::forced(
-            MATCH_KERNEL_ENV,
-            "auto, scalar, popcnt, avx2 or avx512",
-            MatchKernel::from_name,
-        );
-        match forced {
-            None => MatchKernel::detect(),
-            Some(kernel) if kernel.is_supported() => kernel,
-            Some(kernel) => {
-                eslam_telemetry::events::warn(format!(
-                    "{MATCH_KERNEL_ENV}={} is not supported by this CPU; \
-                     falling back to {}",
-                    kernel.name(),
-                    MatchKernel::detect().name(),
-                ));
-                MatchKernel::detect()
-            }
-        }
-    })
+    MatchKernel::detect()
 }
 
 /// A correspondence between a query descriptor and a train descriptor.
@@ -238,8 +197,8 @@ pub fn match_brute_force_in(
 /// [`match_brute_force`] forced onto one dispatch rung, single-threaded.
 ///
 /// This is the hook the per-kernel property tests and the
-/// `matcher_kernels` benches use to pin a rung regardless of
-/// [`MATCH_KERNEL_ENV`]; an unsupported `kernel` falls back to
+/// `matcher_kernels` benches use to pin a rung regardless of what
+/// [`active_kernel`] detects; an unsupported `kernel` falls back to
 /// [`MatchKernel::Scalar`]. Production callers want [`match_brute_force`].
 pub fn match_brute_force_with_kernel(
     kernel: MatchKernel,

@@ -87,7 +87,7 @@ pub struct OrbConfig {
     /// this many independently streamed horizontal bands (clamped per
     /// level to the usable interior rows), scheduled depth-first across
     /// levels on the worker pool. `Auto` matches the pool's thread
-    /// count; overridable per process via `ESLAM_BANDS`.
+    /// count.
     pub bands: BandMode,
 }
 
@@ -357,7 +357,7 @@ impl OrbExtractor {
     ///
     /// Every pyramid level splits into horizontal row bands
     /// ([`stream::band_partition`]; band count from
-    /// [`OrbConfig::bands`] / `ESLAM_BANDS`, one band per pool thread
+    /// [`OrbConfig::bands`], one band per pool thread
     /// under `Auto`), and the frame's (level, band) tasks run the two
     /// passes of the streaming front-end ([`crate::stream`]) as two
     /// batches on one depth-first schedule across the worker pool:

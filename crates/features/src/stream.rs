@@ -148,11 +148,10 @@
 //! barrier between the two batches. One band per level is one task per
 //! level and pass, and a 1-thread pool runs the tasks inline. Band
 //! count comes from [`BandMode`] in [`OrbConfig`](crate::orb::OrbConfig)
-//! (`Auto` = pool threads), overridable per process via [`BANDS_ENV`].
+//! (`Auto` = pool threads).
 
 use crate::brief::{compute_descriptor_ring, PatternOffsets};
 use crate::descriptor::Descriptor;
-use crate::envopt;
 use crate::fast::{self, FastDetection};
 use crate::harris::{HarrisScorer, BLOCK_HALF};
 use crate::nms::ScoredPoint;
@@ -162,13 +161,6 @@ use eslam_image::filter::{blur_hrow_7x7_into, blur_vrow_7x7_into};
 use eslam_image::GrayImage;
 use std::cmp::Ordering;
 use std::ops::Range;
-use std::sync::OnceLock;
-
-/// Environment override forcing the per-level row-band count of the
-/// band-parallel streaming pass; `auto` (or unset/empty) defers to
-/// [`BandMode`] in the config, a positive integer forces that many
-/// bands (see `eslam_core::overrides`).
-pub const BANDS_ENV: &str = "ESLAM_BANDS";
 
 /// Columns of halo the 7-tap blur needs on each side (also its row halo
 /// in the vertical pass).
@@ -217,8 +209,7 @@ pub const STREAM_LATENCY_ROWS: u32 = {
 };
 
 /// Row-band count selector for the band-parallel streaming pass,
-/// carried in [`OrbConfig`](crate::orb::OrbConfig) and overridable per
-/// process via [`BANDS_ENV`].
+/// carried in [`OrbConfig`](crate::orb::OrbConfig).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BandMode {
     /// One band per worker-pool thread — a single-core host resolves to
@@ -230,52 +221,13 @@ pub enum BandMode {
     Fixed(usize),
 }
 
-impl BandMode {
-    /// Parses a lowercased override value: `auto`, or a positive band
-    /// count; `None` for anything else (including `0`).
-    pub fn parse(value: &str) -> Option<BandMode> {
-        if value == "auto" {
-            return Some(BandMode::Auto);
-        }
-        value
-            .parse::<usize>()
-            .ok()
-            .filter(|n| *n >= 1)
-            .map(BandMode::Fixed)
-    }
-}
-
-impl std::fmt::Display for BandMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            BandMode::Auto => f.write_str("auto"),
-            BandMode::Fixed(n) => write!(f, "{n}"),
-        }
-    }
-}
-
-/// The process-wide forced band count, read once. Typos (anything that
-/// is not `auto` or a positive integer) hard-error via
-/// [`envopt::forced`]; `auto` (or unset/empty) forces nothing.
-pub(crate) fn forced_bands() -> Option<usize> {
-    static FORCED: OnceLock<Option<usize>> = OnceLock::new();
-    *FORCED.get_or_init(|| {
-        envopt::forced(BANDS_ENV, "auto or a positive band count", |v| {
-            v.parse::<usize>().ok().filter(|n| *n >= 1)
-        })
-    })
-}
-
-/// Resolves the requested band count: the forced env value wins over
-/// the configured mode; `Auto` matches the pool's thread count, so the
-/// split engages exactly where workers exist to absorb it.
+/// Resolves the requested band count from the configured mode: `Auto`
+/// matches the pool's thread count, so the split engages exactly where
+/// workers exist to absorb it.
 pub(crate) fn resolve_bands(config: BandMode, pool_threads: usize) -> usize {
-    match forced_bands() {
-        Some(n) => n,
-        None => match config {
-            BandMode::Auto => pool_threads.max(1),
-            BandMode::Fixed(n) => n.max(1),
-        },
+    match config {
+        BandMode::Auto => pool_threads.max(1),
+        BandMode::Fixed(n) => n.max(1),
     }
 }
 
@@ -769,29 +721,8 @@ mod tests {
     }
 
     #[test]
-    fn band_mode_parse_round_trips() {
-        for mode in [BandMode::Auto, BandMode::Fixed(1), BandMode::Fixed(8)] {
-            assert_eq!(BandMode::parse(&mode.to_string()), Some(mode));
-        }
-        // `0` bands is a typo, not a request: it must hard-error at the
-        // envopt layer rather than silently mean anything.
-        assert_eq!(BandMode::parse("0"), None);
-        assert_eq!(BandMode::parse("two"), None);
-        assert_eq!(BandMode::parse(""), None);
-        assert_eq!(BandMode::default(), BandMode::Auto);
-    }
-
-    #[test]
     fn band_count_resolution_prefers_config_then_pool() {
-        // `ESLAM_BANDS` (the CI matrix axis) wins over every config and
-        // pool shape; its parsing is exercised by the subprocess probes
-        // in eslam_core::overrides.
-        if let Some(forced) = forced_bands() {
-            for (mode, threads) in [(BandMode::Fixed(4), 1), (BandMode::Auto, 6)] {
-                assert_eq!(resolve_bands(mode, threads), forced);
-            }
-            return;
-        }
+        assert_eq!(BandMode::default(), BandMode::Auto);
         assert_eq!(resolve_bands(BandMode::Fixed(4), 1), 4);
         assert_eq!(resolve_bands(BandMode::Fixed(0), 8), 1);
         assert_eq!(resolve_bands(BandMode::Auto, 1), 1);
@@ -1026,14 +957,13 @@ mod tests {
             tall.stream_working_bytes(),
             "line-buffer memory must not scale with height"
         );
-        // Every band holds exactly the module docs' 148·w bytes
-        // (`ESLAM_BANDS` may override the configured single band).
-        let bands = resolve_bands(e.config().bands, 1);
-        let band_widths: usize = ImagePyramid::build(&short_img, &e.config().pyramid)
+        // The single band of every level holds exactly the module docs'
+        // 148·w bytes.
+        let widths: usize = ImagePyramid::build(&short_img, &e.config().pyramid)
             .iter()
-            .map(|(_, level)| level.width() as usize * band_partition(level.height(), bands).len())
+            .map(|(_, level)| level.width() as usize)
             .sum();
-        assert_eq!(bytes, 148 * band_widths);
+        assert_eq!(bytes, 148 * widths);
     }
 
     mod nms_props {

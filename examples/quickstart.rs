@@ -29,7 +29,8 @@ fn main() {
 
     // Stream through one recycled frame buffer: after the first frame
     // the dataset layer allocates nothing (`run_sequence` does the same
-    // internally, plus optional async prefetch — see ESLAM_PREFETCH).
+    // internally, plus optional async prefetch — see
+    // `SlamConfig::prefetch`).
     let mut frame = eslam_dataset::Frame::buffer();
     let mut wait_ms = 0.0;
     let mut track_ms = 0.0;

@@ -26,7 +26,7 @@ fn main() -> Result<(), Box<dyn Error>> {
 
     // One call runs the whole `FrameSource`: frames stream through a
     // recycled buffer pair (async-prefetched when the host has the
-    // cores for it — force with ESLAM_PREFETCH=on|off), ground truth is
+    // cores for it — pin with `SlamConfig::prefetch`), ground truth is
     // rebased to the first camera frame, and the wall-clock wait/track
     // split comes back measured.
     let result = run_sequence(&sequence, SlamConfig::scaled_for_tests(1.0 / image_scale));

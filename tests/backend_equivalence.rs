@@ -10,9 +10,7 @@
 //! The equivalence holds because the backend dispatches each solve on
 //! an owned snapshot and applies the result only at the next frame
 //! boundary — never "whenever the worker finished" — so thread timing
-//! cannot leak into the state evolution. CI re-runs the whole test
-//! suite under `ESLAM_BACKEND=sync` and `=async` (alongside the kernel
-//! × prefetch matrix) to pin both modes explicitly.
+//! cannot leak into the state evolution.
 
 use eslam_core::{run_sequence, BackendMode, PrefetchMode, Slam, SlamConfig, Stage};
 use eslam_dataset::sequence::{SequenceSpec, SyntheticSequence};
@@ -38,32 +36,11 @@ fn backend_heavy_sequences() -> Vec<SyntheticSequence> {
         .collect()
 }
 
-/// Whether `ESLAM_BACKEND` pins the execution mode process-wide (the
-/// CI matrix does this; config-driven off-vs-on comparisons are then
-/// impossible and the affected assertions are skipped).
-fn backend_mode_forced() -> bool {
-    BackendMode::Off.resolved() != BackendMode::Off
-        || BackendMode::Sync.resolved() != BackendMode::Sync
-}
-
-/// Whether `ESLAM_BACKEND=off` disables the backend entirely — the
-/// equivalence assertions are then vacuous (no solves, no stats) and
-/// skip themselves.
-fn backend_forced_off() -> bool {
-    BackendMode::Sync.resolved() == BackendMode::Off
-}
-
 #[test]
 fn async_backend_bit_identical_to_sync_reference() {
-    if backend_forced_off() {
-        eprintln!("ESLAM_BACKEND=off; skipping backend equivalence assertions");
-        return;
-    }
     // The oracle: a manual Slam loop in Sync mode versus run_sequence
     // in Async mode, for every paper sequence. Everything the system
-    // produces must agree exactly. (When ESLAM_BACKEND forces a mode,
-    // both configs resolve to it and the comparison still must hold —
-    // it just no longer spans two modes.)
+    // produces must agree exactly.
     for seq in backend_heavy_sequences() {
         let mut sync_cfg = config();
         sync_cfg.backend.mode = BackendMode::Sync;
@@ -129,10 +106,6 @@ fn async_backend_bit_identical_to_sync_reference() {
 
 #[test]
 fn backend_equivalence_holds_across_pool_shapes_and_prefetch() {
-    if backend_forced_off() {
-        eprintln!("ESLAM_BACKEND=off; skipping backend equivalence assertions");
-        return;
-    }
     // The BA-heaviest sequence (room promotes every frame) under every
     // combination of Slam worker-pool width and dataset-prefetch mode:
     // one reference, bit-identical everywhere. Note the BA solves
@@ -183,10 +156,6 @@ fn backend_equivalence_holds_across_pool_shapes_and_prefetch() {
 
 #[test]
 fn repeated_runs_are_bit_identical() {
-    if backend_forced_off() {
-        eprintln!("ESLAM_BACKEND=off; skipping backend equivalence assertions");
-        return;
-    }
     // Determinism of one fixed configuration (the async default): the
     // whole pipeline, backend included, must be a pure function of its
     // input.
@@ -208,13 +177,7 @@ fn local_ba_reduces_trajectory_error_on_paper_sequences() {
     // The acceptance oracle: windowed local BA improves ATE on at
     // least 3 of the 5 paper sequences versus the no-backend baseline
     // (24 frames, quarter scale — margins measured on the current
-    // deterministic pipeline, recorded below). Requires config-driven
-    // off-vs-on runs, so it is skipped when ESLAM_BACKEND pins the
-    // mode process-wide (the plain CI job runs it unpinned).
-    if backend_mode_forced() {
-        eprintln!("ESLAM_BACKEND is forced; skipping off-vs-on ATE comparison");
-        return;
-    }
+    // deterministic pipeline, recorded below).
     // Measured ATE rmse (cm) off → on at this exact configuration, each
     // sequence tracked through the camera it was rendered with:
     //   fr1/xyz   2.640 → 2.151  (−0.489)

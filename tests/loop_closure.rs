@@ -4,8 +4,8 @@
 //! pose-graph correction must reduce end-of-run ATE against the
 //! local-BA-only baseline, and the whole pipeline — detection,
 //! verification, correction propagation — must stay **bit-identical**
-//! between the sync and async backend modes (the CI kernel × prefetch ×
-//! backend matrix re-runs this tier under every combination).
+//! between the sync and async backend modes and across dataset-prefetch
+//! modes.
 //!
 //! The loop scenario: the `loop/*` trajectories return exactly to
 //! their start pose while the middle of the run faces other walls. A
@@ -41,20 +41,8 @@ fn run(spec: &SequenceSpec, mode: BackendMode, loop_enabled: bool) -> RunResult 
     run_sequence(&seq, cfg)
 }
 
-/// Whether the backend is forced off entirely via `ESLAM_BACKEND`
-/// (every loop-closure assertion is then vacuous). Forcing sync or
-/// async is fine: the tier's config-driven mode requests then resolve
-/// to the pinned mode and every comparison still must hold.
-fn backend_forced_off() -> bool {
-    BackendMode::Sync.resolved() == BackendMode::Off
-}
-
 #[test]
 fn no_false_positives_on_paper_sequences() {
-    if backend_forced_off() {
-        eprintln!("ESLAM_BACKEND=off; skipping loop-closure assertions");
-        return;
-    }
     // The five paper sequences, at their stock configuration, never
     // revisit a *forgotten* place — fr1/room sweeps the room but its
     // landmarks stay mapped the whole way around, so the revisit is
@@ -90,10 +78,6 @@ fn no_false_positives_on_paper_sequences() {
 
 #[test]
 fn detector_fires_and_correction_reduces_ate_on_loop_sequences() {
-    if backend_forced_off() {
-        eprintln!("ESLAM_BACKEND=off; skipping loop-closure assertions");
-        return;
-    }
     // The acceptance oracle: on at least one loop sequence the detector
     // fires and the pose-graph correction reduces end-of-run ATE
     // against the local-BA-only baseline (same config, loop closure
@@ -145,17 +129,10 @@ fn detector_fires_and_correction_reduces_ate_on_loop_sequences() {
 
 #[test]
 fn corrected_trajectory_is_bit_identical_sync_vs_async() {
-    if backend_forced_off() {
-        eprintln!("ESLAM_BACKEND=off; skipping loop-closure assertions");
-        return;
-    }
     // The determinism oracle, extended to the loop path: detection,
     // verification (SIMD matching + RANSAC with its fixed seed),
     // pose-graph solve and drift propagation must be bit-identical
-    // whether jobs run inline or on the worker pool. When
-    // ESLAM_BACKEND pins one mode both runs resolve to it and the
-    // comparison still must hold. The kernel × prefetch axes come from
-    // the CI matrix environment.
+    // whether jobs run inline or on the worker pool.
     for spec in &SequenceSpec::loop_sequences(LOOP_FRAMES, IMAGE_SCALE) {
         let sync = run(spec, BackendMode::Sync, true);
         let async_ = run(spec, BackendMode::Async, true);
@@ -210,10 +187,6 @@ fn corrected_trajectory_is_bit_identical_sync_vs_async() {
 
 #[test]
 fn loop_runs_are_identical_across_prefetch_modes() {
-    if backend_forced_off() {
-        eprintln!("ESLAM_BACKEND=off; skipping loop-closure assertions");
-        return;
-    }
     // The dataset-streaming axis must not leak into loop decisions
     // either: one loop sequence, prefetch forced on and off, same
     // corrected trajectory.
@@ -234,10 +207,6 @@ fn loop_runs_are_identical_across_prefetch_modes() {
 
 #[test]
 fn finish_flushes_a_pending_loop_correction() {
-    if backend_forced_off() {
-        eprintln!("ESLAM_BACKEND=off; skipping loop-closure assertions");
-        return;
-    }
     // If the loop closes on the *last* frame, the verification job is
     // still in flight when the sequence ends; `Slam::finish` (via
     // run_sequence) must flush it so the exported trajectory carries

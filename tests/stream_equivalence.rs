@@ -7,7 +7,7 @@
 //! every band count and worker-pool shape, and heap capacities where the
 //! per-level keep bound cuts through exact score ties.
 
-use eslam_core::{run_sequence, Overrides, Slam, SlamConfig};
+use eslam_core::{run_sequence, Slam, SlamConfig};
 use eslam_dataset::sequence::{SequenceSpec, SyntheticSequence};
 use eslam_features::fast::{self, FastDetection};
 use eslam_features::harris::harris_score;
@@ -220,10 +220,9 @@ fn streaming_bit_identical_across_worker_pool_shapes() {
 
 #[test]
 fn band_parallel_bit_identical_across_paper_and_loop_sequences() {
-    // Splitting each level into row bands — the `ESLAM_BANDS=1|2|4`
-    // axis the CI matrix forces — must be invisible in the output on
-    // every paper sequence AND the loop-closure sequences, against the
-    // scalar reference.
+    // Splitting each level into row bands (1, 2 or 4 per level) must
+    // be invisible in the output on every paper sequence AND the
+    // loop-closure sequences, against the scalar reference.
     let sequences: Vec<SyntheticSequence> = SequenceSpec::paper_sequences(2, IMAGE_SCALE)
         .iter()
         .chain(SequenceSpec::loop_sequences(2, IMAGE_SCALE).iter())
@@ -372,13 +371,11 @@ fn band_parallel_working_memory_scales_with_bands_not_height() {
     });
     let mut one = OrbScratch::default();
     single.extract_with(&textured(160, 120, 5), &mut one);
-    // `ESLAM_BANDS` (the CI matrix axis) overrides both configured
-    // counts. The smallest level of these shapes has 63 finalize rows,
-    // so no band count up to that is clamped.
-    let bands = |configured: usize| Overrides::from_env().bands.unwrap_or(configured);
+    // The smallest level of these shapes has 63 finalize rows, so
+    // neither band count is clamped.
     assert_eq!(
-        four_band_bytes * bands(1),
-        bands(4) * one.stream_working_bytes(),
+        four_band_bytes,
+        4 * one.stream_working_bytes(),
         "every band must charge exactly one full line-buffer set"
     );
 }

@@ -1,7 +1,7 @@
 //! The telemetry tier: observability must **observe only**.
 //!
 //! * Trajectories and per-frame reports are bit-identical under every
-//!   `ESLAM_TELEMETRY` mode (`off`/`counters`/`full`) crossed with both
+//!   telemetry mode (`off`/`counters`/`full`) crossed with both
 //!   backend execution modes — the sink records, it never steers.
 //! * In full mode [`RunResult::telemetry`] exposes per-stage
 //!   percentiles for the pipeline's key stages (extraction, matching,
@@ -14,17 +14,9 @@
 //!   quantile gauges and the `_total` counters.
 //! * Frames that blow `frame_budget_ms` are pinned in the flight
 //!   recorder and dumped with their per-stage breakdown.
-//!
-//! The CI kernel matrix re-runs the suite with `ESLAM_TELEMETRY`
-//! forced; config-driven mode comparisons detect the pin (via
-//! [`eslam_core::config::resolved_telemetry`]) and skip the assertions
-//! that would contradict it, exactly like the backend tier.
 
-use eslam_core::config::resolved_telemetry;
 use eslam_core::telemetry::Stage as TStage;
-use eslam_core::{
-    run_sequence, BackendMode, RunResult, Slam, SlamConfig, TelemetryConfig, TelemetryMode,
-};
+use eslam_core::{run_sequence, BackendMode, RunResult, Slam, SlamConfig, TelemetryMode};
 use eslam_dataset::sequence::{SequenceSpec, SyntheticSequence};
 
 const IMAGE_SCALE: f64 = 0.25;
@@ -38,18 +30,6 @@ fn config(mode: TelemetryMode) -> SlamConfig {
     let mut cfg = SlamConfig::scaled_for_tests(1.0 / IMAGE_SCALE);
     cfg.telemetry = cfg.telemetry.with_mode(mode);
     cfg
-}
-
-/// The `ESLAM_TELEMETRY` pin, when the environment forces one
-/// (config-driven mode comparisons are then partially vacuous).
-fn forced_mode() -> Option<TelemetryMode> {
-    for mode in MODES {
-        let resolved = resolved_telemetry(TelemetryConfig::default().with_mode(mode)).mode;
-        if resolved != mode {
-            return Some(resolved);
-        }
-    }
-    None
 }
 
 /// Paper sequences long enough that keyframes promote and the backend
@@ -93,9 +73,7 @@ fn assert_identical(a: &RunResult, b: &RunResult, ctx: &str) {
 fn trajectories_bit_identical_across_telemetry_modes_and_backends() {
     // The heart of the tier: every telemetry mode crossed with both
     // backend execution modes produces the same system evolution as
-    // the off/sync reference. (When ESLAM_TELEMETRY or ESLAM_BACKEND
-    // pins an axis, the runs collapse onto the pinned value and the
-    // comparison still must hold — it just spans fewer combinations.)
+    // the off/sync reference.
     for seq in sequences() {
         let mut ref_cfg = config(TelemetryMode::Off);
         ref_cfg.backend.mode = BackendMode::Sync;
@@ -114,12 +92,6 @@ fn trajectories_bit_identical_across_telemetry_modes_and_backends() {
 
 #[test]
 fn run_result_exposes_percentiles_for_key_stages() {
-    if let Some(mode) = forced_mode() {
-        if mode != TelemetryMode::Full {
-            eprintln!("ESLAM_TELEMETRY={mode}; skipping full-mode summary assertions");
-            return;
-        }
-    }
     let seq = &sequences()[0];
     let result = run_sequence(seq, config(TelemetryMode::Full));
     let summary = result
@@ -168,29 +140,19 @@ fn run_result_exposes_percentiles_for_key_stages() {
     );
     assert!(summary.counter(Counter::MatchInliers) > 0);
 
-    // Off mode attaches nothing (cannot assert under a forced env pin,
-    // but forced_mode() returned None or Full above — Full pins still
-    // make this run full, so only check when truly unpinned).
-    if forced_mode().is_none() {
-        let off = run_sequence(seq, config(TelemetryMode::Off));
-        assert!(off.telemetry.is_none(), "off mode must attach no summary");
-        let counters = run_sequence(seq, config(TelemetryMode::Counters));
-        let cs = counters
-            .telemetry
-            .expect("counters mode attaches a summary");
-        assert!(cs.stages.is_empty(), "counters mode records no histograms");
-        assert!(cs.counter(Counter::FramesProcessed) > 0);
-    }
+    // Off mode attaches nothing; counters mode records no histograms.
+    let off = run_sequence(seq, config(TelemetryMode::Off));
+    assert!(off.telemetry.is_none(), "off mode must attach no summary");
+    let counters = run_sequence(seq, config(TelemetryMode::Counters));
+    let cs = counters
+        .telemetry
+        .expect("counters mode attaches a summary");
+    assert!(cs.stages.is_empty(), "counters mode records no histograms");
+    assert!(cs.counter(Counter::FramesProcessed) > 0);
 }
 
 #[test]
 fn chrome_trace_from_loop_circle_is_well_formed() {
-    if let Some(mode) = forced_mode() {
-        if mode != TelemetryMode::Full {
-            eprintln!("ESLAM_TELEMETRY={mode}; skipping chrome-trace assertions");
-            return;
-        }
-    }
     // The loop/circle sequence with the loop-closure tier's config, so
     // the trace contains the full span vocabulary: extraction levels,
     // matching, backend solves, loop detection.
@@ -244,12 +206,6 @@ fn chrome_trace_from_loop_circle_is_well_formed() {
 
 #[test]
 fn prometheus_export_serves_histograms_and_counters() {
-    if let Some(mode) = forced_mode() {
-        if mode != TelemetryMode::Full {
-            eprintln!("ESLAM_TELEMETRY={mode}; skipping prometheus assertions");
-            return;
-        }
-    }
     let seq = &sequences()[0];
     let mut slam = Slam::builder().config(config(TelemetryMode::Full)).build();
     for f in seq.frames() {
@@ -275,12 +231,6 @@ fn prometheus_export_serves_histograms_and_counters() {
 
 #[test]
 fn over_budget_frames_are_pinned_in_the_flight_recorder() {
-    if let Some(mode) = forced_mode() {
-        if mode != TelemetryMode::Full {
-            eprintln!("ESLAM_TELEMETRY={mode}; skipping flight-recorder assertions");
-            return;
-        }
-    }
     let seq = &sequences()[0];
     let mut cfg = config(TelemetryMode::Full);
     // Every real frame busts a 1µs budget.
