@@ -97,6 +97,24 @@ fn paper_frame_candidates(config: &OrbConfig) -> Vec<(GrayImage, Vec<(u32, u32)>
         .collect()
 }
 
+fn bench_fast(c: &mut Criterion) {
+    // The FAST scan alone, one thread, over the paper frame's four
+    // pyramid levels (~160k hits).
+    let config = OrbConfig::default();
+    let pyramid = ImagePyramid::build(&paper_frame(), &config.pyramid);
+    let mut hits = Vec::new();
+    let mut group = c.benchmark_group("feature_extraction/fast");
+    group.bench_function("paper_frame/t1", |b| {
+        b.iter(|| {
+            for (_, level) in pyramid.iter() {
+                fast::detect_into(black_box(level), config.fast_threshold, &mut hits);
+                black_box(&hits);
+            }
+        })
+    });
+    group.finish();
+}
+
 fn bench_candidate_kernels(c: &mut Criterion) {
     // The two per-candidate kernels alone, one thread, over every
     // candidate of the paper frame: intensity-centroid moments, and the
@@ -200,6 +218,7 @@ criterion_group!(
     benches,
     bench_extraction_sizes,
     bench_extraction_paper_frame,
+    bench_fast,
     bench_candidate_kernels,
     bench_extraction_bands,
     bench_extraction_pyramid_depth

@@ -12,15 +12,24 @@
 //!   contract for the hardware FAST unit and the oracle for the fast
 //!   path);
 //! * [`detect`] / [`detect_into`] — the production scanner: row-sliced
-//!   addressing, the compass-point early reject, and a `u16` bright/dark
-//!   bitmask classified through a precomputed 65536-entry
-//!   [`arc length LUT`](arc_lut) instead of the 32-iteration run walk.
+//!   addressing and the compass-point early reject, then one of two
+//!   kernels per row:
+//!   * where the CPU has AVX2 and the row is at least 38 pixels wide,
+//!     32 centres per step decide in-register: each lane walks the
+//!     reference's bright and dark run counters over circle positions
+//!     `0 .. 16 + FAST_ARC − 1` and is a corner iff its longest run
+//!     reaches [`FAST_ARC`]. The row ends with one block overlapping
+//!     the last full one, so no column is left to scalar code;
+//!   * elsewhere, a scalar scan classifies the circle into `u16`
+//!     bright/dark bitmasks and finds a 9-run with four rotate-ANDs.
 //!
-//! `tests` and `crates/features/tests/fast_path_equivalence.rs` prove the
-//! two agree bit-for-bit.
+//!   Neither kernel uses a lookup table.
+//!
+//! `tests` (including the `kernel_props` proptests, which call both row
+//! kernels directly) and `crates/features/tests/fast_path_equivalence.rs`
+//! prove them bit-identical to the reference.
 
 use eslam_image::GrayImage;
-use std::sync::OnceLock;
 
 /// The 16 offsets of the radius-3 Bresenham circle, clockwise from
 /// 12 o'clock. Index order matters for the contiguity test.
@@ -120,40 +129,19 @@ fn has_arc(classes: &[Tri], want: Tri) -> bool {
     false
 }
 
-/// The longest circular run of set bits in a 16-bit circle mask,
-/// computed the slow way (used to build and cross-check the LUT).
-fn circular_run_length(mask: u16) -> u8 {
-    if mask == u16::MAX {
-        return 16;
-    }
-    let mut best = 0u8;
-    let mut run = 0u8;
-    // Two laps capture wrap-around runs; `mask != 0xffff` bounds them.
-    for i in 0..32 {
-        if mask >> (i % 16) & 1 == 1 {
-            run += 1;
-            best = best.max(run.min(16));
-        } else {
-            run = 0;
-        }
-    }
-    best
-}
+// `has_arc_mask` hard-codes a run of 9.
+const _: () = assert!(FAST_ARC == 9);
 
-/// The 65536-entry arc-length LUT: `arc_lut()[mask]` is the longest
-/// circular run of set bits in `mask`, so the FAST-9 segment test is a
-/// single table lookup (`arc_lut()[mask] >= FAST_ARC as u8`).
-///
-/// Built once per process (~2 M cheap operations) and shared.
-pub fn arc_lut() -> &'static [u8; 65536] {
-    static LUT: OnceLock<Box<[u8; 65536]>> = OnceLock::new();
-    LUT.get_or_init(|| {
-        let mut lut = vec![0u8; 65536].into_boxed_slice();
-        for (mask, slot) in lut.iter_mut().enumerate() {
-            *slot = circular_run_length(mask as u16);
-        }
-        lut.try_into().expect("65536 entries")
-    })
+/// Whether the 16-bit circle mask (bit *i* = circle pixel *i*) holds a
+/// circular run of ≥ [`FAST_ARC`] set bits. Bit *i* of `m8` is set iff
+/// bits *i* .. *i* + 7 (mod 16) all are, so ANDing with the mask
+/// rotated by 8 leaves bit *i* set iff bits *i* .. *i* + 8 all are.
+#[inline(always)]
+fn has_arc_mask(mask: u16) -> bool {
+    let m2 = mask & mask.rotate_right(1);
+    let m4 = m2 & m2.rotate_right(2);
+    let m8 = m4 & m4.rotate_right(4);
+    m8 & mask.rotate_right(8) != 0
 }
 
 /// A raw FAST detection prior to scoring/NMS.
@@ -203,7 +191,8 @@ pub fn detect_reference(img: &GrayImage, threshold: u8) -> Vec<FastDetection> {
     out
 }
 
-/// The seven row slices the radius-3 circle around row `y` touches.
+/// The seven row slices the radius-3 circle around row `y` touches,
+/// each the full image width.
 struct CircleRows<'a> {
     rm3: &'a [u8],
     rm2: &'a [u8],
@@ -226,13 +215,25 @@ impl<'a> CircleRows<'a> {
             rp3: &data[(y + 3) * w..(y + 3) * w + w],
         }
     }
+
+    /// The row at offset `dy` (−3..=3) from the centre row.
+    fn row(&self, dy: i32) -> &'a [u8] {
+        match dy {
+            -3 => self.rm3,
+            -2 => self.rm2,
+            -1 => self.rm1,
+            0 => self.r0,
+            1 => self.rp1,
+            2 => self.rp2,
+            _ => self.rp3,
+        }
+    }
 }
 
-/// The full per-pixel FAST-9 decision (compass reject + bitmask/LUT
-/// segment test) at interior column `x`. The single source of truth for
-/// the scalar scan and the SIMD prefilter's confirm step.
+/// The full per-pixel FAST-9 decision (compass reject + bitmask
+/// segment test) at interior column `x`: the scalar scan's kernel.
 #[inline(always)]
-fn corner_at(r: &CircleRows<'_>, x: usize, t: i32, lut: &[u8; 65536]) -> bool {
+fn corner_at(r: &CircleRows<'_>, x: usize, t: i32) -> bool {
     let c = r.r0[x] as i32;
     let hi = c + t;
     let lo = c - t;
@@ -276,7 +277,7 @@ fn corner_at(r: &CircleRows<'_>, x: usize, t: i32, lut: &[u8; 65536]) -> bool {
         dark |= ((p < lo) as u16) << i;
     }
 
-    lut[bright as usize] >= FAST_ARC as u8 || lut[dark as usize] >= FAST_ARC as u8
+    has_arc_mask(bright) || has_arc_mask(dark)
 }
 
 /// Scalar scan of interior columns `x0..x1` of row `y`.
@@ -286,11 +287,10 @@ fn scan_row_scalar(
     x0: usize,
     x1: usize,
     t: i32,
-    lut: &[u8; 65536],
     out: &mut Vec<FastDetection>,
 ) {
     for x in x0..x1 {
-        if corner_at(r, x, t, lut) {
+        if corner_at(r, x, t) {
             out.push(FastDetection { x: x as u32, y });
         }
     }
@@ -298,26 +298,91 @@ fn scan_row_scalar(
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{CircleRows, FastDetection};
+    use super::{CircleRows, FastDetection, CIRCLE_OFFSETS, FAST_ARC};
     use std::arch::x86_64::*;
 
-    #[inline(always)]
-    unsafe fn loadu(p: *const u8) -> __m256i {
-        _mm256_loadu_si256(p as *const __m256i)
+    /// The narrowest row the AVX2 scan takes: one full block of 32
+    /// centres (columns 3..35) reads columns 0..38.
+    pub(super) const MIN_WIDTH: usize = 38;
+
+    /// AVX2 row scan, 32 centre pixels per block. Full blocks start at
+    /// columns 3, 35, 67, …; where they leave a tail, the row ends with
+    /// one block ending at the last interior centre `w − 4`, with its
+    /// lanes below the last full block's end masked out. Every interior
+    /// column is decided by exactly one block, and none by scalar code.
+    ///
+    /// # Panics
+    /// If the row is narrower than [`MIN_WIDTH`].
+    #[target_feature(enable = "avx2")]
+    pub(super) fn scan_row(r: &CircleRows<'_>, y: u32, t: u8, out: &mut Vec<FastDetection>) {
+        let w = r.r0.len();
+        assert!(w >= MIN_WIDTH, "a {w}-pixel row has no full block");
+        let taps = Taps::new(r);
+        let n = w - 6;
+        let tv = _mm256_set1_epi8(t as i8);
+        let mut j = 0;
+        while j + 32 <= n {
+            push(out, corners(&taps, j, tv), j + 3, y);
+            j += 32;
+        }
+        if j < n {
+            // `n − 32 < j < n`, so the shift is 1..=31.
+            let last = n - 32;
+            let mask = corners(&taps, last, tv) & u32::MAX << (j - last);
+            push(out, mask, last + 3, y);
+        }
     }
 
-    /// AVX2 row scan, 32 centre pixels per step, in two vector stages
-    /// that mirror the scalar decision exactly:
+    /// The centre and the 16 circle pixels (in [`CIRCLE_OFFSETS`] order)
+    /// of every interior centre of one row: byte `j` of each tap belongs
+    /// to the centre at column `3 + j`. [`Taps::new`] cuts every tap to
+    /// the same `w − 6` bytes, which [`corners`]' loads rely on.
+    struct Taps<'a> {
+        centre: &'a [u8],
+        circle: [&'a [u8]; 16],
+    }
+
+    impl<'a> Taps<'a> {
+        fn new(r: &CircleRows<'a>) -> Self {
+            let n = r.r0.len() - 6;
+            Taps {
+                centre: &r.r0[3..][..n],
+                circle: CIRCLE_OFFSETS.map(|(dx, dy)| &r.row(dy)[(3 + dx) as usize..][..n]),
+            }
+        }
+    }
+
+    /// Appends the detections of `mask`'s set lanes (lane `k` = column
+    /// `x + k`), in column order.
+    #[inline(always)]
+    fn push(out: &mut Vec<FastDetection>, mut mask: u32, x: usize, y: u32) {
+        while mask != 0 {
+            let k = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            out.push(FastDetection {
+                x: (x + k) as u32,
+                y,
+            });
+        }
+    }
+
+    /// The corner mask of the 32 centres at tap bytes `j .. j + 32`
+    /// (bit `k` = column `3 + j + k`), in two vector stages that decide
+    /// exactly as [`corner_at`](super::corner_at):
     ///
     /// 1. **Compass-point early reject** — counts of the four compass
     ///    points brighter than `c + t` / darker than `c − t`. If no lane
-    ///    reaches 2 the whole block is rejected, like the scalar
-    ///    `continue`.
-    /// 2. **Full circle classification** — for blocks with candidates,
-    ///    the 16 circle comparisons run vectorially and each pixel's
-    ///    bright/dark bitmask is accumulated in-register (bit *i* of
-    ///    lane *j* = circle pixel *i* of centre *j*); only the final
-    ///    arc-LUT lookup is scalar, per candidate.
+    ///    reaches 2 the whole block is rejected, like the scalar early
+    ///    return.
+    /// 2. **Run walk** — `has_arc`'s walk, for all 32 lanes at once:
+    ///    each lane keeps a bright and a dark run counter, and at circle
+    ///    position `k` a counter becomes `run + 1` where pixel `k % 16`
+    ///    is bright (dark), else 0. The walk covers positions
+    ///    `0 .. 16 + FAST_ARC − 1`, so every circular run of
+    ///    [`FAST_ARC`] ends inside it, and no counter passes 24. A lane
+    ///    is a corner iff its longest run, tracked with `max_epu8` from
+    ///    the first position a run of [`FAST_ARC`] can end at, exceeds
+    ///    `FAST_ARC − 1`.
     ///
     /// Bit-identity with the scalar path:
     ///
@@ -330,106 +395,67 @@ mod x86 {
     /// * `min_epu8(subs_epu8(a, b), 1)` is `(a > b) as u8`, so summing
     ///   the four compass points counts exactly like the scalar code;
     ///   `cmpgt_epi8(count, 1)` is `count ≥ 2` (counts are 0..=4).
-    /// * Stage 2 classifies with the same `subs_epu8` comparisons, so
-    ///   the assembled 16-bit masks equal the scalar `bright`/`dark`
-    ///   masks and the LUT decision is the scalar decision.
+    /// * Stage 2 classifies with the same `subs_epu8` differences
+    ///   (`cmpeq(subs_epu8(p, hi), 0)` is "not brighter"), so each run
+    ///   counter follows the scalar bitmask. A lane that passes stage 1
+    ///   without an arc reads 0 like the scalar test; a lane with an
+    ///   arc always passes stage 1 (any 9-arc covers two compass points
+    ///   of its polarity), so the run walk's mask needs no stage-1 AND.
+    ///
+    /// # Panics
+    /// If the block runs past the taps (`j + 32 > w − 6`).
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn scan_row(
-        r: &CircleRows<'_>,
-        w: usize,
-        y: u32,
-        t: u8,
-        lut: &[u8; 65536],
-        out: &mut Vec<FastDetection>,
-    ) {
-        use super::{CIRCLE_OFFSETS, FAST_ARC};
-        let tv = _mm256_set1_epi8(t as i8);
+    fn corners(taps: &Taps<'_>, j: usize, tv: __m256i) -> u32 {
+        assert!(
+            j + 32 <= taps.centre.len(),
+            "block past the row's last centre"
+        );
+        // SAFETY: AVX2 is enabled here, and every tap holds as many bytes
+        // as `taps.centre` (`Taps::new`), so the assert keeps the 32 bytes
+        // from `j` inside each.
+        let load =
+            |tap: &[u8]| unsafe { _mm256_loadu_si256(tap.as_ptr().add(j) as *const __m256i) };
+        let circle = |i: usize| load(taps.circle[i]);
         let one = _mm256_set1_epi8(1);
         let ones = _mm256_set1_epi8(-1);
         let zero = _mm256_setzero_si256();
-        // Row base pointer for each circle offset's dy, in offset order.
-        let row_of = |dy: i32| -> *const u8 {
-            match dy {
-                -3 => r.rm3.as_ptr(),
-                -2 => r.rm2.as_ptr(),
-                -1 => r.rm1.as_ptr(),
-                0 => r.r0.as_ptr(),
-                1 => r.rp1.as_ptr(),
-                2 => r.rp2.as_ptr(),
-                _ => r.rp3.as_ptr(),
-            }
-        };
-        let mut x = 3usize;
-        // Widest load reaches r0[x + 3 + 31]; stop while it stays in-row.
-        while x + 35 <= w {
-            let c = loadu(r.r0.as_ptr().add(x));
-            let hi = _mm256_adds_epu8(c, tv);
-            let lo = _mm256_subs_epu8(c, tv);
+        let c = load(taps.centre);
+        let hi = _mm256_adds_epu8(c, tv);
+        let lo = _mm256_subs_epu8(c, tv);
 
-            // Stage 1: compass counts (circle pixels 0, 4, 8, 12).
-            let mut bright_n = zero;
-            let mut dark_n = zero;
-            for p in [
-                loadu(r.rm3.as_ptr().add(x)),
-                loadu(r.r0.as_ptr().add(x + 3)),
-                loadu(r.rp3.as_ptr().add(x)),
-                loadu(r.r0.as_ptr().add(x - 3)),
-            ] {
-                bright_n = _mm256_add_epi8(bright_n, _mm256_min_epu8(_mm256_subs_epu8(p, hi), one));
-                dark_n = _mm256_add_epi8(dark_n, _mm256_min_epu8(_mm256_subs_epu8(lo, p), one));
-            }
-            let cand = _mm256_or_si256(
-                _mm256_cmpgt_epi8(bright_n, one),
-                _mm256_cmpgt_epi8(dark_n, one),
-            );
-            let mut mask = _mm256_movemask_epi8(cand) as u32;
-            if mask == 0 {
-                x += 32;
-                continue;
-            }
-
-            // Stage 2: full 16-pixel classification. Accumulate bit i of
-            // each pixel's bright/dark mask into lane bytes (low byte =
-            // bits 0..7, high byte = bits 8..15).
-            let mut b_lo = zero;
-            let mut b_hi = zero;
-            let mut d_lo = zero;
-            let mut d_hi = zero;
-            for (i, &(dx, dy)) in CIRCLE_OFFSETS.iter().enumerate() {
-                let p = loadu(row_of(dy).add((x as i32 + dx) as usize));
-                // 0/FF masks for p > hi and p < lo.
-                let b = _mm256_xor_si256(_mm256_cmpeq_epi8(_mm256_subs_epu8(p, hi), zero), ones);
-                let d = _mm256_xor_si256(_mm256_cmpeq_epi8(_mm256_subs_epu8(lo, p), zero), ones);
-                let bit = _mm256_set1_epi8(1i8 << (i & 7));
-                if i < 8 {
-                    b_lo = _mm256_or_si256(b_lo, _mm256_and_si256(b, bit));
-                    d_lo = _mm256_or_si256(d_lo, _mm256_and_si256(d, bit));
-                } else {
-                    b_hi = _mm256_or_si256(b_hi, _mm256_and_si256(b, bit));
-                    d_hi = _mm256_or_si256(d_hi, _mm256_and_si256(d, bit));
-                }
-            }
-            let mut bytes = [0u8; 128];
-            _mm256_storeu_si256(bytes.as_mut_ptr() as *mut __m256i, b_lo);
-            _mm256_storeu_si256(bytes.as_mut_ptr().add(32) as *mut __m256i, b_hi);
-            _mm256_storeu_si256(bytes.as_mut_ptr().add(64) as *mut __m256i, d_lo);
-            _mm256_storeu_si256(bytes.as_mut_ptr().add(96) as *mut __m256i, d_hi);
-
-            while mask != 0 {
-                let j = mask.trailing_zeros() as usize;
-                mask &= mask - 1;
-                let bright = bytes[j] as usize | (bytes[32 + j] as usize) << 8;
-                let dark = bytes[64 + j] as usize | (bytes[96 + j] as usize) << 8;
-                if lut[bright] >= FAST_ARC as u8 || lut[dark] >= FAST_ARC as u8 {
-                    out.push(FastDetection {
-                        x: (x + j) as u32,
-                        y,
-                    });
-                }
-            }
-            x += 32;
+        // Stage 1: compass counts (circle pixels 0, 4, 8, 12).
+        let mut bright_n = zero;
+        let mut dark_n = zero;
+        for p in [circle(0), circle(4), circle(8), circle(12)] {
+            bright_n = _mm256_add_epi8(bright_n, _mm256_min_epu8(_mm256_subs_epu8(p, hi), one));
+            dark_n = _mm256_add_epi8(dark_n, _mm256_min_epu8(_mm256_subs_epu8(lo, p), one));
         }
-        super::scan_row_scalar(r, y, x, w - 3, t as i32, lut, out);
+        let cand = _mm256_or_si256(
+            _mm256_cmpgt_epi8(bright_n, one),
+            _mm256_cmpgt_epi8(dark_n, one),
+        );
+        if _mm256_movemask_epi8(cand) == 0 {
+            return 0;
+        }
+
+        // Stage 2: the run walk. `sub(run, −1)` is `run + 1`, and
+        // `andnot` zeroes it where the pixel is not bright (dark).
+        let mut run_b = zero;
+        let mut run_d = zero;
+        let mut longest = zero;
+        for k in 0..16 + FAST_ARC - 1 {
+            let p = circle(k % 16);
+            let not_b = _mm256_cmpeq_epi8(_mm256_subs_epu8(p, hi), zero);
+            let not_d = _mm256_cmpeq_epi8(_mm256_subs_epu8(lo, p), zero);
+            run_b = _mm256_andnot_si256(not_b, _mm256_sub_epi8(run_b, ones));
+            run_d = _mm256_andnot_si256(not_d, _mm256_sub_epi8(run_d, ones));
+            // No run reaches `FAST_ARC` before position `FAST_ARC − 1`.
+            if k >= FAST_ARC - 1 {
+                longest = _mm256_max_epu8(longest, _mm256_max_epu8(run_b, run_d));
+            }
+        }
+        let corner = _mm256_cmpgt_epi8(longest, _mm256_set1_epi8(FAST_ARC as i8 - 1));
+        _mm256_movemask_epi8(corner) as u32
     }
 }
 
@@ -447,9 +473,10 @@ pub fn detect_into(img: &GrayImage, threshold: u8, out: &mut Vec<FastDetection>)
 /// detection set over any row range is bit-identical to the same rows of
 /// [`detect_reference`].
 ///
-/// Uses an AVX2 compass-point prefilter (32 centre pixels per step) with
-/// exact scalar confirmation where available, falling back to the scalar
-/// scan otherwise; both paths make identical decisions.
+/// Rows at least 38 pixels wide run the AVX2 run-walk kernel (32 centres
+/// per step, whole rows in vector blocks) where the CPU has AVX2; other
+/// rows and hosts run the scalar bitmask scan. Both make the reference's
+/// decisions.
 pub fn detect_band_into(
     img: &GrayImage,
     threshold: u8,
@@ -462,23 +489,21 @@ pub fn detect_band_into(
         return;
     }
     let data = img.as_raw();
-    let lut = arc_lut();
     let y0 = rows.start.max(3) as usize;
     let y1 = (rows.end as usize).min(h - 3);
 
     #[cfg(target_arch = "x86_64")]
-    let use_avx2 = crate::avx2_available();
+    let use_avx2 = w >= x86::MIN_WIDTH && crate::avx2_available();
 
     for y in y0..y1 {
         let r = CircleRows::new(data, w, y);
         #[cfg(target_arch = "x86_64")]
         if use_avx2 {
-            // SAFETY: gated on runtime AVX2 detection; loads stay within
-            // the row slices by the loop bound.
-            unsafe { x86::scan_row(&r, w, y as u32, threshold, lut, out) };
+            // SAFETY: AVX2 was detected on this CPU.
+            unsafe { x86::scan_row(&r, y as u32, threshold, out) };
             continue;
         }
-        scan_row_scalar(&r, y as u32, 3, w - 3, threshold as i32, lut, out);
+        scan_row_scalar(&r, y as u32, 3, w - 3, threshold as i32, out);
     }
 }
 
@@ -671,10 +696,9 @@ mod tests {
     }
 
     #[test]
-    fn arc_lut_matches_has_arc_exhaustively() {
-        // For every 16-bit mask, the LUT's ≥9 decision must equal the
-        // reference run-walk over the equivalent classification array.
-        let lut = arc_lut();
+    fn arc_mask_matches_has_arc_exhaustively() {
+        // For every 16-bit mask, the rotate-AND decision must equal the
+        // reference run walk over the equivalent classification array.
         for mask in 0..=u16::MAX {
             let classes: Vec<Tri> = (0..16)
                 .map(|i| {
@@ -685,24 +709,25 @@ mod tests {
                     }
                 })
                 .collect();
-            let expect = has_arc(&classes, Tri::Brighter);
             assert_eq!(
-                lut[mask as usize] >= FAST_ARC as u8,
-                expect,
-                "mask {mask:#06x}: lut={} expect_arc={expect}",
-                lut[mask as usize]
+                has_arc_mask(mask),
+                has_arc(&classes, Tri::Brighter),
+                "mask {mask:#06x}"
             );
         }
     }
 
     #[test]
-    fn arc_lut_extremes() {
-        let lut = arc_lut();
-        assert_eq!(lut[0], 0);
-        assert_eq!(lut[0xffff], 16);
-        assert_eq!(lut[0b1], 1);
-        // Wrap-around run: bits 14,15,0,1 → length 4.
-        assert_eq!(lut[0b1100_0000_0000_0011], 4);
+    fn arc_mask_extremes() {
+        assert!(!has_arc_mask(0));
+        assert!(has_arc_mask(0xffff));
+        // Runs of 8 and 9 from bit 0, and both wrapping from bit 12.
+        assert!(!has_arc_mask(0x00ff));
+        assert!(has_arc_mask(0x01ff));
+        assert!(!has_arc_mask(0xf00f));
+        assert!(has_arc_mask(0xf01f));
+        // Two runs of 7 never add up to one of 9.
+        assert!(!has_arc_mask(0x7f7f));
     }
 
     #[test]
@@ -737,9 +762,10 @@ mod tests {
     fn band_scan_matches_reference_row_ranges() {
         // The band entry appends each requested row range bit-identically
         // to the same rows of the reference, across widths chosen to
-        // exercise every SIMD tail shape (w < 38 is all-scalar; 38, 39,
-        // 66, 67, 101 leave tails of various lengths).
-        for &w in &[7u32, 12, 37, 38, 39, 66, 67, 101] {
+        // exercise every AVX2 row shape: w < 38 is all-scalar; 38 and 70
+        // are whole blocks; 39, 66, 67 and 101 end with an overlapping
+        // block.
+        for &w in &[7u32, 12, 37, 38, 39, 66, 67, 70, 101] {
             let img = GrayImage::from_fn(w, 29, |x, y| {
                 let h = (x as u64)
                     .wrapping_mul(2654435761)
@@ -780,6 +806,150 @@ mod tests {
             let img = GrayImage::from_fn(w, h, |x, y| ((x * 41 + y * 13) % 251) as u8);
             assert!(detect(&img, 5).is_empty());
             assert_eq!(detect(&img, 5), detect_reference(&img, 5));
+        }
+    }
+
+    mod kernel_props {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Deterministic per-pixel noise over the full `u8` range.
+        fn noise(w: u32, h: u32, seed: u64) -> GrayImage {
+            GrayImage::from_fn(w, h, |x, y| {
+                let v = (u64::from(x) << 32 | u64::from(y)) ^ seed;
+                (v.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 56) as u8
+            })
+        }
+
+        /// Checks both row kernels on every scan row of `img` against
+        /// the segment test: the scalar scan (called directly, since
+        /// AVX2 hosts never dispatch rows of 38 pixels or more to it)
+        /// and the AVX2 scan wherever this CPU has it and the row is
+        /// wide enough.
+        fn check(img: &GrayImage, t: u8) -> Result<(), TestCaseError> {
+            let (w, h) = (img.width() as usize, img.height() as usize);
+            for y in 3..h as u32 - 3 {
+                let oracle: Vec<FastDetection> = (3..w as u32 - 3)
+                    .filter(|&x| is_fast_corner(img, x, y, t))
+                    .map(|x| FastDetection { x, y })
+                    .collect();
+                let r = CircleRows::new(img.as_raw(), w, y as usize);
+                let mut scalar = Vec::new();
+                scan_row_scalar(&r, y, 3, w - 3, i32::from(t), &mut scalar);
+                prop_assert_eq!(&scalar, &oracle, "scalar {:?}", (w, y, t));
+                #[cfg(target_arch = "x86_64")]
+                if crate::avx2_available() && w >= x86::MIN_WIDTH {
+                    let mut avx2 = Vec::new();
+                    // SAFETY: AVX2 was detected on this CPU.
+                    unsafe { x86::scan_row(&r, y, t, &mut avx2) };
+                    prop_assert_eq!(&avx2, &oracle, "avx2 {:?}", (w, y, t));
+                }
+            }
+            Ok(())
+        }
+
+        /// Around centre `(cx, 3)` of value `c`, sets the `len` circle
+        /// pixels from position `start` (wrapping from 15 to 0) one
+        /// step past the threshold on one side, and the rest exactly
+        /// at it (not past it). Values clamp to `0..=255`, so a centre
+        /// with `c + t ≥ 255` (or `c − t ≤ 0`) plants no arc at all.
+        fn plant(
+            img: &mut GrayImage,
+            cx: u32,
+            c: u8,
+            t: u8,
+            start: usize,
+            len: usize,
+            bright: bool,
+        ) {
+            let (c, t) = (i32::from(c), i32::from(t));
+            let (edge, past) = if bright {
+                (c + t, c + t + 1)
+            } else {
+                (c - t, c - t - 1)
+            };
+            img.set(cx, 3, c as u8);
+            for (i, &(dx, dy)) in CIRCLE_OFFSETS.iter().enumerate() {
+                let v = if (i + 16 - start) % 16 < len {
+                    past
+                } else {
+                    edge
+                };
+                img.set(
+                    (cx as i32 + dx) as u32,
+                    (3 + dy) as u32,
+                    v.clamp(0, 255) as u8,
+                );
+            }
+        }
+
+        /// Every `(start, len, polarity, centre)` combination of the
+        /// planted-arc images: starts 0..16, runs of 8 and 9, bright and
+        /// dark, and a mid-range or a saturating centre.
+        const COMBOS: usize = 16 * 2 * 2 * 2;
+
+        /// One 7-row image with centres every 7 columns along row 3
+        /// (their circles never touch), centre `k` planted with combo
+        /// `(first + k) % COMBOS`, on a noise background. Returns the
+        /// image and the planted centres that must fire.
+        fn planted(w: u32, seed: u64, t: u8, first: usize) -> (GrayImage, Vec<u32>) {
+            let mut img = noise(w, 7, seed);
+            let mut fire = Vec::new();
+            for (k, cx) in (3..w - 3).step_by(7).enumerate() {
+                let combo = (first + k) % COMBOS;
+                let (start, len) = (combo % 16, 8 + (combo >> 4 & 1));
+                let (bright, saturating) = (combo & 32 == 0, combo & 64 != 0);
+                // Saturating centres put `c + t` past 255 (`c − t`
+                // below 0), where a wrapping threshold would flip
+                // every comparison.
+                let c = match (bright, saturating) {
+                    (true, false) => 254 - t,
+                    (true, true) => 255 - t / 2,
+                    (false, false) => t + 1,
+                    (false, true) => t / 2,
+                };
+                plant(&mut img, cx, c, t, start, len, bright);
+                if len == 9 && !saturating {
+                    fire.push(cx);
+                }
+            }
+            (img, fire)
+        }
+
+        #[test]
+        fn every_final_block_overlap_matches() {
+            // Widths 38..=200 end the row on every overlap of the last
+            // full block, 0 (no extra block) through 31 lanes.
+            for w in 38u32..=200 {
+                for t in [0u8, 20, 90] {
+                    check(&noise(w, 8, u64::from(w)), t).unwrap();
+                }
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            #[test]
+            fn kernels_match_segment_test_on_noise(
+                w in 38u32..201, h in 7u32..12, seed in 0u64..u64::MAX, t in 0u8..255,
+            ) {
+                check(&noise(w, h, seed), t)?;
+            }
+
+            #[test]
+            fn kernels_match_segment_test_on_planted_arcs(
+                w in 38u32..201, seed in 0u64..u64::MAX, t in 1u8..100,
+            ) {
+                let per_image = (w as usize - 6).div_ceil(7);
+                for first in (0..COMBOS).step_by(per_image) {
+                    let (img, fire) = planted(w, seed, t, first);
+                    for &cx in &fire {
+                        prop_assert!(is_fast_corner(&img, cx, 3, t), "planted 9-arc at {}", cx);
+                    }
+                    check(&img, t)?;
+                }
+            }
         }
     }
 }

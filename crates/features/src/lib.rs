@@ -3,7 +3,8 @@
 //! This crate implements the paper's feature front-end in full:
 //!
 //! * [`fast`] — FAST-9/16 segment-test detection (the FAST Detection
-//!   module of §3.1);
+//!   module of §3.1); 32 centres decide per AVX2 step, by an in-register
+//!   run walk, where the CPU has it;
 //! * [`harris`] — Harris corner response used for filtering, streamed
 //!   per row band through a Sobel line buffer in exact integer sums;
 //! * [`nms`] — 3×3 non-maximum suppression;

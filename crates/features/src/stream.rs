@@ -526,13 +526,15 @@ impl StreamLevel<'_> {
 /// order. When the band has more than `max_features` (N) candidates, it
 /// then pre-selects its N best for [`level_cutoff`].
 ///
-/// Raw rows `max(3, owned.start − 1) .. min(h − 3, owned.end + 1)` are
-/// scanned and scored (one row of NMS halo on each interior side), and
-/// the `owned` rows inside `[EDGE_MARGIN, h − EDGE_MARGIN)` are
-/// finalized. Stats count owned rows only, so per-band sums equal the
-/// single-band totals, and concatenating band candidates in band order
-/// reproduces the single-band sequence exactly — the partition is
-/// invisible in the results.
+/// The `owned` rows inside `[EDGE_MARGIN, h − EDGE_MARGIN)` are
+/// finalized, so only the rows from one above the first finalized row
+/// to one below the last are Harris-scored: the rows their NMS windows
+/// read. FAST scans those rows and every owned row, so the hit count is
+/// exact; halo rows that are neither owned nor scored are not scanned.
+/// Stats count owned rows only, so per-band sums equal the single-band
+/// totals, and concatenating band candidates in band order reproduces
+/// the single-band sequence exactly — the partition is invisible in the
+/// results.
 pub(crate) fn detect_band(
     ex: &OrbExtractor,
     img: &GrayImage,
@@ -576,13 +578,26 @@ pub(crate) fn detect_band(
 
     let margin = EDGE_MARGIN as usize;
     let finalize = owned.start.max(margin)..owned.end.min(h.saturating_sub(margin));
-    let scan_lo = owned.start.max(4) - 1;
-    let scan_hi = (owned.end + 1).min(h - 3);
-    for y in scan_lo..scan_hi {
+    // The static assert above `nms_survives` keeps `scored` inside
+    // `[3, h − 3)`.
+    let scored = if finalize.is_empty() {
+        0..0
+    } else {
+        finalize.start - 1..finalize.end + 1
+    };
+    let scan = if scored.is_empty() {
+        owned.clone()
+    } else {
+        owned.start.min(scored.start)..owned.end.max(scored.end)
+    };
+    for y in scan {
         detections.clear();
         fast::detect_band_into(img, threshold, y as u32..y as u32 + 1, detections);
         if owned.contains(&y) {
             *fast_count += detections.len();
+        }
+        if !scored.contains(&y) {
+            continue;
         }
         // Slot `y % 3` last held row `y − 3`: clear its cells through its
         // hits, then score row `y` into it.

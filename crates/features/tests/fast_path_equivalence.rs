@@ -2,7 +2,8 @@
 //! to their scalar reference oracles across random images, descriptor
 //! sets and seeds — the contract of the fast-path overhaul:
 //!
-//! * bitmask+LUT FAST scanner ≡ per-pixel segment test;
+//! * FAST row scanner (the AVX2 run walk where the CPU has it, else the
+//!   scalar bitmask rotate-AND) ≡ per-pixel segment test;
 //! * row-sliced blur / resize ≡ clamped per-pixel reference;
 //! * word-parallel descriptor rotation ≡ per-bit rotation;
 //! * tiled/pooled matcher (whatever kernel rung the host dispatches
