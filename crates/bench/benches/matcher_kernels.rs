@@ -1,5 +1,5 @@
 //! Criterion bench: one matcher workload per dispatch rung of the
-//! Hamming kernel ladder (scalar → popcnt → avx2 → avx512), pinned via
+//! Hamming kernel ladder (scalar → popcnt → avx512), pinned via
 //! [`match_brute_force_with_kernel`] so the comparison is independent of
 //! which rung runtime auto-detection picks. Single-threaded by
 //! construction: this measures the kernels, not the pool.

@@ -1,15 +1,13 @@
-//! Criterion bench: the §3.1 workflow ablation in software — the
-//! Original (detect → filter → compute) vs Rescheduled
-//! (detect → compute → filter) extraction schedules on the same frame.
-//!
-//! In software the rescheduled variant does more work (each level's
-//! best N descriptors, `Σ min(M_level, N)` ≥ N); on hardware it
-//! describes all M and wins by eliminating idle states. Both shapes are
-//! reported: wall-clock here, modelled cycles in `ablation_reschedule`.
+//! Criterion bench: the §3.1 workflow ablation, which is a property of
+//! the accelerator. The software extractor runs one schedule (the
+//! rescheduled detect → compute → filter order), so this bench prints
+//! the `eslam-hw` model's Original vs Rescheduled latencies for a
+//! measured frame and times the model evaluation itself; the full
+//! ablation table is `ablation_reschedule`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use eslam_features::orb::{OrbConfig, OrbExtractor, Workflow};
-use eslam_hw::extractor::{ExtractionWorkload, ExtractorModel};
+use eslam_features::orb::{OrbConfig, OrbExtractor};
+use eslam_hw::extractor::{ExtractionWorkload, ExtractorModel, Workflow};
 use eslam_image::GrayImage;
 use std::hint::black_box;
 
@@ -24,22 +22,9 @@ fn frame() -> GrayImage {
     })
 }
 
-fn bench_workflows(c: &mut Criterion) {
-    let img = frame();
-    let mut group = c.benchmark_group("workflow/software");
-    for (name, workflow) in [
-        ("original", Workflow::Original),
-        ("rescheduled", Workflow::Rescheduled),
-    ] {
-        let extractor = OrbExtractor::new(OrbConfig {
-            workflow,
-            ..Default::default()
-        });
-        group.bench_function(name, |b| b.iter(|| black_box(extractor.extract(&img))));
-    }
-    group.finish();
-
+fn bench_timing_model(c: &mut Criterion) {
     // Modelled hardware latencies for the measured workload.
+    let img = frame();
     let features = OrbExtractor::new(OrbConfig::default()).extract(&img);
     let workload = ExtractionWorkload::from_pyramid(
         img.width(),
@@ -56,17 +41,14 @@ fn bench_workflows(c: &mut Criterion) {
         let t = model.extraction_timing(&workload, wf);
         eprintln!("hw model {name}: {:.3} ms @100MHz", t.total_ms());
     }
-}
 
-fn bench_timing_model(c: &mut Criterion) {
     // The timing model itself must be cheap (it runs per frame in the
     // accelerator backend).
-    let model = ExtractorModel::default();
     let workload = ExtractionWorkload::vga_nominal();
     c.bench_function("workflow/timing_model_eval", |b| {
         b.iter(|| black_box(model.extraction_timing(&workload, Workflow::Rescheduled)))
     });
 }
 
-criterion_group!(benches, bench_workflows, bench_timing_model);
+criterion_group!(benches, bench_timing_model);
 criterion_main!(benches);

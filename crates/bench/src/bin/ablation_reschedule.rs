@@ -1,13 +1,16 @@
 //! Ablation of the §3.1 **workflow rescheduling**: latency and on-chip
 //! memory of the original (detect → filter → compute) vs rescheduled
-//! (detect → compute → filter) extraction schedules, plus the measured
-//! M − N descriptor overhead on real rendered frames: the accelerator's,
-//! and the software extractor's, which describes only each level's best N.
+//! (detect → compute → filter) extraction schedules, read off the
+//! `eslam-hw` accelerator model (the schedule is a hardware decision;
+//! the software extractor runs the rescheduled order only), plus the
+//! measured M − N descriptor overhead on real rendered frames: the
+//! accelerator's, and the software extractor's, which describes only
+//! each level's best N.
 
 use eslam_bench::{print_table, Row};
 use eslam_dataset::sequence::SequenceSpec;
-use eslam_features::orb::{OrbConfig, OrbExtractor, Workflow};
-use eslam_hw::extractor::{ExtractionWorkload, ExtractorModel};
+use eslam_features::orb::{OrbConfig, OrbExtractor};
+use eslam_hw::extractor::{ExtractionWorkload, ExtractorModel, Workflow};
 
 fn main() {
     let model = ExtractorModel::default();

@@ -54,8 +54,8 @@ impl PrefetchMode {
 pub struct SlamConfig {
     /// Camera intrinsics.
     pub camera: PinholeCamera,
-    /// Feature extraction configuration (descriptor kind, workflow,
-    /// pyramid, 1024-feature cap).
+    /// Feature extraction configuration (descriptor kind, pyramid,
+    /// FAST threshold, 1024-feature cap, row bands).
     pub orb: OrbConfig,
     /// Maximum Hamming distance for a match to be used by tracking.
     pub matcher_max_distance: u32,

@@ -4,7 +4,8 @@
 //! the substrate crates:
 //!
 //! * **Feature extraction** — `eslam-features` ORB with the paper's
-//!   RS-BRIEF descriptor and rescheduled streaming workflow;
+//!   RS-BRIEF descriptor, streamed in the rescheduled detect → compute →
+//!   filter order;
 //! * **Feature matching** — Hamming brute-force against the global map;
 //! * **Pose estimation** — P3P + RANSAC (`eslam-geometry::pnp`);
 //! * **Pose optimization** — Levenberg-Marquardt reprojection

@@ -26,7 +26,7 @@ use eslam_backend::{BackendRunner, BackendStats, KeyframeData};
 use eslam_dataset::Trajectory;
 use eslam_features::orb::{ExtractionStats, OrbExtractor, OrbScratch};
 use eslam_geometry::{Se3, Vec2};
-use eslam_hw::extractor::{ExtractionWorkload, ExtractorModel};
+use eslam_hw::extractor::{ExtractionWorkload, ExtractorModel, Workflow};
 use eslam_hw::matcher::MatcherModel;
 use eslam_image::{DepthImage, GrayImage};
 use eslam_telemetry::{Counter, Stage, Telemetry, TelemetrySummary};
@@ -64,7 +64,7 @@ pub struct FrameReport {
     pub inliers: usize,
     /// Map size after processing this frame.
     pub map_size: usize,
-    /// Extraction workflow counters.
+    /// Extraction work counters.
     pub extraction: ExtractionStats,
     /// Modelled accelerator latencies ([`Backend::Accelerator`] only).
     pub hw_timing: Option<FrameHwTiming>,
@@ -705,7 +705,7 @@ impl Slam {
                 );
                 let fe = self
                     .extractor_model
-                    .extraction_timing(&workload, self.config.orb.workflow)
+                    .extraction_timing(&workload, Workflow::Rescheduled)
                     .total_ms();
                 let fm = self
                     .matcher_model

@@ -374,18 +374,6 @@ impl OriginalBrief {
     }
 }
 
-/// Convenience: steered RS-BRIEF descriptor for a continuous angle (the
-/// label is the nearest 11.25° step).
-pub fn rs_brief_for_angle(
-    engine: &RsBrief,
-    img: &GrayImage,
-    x: u32,
-    y: u32,
-    angle: f64,
-) -> Descriptor {
-    engine.compute(img, x, y, crate::orientation::angle_to_label(angle))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

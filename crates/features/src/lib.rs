@@ -18,9 +18,11 @@
 //!   test pairs per AVX2 step where the CPU has it;
 //! * [`heap`] — the bounded best-1024 Heap filter;
 //! * [`matcher`] — Hamming-distance brute-force matching (the BRIEF
-//!   Matcher, §3.2);
-//! * [`orb`] — the complete extractor with the paper's Original vs
-//!   Rescheduled workflow schedules (§3.1);
+//!   Matcher, §3.2), dispatched down an avx512 → popcnt → scalar kernel
+//!   ladder;
+//! * [`orb`] — the complete extractor in the paper's rescheduled
+//!   detect → compute → filter order (§3.1; the Original-vs-Rescheduled
+//!   comparison is a hardware matter, modelled in `eslam-hw`);
 //! * [`stream`] — the two-pass streaming front-end: row bands of every
 //!   pyramid level scanned through ring line buffers, a detection pass
 //!   then a description pass bounded to each level's best

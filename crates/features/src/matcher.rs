@@ -17,20 +17,23 @@
 //! # Kernel dispatch ladder
 //!
 //! The Hamming inner loop dispatches at runtime down the ladder
-//! **avx512 → avx2 → popcnt → scalar** ([`MatchKernel`]):
+//! **avx512 → popcnt → scalar** ([`MatchKernel`]):
 //!
 //! * [`MatchKernel::Avx512`] — two descriptors per ZMM register,
 //!   per-word `vpopcntq`, distances folded eight at a time and the
 //!   running `(distance, index)` minimum kept per lane with `vpminuq`;
-//! * [`MatchKernel::Avx2`] — whole 256-bit descriptors in one YMM
-//!   register, popcounted with the Mula nibble-LUT `pshufb` algorithm
-//!   (`vpsadbw` horizontal add), hybridised with the scalar popcount
-//!   port: each inner step feeds eight trains to the SIMD pipe and
-//!   eight to independent scalar `popcnt` chains, which the
-//!   out-of-order core executes concurrently;
 //! * [`MatchKernel::Popcnt`] — four `u64` xor + `popcnt` pairs;
 //! * [`MatchKernel::Scalar`] — the same loop without any target-feature
-//!   enablement (LLVM's SWAR popcount on baseline x86-64).
+//!   enablement (LLVM's SWAR popcount on baseline x86-64), and the only
+//!   rung on other targets.
+//!
+//! A rung stays only while it pays at least 1.2× over the rung below it.
+//! On a 2-vCPU Xeon with AVX-512 VPOPCNTDQ, single-thread kernel runs read
+//! avx512 at 2.5–3.7× over a former AVX2 rung and popcnt at 2.1–3.1× over
+//! scalar. That AVX2 rung (a Mula nibble-LUT `pshufb` popcount
+//! hybridised with inline-asm scalar `popcnt` chains) read only
+//! 1.02–1.15× over popcnt at 1024 × 2304, 512 × 576 and 1024 × 600
+//! pairs, so it was deleted: AVX2 hosts without VPOPCNTDQ run popcnt.
 //!
 //! The production entry points run the fastest rung the CPU supports
 //! ([`active_kernel`]); the `*_with_kernel` hooks pin any rung, which is
@@ -52,18 +55,14 @@ const QUERY_BLOCK: usize = 8;
 const MIN_ROWS_PER_THREAD: usize = 64;
 
 /// One rung of the Hamming-kernel dispatch ladder (fastest first:
-/// `Avx512` → `Avx2` → `Popcnt` → `Scalar`). All rungs are
-/// bit-identical; they differ only in throughput.
+/// `Avx512` → `Popcnt` → `Scalar`). All rungs are bit-identical; they
+/// differ only in throughput.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum MatchKernel {
     /// Portable scalar loop (no target-feature enablement).
     Scalar,
     /// x86-64 `popcnt`-enabled loop (runtime-detected).
     Popcnt,
-    /// x86-64 AVX2 Mula nibble-LUT `pshufb` popcount over whole 256-bit
-    /// descriptors in one YMM register, hybridised with the scalar
-    /// popcount port (runtime-detected; also requires `popcnt`).
-    Avx2,
     /// x86-64 AVX-512 `vpopcntq` over pairs of descriptors per ZMM
     /// register (runtime-detected: `avx512f` + `avx512vpopcntdq`, plus
     /// `popcnt` for tile remainders).
@@ -72,10 +71,9 @@ pub enum MatchKernel {
 
 impl MatchKernel {
     /// Every rung, slowest first.
-    pub const ALL: [MatchKernel; 4] = [
+    pub const ALL: [MatchKernel; 3] = [
         MatchKernel::Scalar,
         MatchKernel::Popcnt,
-        MatchKernel::Avx2,
         MatchKernel::Avx512,
     ];
 
@@ -85,11 +83,6 @@ impl MatchKernel {
             MatchKernel::Scalar => true,
             #[cfg(target_arch = "x86_64")]
             MatchKernel::Popcnt => std::arch::is_x86_feature_detected!("popcnt"),
-            #[cfg(target_arch = "x86_64")]
-            MatchKernel::Avx2 => {
-                std::arch::is_x86_feature_detected!("avx2")
-                    && std::arch::is_x86_feature_detected!("popcnt")
-            }
             #[cfg(target_arch = "x86_64")]
             MatchKernel::Avx512 => {
                 std::arch::is_x86_feature_detected!("avx512f")
@@ -105,8 +98,6 @@ impl MatchKernel {
     pub fn detect() -> MatchKernel {
         if MatchKernel::Avx512.is_supported() {
             MatchKernel::Avx512
-        } else if MatchKernel::Avx2.is_supported() {
-            MatchKernel::Avx2
         } else if MatchKernel::Popcnt.is_supported() {
             MatchKernel::Popcnt
         } else {
@@ -119,7 +110,6 @@ impl MatchKernel {
         match self {
             MatchKernel::Scalar => "scalar",
             MatchKernel::Popcnt => "popcnt",
-            MatchKernel::Avx2 => "avx2",
             MatchKernel::Avx512 => "avx512",
         }
     }
@@ -371,38 +361,20 @@ unsafe fn nearest2_rows_popcnt(
     nearest2_rows_inner(query, train, out)
 }
 
-/// Scalar `popcnt` the auto-vectorizer cannot rewrite. Inside a wide
-/// `#[target_feature]` function LLVM's cost model turns
-/// `u64::count_ones` loops into vector (pshufb) popcounts — exactly the
-/// ports the SIMD kernels already saturate, defeating any hybrid
-/// overlap. The asm pins this helper to the scalar popcount port.
-///
-/// Callers must guarantee `popcnt` support (every SIMD rung's dispatch
-/// gate includes it).
+/// Merges one `(distance, index)` candidate into a
+/// `(best, best_index, second)` triple. Lane bests arrive in arbitrary
+/// index order, so ties on distance break toward the lower index (the
+/// sequential scan's first occurrence); the displaced equal-distance
+/// best is the duplicate that the reference parks in `second`.
 #[cfg(target_arch = "x86_64")]
-#[inline(always)]
-fn popcnt64(x: u64) -> u64 {
-    let r: u64;
-    // SAFETY: no memory access, no flags the surrounding code relies on;
-    // `popcnt` availability is guaranteed by the dispatch gates.
-    unsafe {
-        std::arch::asm!(
-            "popcnt {r}, {x}",
-            r = out(reg) r,
-            x = in(reg) x,
-            options(pure, nomem, nostack),
-        );
+#[inline]
+fn merge_top2(state: &mut (u32, u32, u32), d: u32, i: u32) {
+    let (best_d, best_i, second) = *state;
+    if d < best_d || (d == best_d && i < best_i) {
+        *state = (d, i, best_d);
+    } else {
+        state.2 = second.min(d);
     }
-    r
-}
-
-/// Hamming distance on the scalar popcount port (see [`popcnt64`]).
-#[cfg(target_arch = "x86_64")]
-#[inline(always)]
-fn hamming_scalar(a: &Descriptor, b: &Descriptor) -> u32 {
-    let (a, b) = (&a.words, &b.words);
-    (popcnt64(a[0] ^ b[0]) + popcnt64(a[1] ^ b[1]) + popcnt64(a[2] ^ b[2]) + popcnt64(a[3] ^ b[3]))
-        as u32
 }
 
 /// The top rung: AVX-512 `vpopcntq`. A ZMM register holds **two**
@@ -413,7 +385,7 @@ fn hamming_scalar(a: &Descriptor, b: &Descriptor) -> u32 {
 /// lane — ≈3 µops per pair against the popcnt rung's port-1-bound 4.
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
-    use super::{hamming_scalar, Descriptor, TRAIN_TILE};
+    use super::{merge_top2, Descriptor, TRAIN_TILE};
     use std::arch::x86_64::*;
 
     /// Trains per inner step: four ZMMs of two descriptors each.
@@ -503,7 +475,7 @@ mod avx512 {
                 let key = keys.iter().fold(carried, |acc, &k| acc.min(k));
                 let (mut best_d, mut best_i) = ((key >> 32) as u32, key as u32);
                 for (k, t) in rem.iter().enumerate() {
-                    let d = hamming_scalar(q, t);
+                    let d = q.hamming(t);
                     if d < best_d {
                         best_d = d;
                         best_i = base + (groups * GROUP + k) as u32;
@@ -514,9 +486,14 @@ mod avx512 {
         }
     }
 
-    /// AVX-512 twin of `nearest2_rows_inner`: per-lane top-2 keys via a
-    /// `vpminuq`/`vpmaxuq` sorting network, merged exactly like the AVX2
-    /// rung (multiset top-2 with first-occurrence index).
+    /// AVX-512 twin of `nearest2_rows_inner`. Each lane tracks its two
+    /// smallest keys with a `vpminuq`/`vpmaxuq` sorting network; because
+    /// keys are distinct (unique index bits) and key order refines
+    /// distance order, merging the per-lane top-2 multisets with the
+    /// carried `(best, second)` yields exactly the two smallest distances
+    /// of the whole scan — including the duplicated-minimum case, where
+    /// the reference's `second` equals `best` — and the first-occurrence
+    /// best index.
     #[target_feature(enable = "avx512f", enable = "avx512vpopcntdq", enable = "popcnt")]
     pub(super) unsafe fn nearest2_rows(
         query: &[Descriptor],
@@ -548,320 +525,14 @@ mod avx512 {
                 let mut state = *o;
                 for k in 0..8 {
                     if bests[k] != KEY_SENTINEL {
-                        super::avx2::merge_top2(
-                            &mut state,
-                            (bests[k] >> 32) as u32,
-                            bests[k] as u32,
-                        );
+                        merge_top2(&mut state, (bests[k] >> 32) as u32, bests[k] as u32);
                     }
                     if seconds[k] != KEY_SENTINEL {
                         state.2 = state.2.min((seconds[k] >> 32) as u32);
                     }
                 }
                 for (k, t) in rem.iter().enumerate() {
-                    super::avx2::merge_top2(
-                        &mut state,
-                        hamming_scalar(q, t),
-                        base + (groups * GROUP + k) as u32,
-                    );
-                }
-                *o = state;
-            }
-        }
-    }
-}
-
-/// The wide-SIMD rung: Hamming distance over whole 256-bit descriptors
-/// in one YMM register, popcounted with the Mula nibble-LUT `pshufb`
-/// algorithm. The software analogue of the paper's fully parallel
-/// Distance Computing array (§3.2): four train descriptors per step,
-/// horizontal sums folded with `vpsadbw` + 64-bit lane shuffles so the
-/// reduction cost amortises across the batch.
-#[cfg(target_arch = "x86_64")]
-mod avx2 {
-    use super::{Descriptor, TRAIN_TILE};
-    use std::arch::x86_64::*;
-
-    /// Loads a descriptor's 32 bytes into one YMM register.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn load(d: &Descriptor) -> __m256i {
-        // SAFETY (caller): AVX2 available. `Descriptor` is 32 contiguous
-        // bytes of `[u64; 4]`; `loadu` has no alignment requirement.
-        _mm256_loadu_si256(d.words.as_ptr().cast())
-    }
-
-    /// Byte-wise popcounts of `a ^ b`: each output byte is the number of
-    /// set bits of the corresponding xor byte (0..=8), via two 16-entry
-    /// nibble lookups (Mula's `pshufb` popcount).
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn xor_byte_counts(a: __m256i, b: __m256i) -> __m256i {
-        #[rustfmt::skip]
-        let lut = _mm256_setr_epi8(
-            0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,
-            0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,
-        );
-        let low_mask = _mm256_set1_epi8(0x0f);
-        let x = _mm256_xor_si256(a, b);
-        let lo = _mm256_and_si256(x, low_mask);
-        let hi = _mm256_and_si256(_mm256_srli_epi16::<4>(x), low_mask);
-        _mm256_add_epi8(_mm256_shuffle_epi8(lut, lo), _mm256_shuffle_epi8(lut, hi))
-    }
-
-    /// Hamming distances of one query against four train descriptors,
-    /// returned in the four 64-bit lanes in ascending train order.
-    /// `vpsadbw` reduces each pair's byte counts to four 64-bit partial
-    /// sums; the cross-pair shuffle tree folds all four pairs' partials
-    /// in parallel, so the horizontal-add cost amortises across the
-    /// batch and the distances never leave vector registers.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn distances_x4(q: __m256i, t: &[Descriptor]) -> __m256i {
-        let zero = _mm256_setzero_si256();
-        let s0 = _mm256_sad_epu8(xor_byte_counts(q, load(&t[0])), zero);
-        let s1 = _mm256_sad_epu8(xor_byte_counts(q, load(&t[1])), zero);
-        let s2 = _mm256_sad_epu8(xor_byte_counts(q, load(&t[2])), zero);
-        let s3 = _mm256_sad_epu8(xor_byte_counts(q, load(&t[3])), zero);
-        // [a, b, c, d] lanes per s_i; fold to [a+b (i=0), a+b (i=1), c+d (i=0), c+d (i=1)] …
-        let s01 = _mm256_add_epi64(_mm256_unpacklo_epi64(s0, s1), _mm256_unpackhi_epi64(s0, s1));
-        let s23 = _mm256_add_epi64(_mm256_unpacklo_epi64(s2, s3), _mm256_unpackhi_epi64(s2, s3));
-        // … then pair the low-lane and high-lane halves across all four.
-        _mm256_add_epi64(
-            _mm256_permute2x128_si256::<0x20>(s01, s23),
-            _mm256_permute2x128_si256::<0x31>(s01, s23),
-        )
-    }
-
-    /// Hamming distance of a single pair (tile-remainder rows).
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn distance_x1(q: __m256i, t: &Descriptor) -> u32 {
-        let s = _mm256_sad_epu8(xor_byte_counts(q, load(t)), _mm256_setzero_si256());
-        let folded = _mm_add_epi64(_mm256_castsi256_si128(s), _mm256_extracti128_si256::<1>(s));
-        let folded = _mm_add_epi64(folded, _mm_unpackhi_epi64(folded, folded));
-        _mm_cvtsi128_si64(folded) as u32
-    }
-
-    use super::hamming_scalar;
-
-    /// Trains per inner step of the hybrid kernel: the first eight go
-    /// through the SIMD Mula pipeline, the last eight through the scalar
-    /// `popcnt` pipeline. The halves have no data dependence, so the
-    /// out-of-order core executes them *simultaneously* — scalar
-    /// `popcnt` issues only on port 1, which the vector half barely
-    /// touches, and either pipeline alone leaves the other idle
-    /// (measured on a Sapphire-Rapids-class Xeon: either alone ≈4
-    /// cycles/pair, the hybrid ≈2).
-    const GROUP: usize = 16;
-
-    /// Lane sentinel: no candidate yet. Real 32-bit keys are at most
-    /// `(256 << 7) | 127`, far below the sentinel, and every lane
-    /// reduction uses *unsigned* min/max, so the sentinel always loses.
-    const KEY32_SENTINEL: u32 = u32::MAX;
-
-    /// In-tile packed keys are `(distance << 7) | tile_local_index`;
-    /// the local index must fit the 7 low bits.
-    const _TILE_FITS_KEY32: () = assert!(TRAIN_TILE <= 128);
-
-    /// Lane order produced by [`keys32_x8`]: u32 lane `l` holds quad-A
-    /// train `l/2` (even `l`) or quad-B train `l/2` (odd `l`).
-    const LANE_LOCAL_OFFSETS: [i32; 8] = [0, 4, 1, 5, 2, 6, 3, 7];
-
-    /// 32-bit packed keys `(distance << 7) | tile_local_index` of one
-    /// query against eight train descriptors (two quads), in the
-    /// [`LANE_LOCAL_OFFSETS`] lane order. `idx` must hold the eight
-    /// local indices in the same order. Minimising the *key* minimises
-    /// the distance with ties broken toward the lowest train index (the
-    /// hardware comparator's rule) in a single unsigned min.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn keys32_x8(q: __m256i, octet: &[Descriptor], idx: __m256i) -> __m256i {
-        let da = distances_x4(q, &octet[..4]);
-        let db = distances_x4(q, &octet[4..8]);
-        // Interleave the two quads' u64-lane distances into u32 lanes.
-        let packed = _mm256_or_si256(da, _mm256_slli_epi64::<32>(db));
-        _mm256_add_epi32(_mm256_slli_epi32::<7>(packed), idx)
-    }
-
-    /// Splits an in-tile 32-bit key into `(distance, global index)`.
-    #[inline]
-    fn unpack_key32(key: u32, base: u32) -> (u32, u32) {
-        (key >> 7, base + (key & 0x7f))
-    }
-
-    /// Merges one `(distance, index)` candidate into a
-    /// `(best, best_index, second)` triple. Lane bests arrive in
-    /// arbitrary index order, so ties on distance break toward the lower
-    /// index (the sequential scan's first occurrence); the displaced
-    /// equal-distance best is the duplicate that the reference parks in
-    /// `second`.
-    #[inline]
-    pub(super) fn merge_top2(state: &mut (u32, u32, u32), d: u32, i: u32) {
-        let (best_d, best_i, second) = *state;
-        if d < best_d || (d == best_d && i < best_i) {
-            *state = (d, i, best_d);
-        } else {
-            state.2 = second.min(d);
-        }
-    }
-
-    /// AVX2 twin of `nearest_rows_inner`: identical tiling, identical
-    /// ascending-index tie rule — the packed-key minimum per lane keeps
-    /// the first occurrence of each lane's minimal distance, the scalar
-    /// half's strict `<` keeps first occurrence within its subsets, and
-    /// the final merge breaks distance ties toward the lower index, so
-    /// results are bit-identical to the sequential scan.
-    #[target_feature(enable = "avx2", enable = "popcnt")]
-    pub(super) unsafe fn nearest_rows(
-        query: &[Descriptor],
-        train: &[Descriptor],
-        out: &mut [(u32, u32)],
-    ) {
-        let step = _mm256_set1_epi32(GROUP as i32);
-        let lane0 = _mm256_loadu_si256(LANE_LOCAL_OFFSETS.as_ptr().cast());
-        for (tile_idx, tile) in train.chunks(TRAIN_TILE).enumerate() {
-            let base = (tile_idx * TRAIN_TILE) as u32;
-            let groups = tile.len() / GROUP;
-            let rem = &tile[groups * GROUP..];
-            for (q, o) in query.iter().zip(out.iter_mut()) {
-                let qv = load(q);
-                let mut idx = lane0;
-                let mut best32 = _mm256_set1_epi32(KEY32_SENTINEL as i32);
-                // Scalar half: two independent running bests (even/odd
-                // members of the half's index subset) so the compare
-                // chains don't serialise; merged index-tie-correctly
-                // below.
-                let (mut sa_d, mut sa_i) = (u32::MAX, 0u32);
-                let (mut sb_d, mut sb_i) = (u32::MAX, 0u32);
-                for (g, group) in tile.chunks_exact(GROUP).enumerate() {
-                    best32 = _mm256_min_epu32(best32, keys32_x8(qv, &group[..8], idx));
-                    idx = _mm256_add_epi32(idx, step);
-                    let j = base + (g * GROUP + 8) as u32;
-                    for k in (0..8).step_by(2) {
-                        let da = hamming_scalar(q, &group[8 + k]);
-                        let db = hamming_scalar(q, &group[9 + k]);
-                        if da < sa_d {
-                            sa_d = da;
-                            sa_i = j + k as u32;
-                        }
-                        if db < sb_d {
-                            sb_d = db;
-                            sb_i = j + k as u32 + 1;
-                        }
-                    }
-                }
-                // Merge: carried best (always the lowest index seen so
-                // far, hence winning ties) → lane minima → scalar half
-                // → remainder. Packed keys make every min tie-correct.
-                let mut keys = [KEY32_SENTINEL; 8];
-                _mm256_storeu_si256(keys.as_mut_ptr().cast(), best32);
-                let lane_key = keys.iter().fold(KEY32_SENTINEL, |acc, &k| acc.min(k));
-                let carried = ((o.0 as u64) << 32) | o.1 as u64;
-                let mut key = carried
-                    .min(((sa_d as u64) << 32) | sa_i as u64)
-                    .min(((sb_d as u64) << 32) | sb_i as u64);
-                if lane_key != KEY32_SENTINEL {
-                    let (d, i) = unpack_key32(lane_key, base);
-                    key = key.min(((d as u64) << 32) | i as u64);
-                }
-                let (mut best_d, mut best_i) = ((key >> 32) as u32, key as u32);
-                for (k, t) in rem.iter().enumerate() {
-                    let d = distance_x1(qv, t);
-                    if d < best_d {
-                        best_d = d;
-                        best_i = base + (groups * GROUP + k) as u32;
-                    }
-                }
-                *o = (best_d, best_i);
-            }
-        }
-    }
-
-    /// AVX2 twin of `nearest2_rows_inner`. Each lane tracks its two
-    /// smallest keys with an unsigned min/max sorting network; because
-    /// keys are distinct (unique index bits) and key order refines
-    /// distance order, merging the per-lane top-2 multisets with the
-    /// scalar half's top-2 and the carried `(best, second)` yields
-    /// exactly the two smallest distances of the whole scan — including
-    /// the duplicated-minimum case, where the reference's `second`
-    /// equals `best` — and the first-occurrence best index.
-    #[target_feature(enable = "avx2", enable = "popcnt")]
-    pub(super) unsafe fn nearest2_rows(
-        query: &[Descriptor],
-        train: &[Descriptor],
-        out: &mut [(u32, u32, u32)],
-    ) {
-        let step = _mm256_set1_epi32(GROUP as i32);
-        let lane0 = _mm256_loadu_si256(LANE_LOCAL_OFFSETS.as_ptr().cast());
-        for (tile_idx, tile) in train.chunks(TRAIN_TILE).enumerate() {
-            let base = (tile_idx * TRAIN_TILE) as u32;
-            let groups = tile.len() / GROUP;
-            let rem = &tile[groups * GROUP..];
-            for (q, o) in query.iter().zip(out.iter_mut()) {
-                let qv = load(q);
-                let mut idx = lane0;
-                let mut best32 = _mm256_set1_epi32(KEY32_SENTINEL as i32);
-                let mut second32 = _mm256_set1_epi32(KEY32_SENTINEL as i32);
-                // Scalar half: two independent running top-2s, merged
-                // exactly below.
-                let mut sa = (u32::MAX, 0u32, u32::MAX);
-                let mut sb = (u32::MAX, 0u32, u32::MAX);
-                for (g, group) in tile.chunks_exact(GROUP).enumerate() {
-                    let key = keys32_x8(qv, &group[..8], idx);
-                    // Sorting network: the loser of (best, key) is the
-                    // lane's candidate for second-smallest.
-                    let loser = _mm256_max_epu32(best32, key);
-                    best32 = _mm256_min_epu32(best32, key);
-                    second32 = _mm256_min_epu32(second32, loser);
-                    idx = _mm256_add_epi32(idx, step);
-                    let j = base + (g * GROUP + 8) as u32;
-                    for k in (0..8).step_by(2) {
-                        let da = hamming_scalar(q, &group[8 + k]);
-                        let db = hamming_scalar(q, &group[9 + k]);
-                        if da < sa.0 {
-                            sa = (da, j + k as u32, sa.0);
-                        } else {
-                            sa.2 = sa.2.min(da);
-                        }
-                        if db < sb.0 {
-                            sb = (db, j + k as u32 + 1, sb.0);
-                        } else {
-                            sb.2 = sb.2.min(db);
-                        }
-                    }
-                }
-                let mut bests = [KEY32_SENTINEL; 8];
-                let mut seconds = [KEY32_SENTINEL; 8];
-                _mm256_storeu_si256(bests.as_mut_ptr().cast(), best32);
-                _mm256_storeu_si256(seconds.as_mut_ptr().cast(), second32);
-
-                // Scalar merge of the carried state, the lane top-2s and
-                // the scalar half's top-2s.
-                let mut state = *o;
-                for k in 0..8 {
-                    if bests[k] != KEY32_SENTINEL {
-                        let (d, i) = unpack_key32(bests[k], base);
-                        merge_top2(&mut state, d, i);
-                    }
-                    if seconds[k] != KEY32_SENTINEL {
-                        state.2 = state.2.min(seconds[k] >> 7);
-                    }
-                }
-                for s in [sa, sb] {
-                    if s.0 != u32::MAX {
-                        merge_top2(&mut state, s.0, s.1);
-                    }
-                    if s.2 != u32::MAX {
-                        state.2 = state.2.min(s.2);
-                    }
-                }
-                for (k, t) in rem.iter().enumerate() {
-                    merge_top2(
-                        &mut state,
-                        distance_x1(qv, t),
-                        base + (groups * GROUP + k) as u32,
-                    );
+                    merge_top2(&mut state, q.hamming(t), base + (groups * GROUP + k) as u32);
                 }
                 *o = state;
             }
@@ -882,10 +553,6 @@ fn nearest_rows_with(
         MatchKernel::Avx512 if kernel.is_supported() => {
             // SAFETY: avx512f + avx512vpopcntdq + popcnt just checked.
             return unsafe { avx512::nearest_rows(query, train, out) };
-        }
-        MatchKernel::Avx2 if kernel.is_supported() => {
-            // SAFETY: avx2 + popcnt support just checked.
-            return unsafe { avx2::nearest_rows(query, train, out) };
         }
         MatchKernel::Popcnt if kernel.is_supported() => {
             // SAFETY: popcnt support just checked.
@@ -909,10 +576,6 @@ fn nearest2_rows_with(
         MatchKernel::Avx512 if kernel.is_supported() => {
             // SAFETY: avx512f + avx512vpopcntdq + popcnt just checked.
             return unsafe { avx512::nearest2_rows(query, train, out) };
-        }
-        MatchKernel::Avx2 if kernel.is_supported() => {
-            // SAFETY: avx2 + popcnt support just checked.
-            return unsafe { avx2::nearest2_rows(query, train, out) };
         }
         MatchKernel::Popcnt if kernel.is_supported() => {
             // SAFETY: popcnt support just checked.

@@ -5,36 +5,29 @@
 //! orientation (32-label) → (RS-)BRIEF descriptor → bounded heap keeping
 //! the best 1024 features.
 //!
-//! Two workflow schedules are modelled (§3.1):
-//!
-//! * [`Workflow::Original`] — detect → **filter** (top-N) → compute
-//!   descriptors for the N survivors. Computes only N descriptors but the
-//!   descriptor stage idles until filtering finishes and all intermediate
-//!   candidates must be buffered.
-//! * [`Workflow::Rescheduled`] — detect → compute descriptors for **all**
-//!   M candidates → filter. Streams, overlapping all stages, at the cost
-//!   of M − N extra descriptor computations.
-//!
-//! Both schedules produce **identical feature sets** (tested); they differ
-//! only in work/latency/memory, which [`ExtractionStats`] records and the
-//! `eslam-hw` timing model consumes. The model's accelerator describes
-//! all M under Rescheduled; this extractor describes only each level's
-//! best N, `Σ min(M_level, N)`, since the heap can never keep the rest
-//! (the keep bound of [`crate::stream`]).
+//! The extractor runs the paper's rescheduled order, detect → compute →
+//! filter, through the two-pass streaming front-end of [`crate::stream`]:
+//! its one production path. The paper's workflow rescheduling (§3.1) is a
+//! hardware decision — it removes the accelerator's idle states and its
+//! on-chip frame buffer, while the two schedules select the same
+//! features — so the Original-vs-Rescheduled comparison lives in the
+//! `eslam-hw` timing and memory model, fed by the counters of
+//! [`ExtractionStats`]. The model's accelerator describes all M
+//! candidates; this extractor describes only each level's best N,
+//! `Σ min(M_level, N)`, since the heap can never keep the rest (the keep
+//! bound of [`crate::stream`]). [`OrbExtractor::extract_reference`] is
+//! the sequential scalar oracle of the production path.
 
-use crate::brief::{
-    compute_descriptor, compute_descriptor_interior, pattern_fingerprint, OriginalBrief,
-    PatternOffsets, RsBrief,
-};
+use crate::brief::{pattern_fingerprint, OriginalBrief, PatternOffsets, RsBrief};
 use crate::descriptor::Descriptor;
 use crate::fast;
 use crate::harris::harris_score;
 use crate::heap::{BestHeap, DEFAULT_HEAP_CAPACITY};
 use crate::nms::{suppress, ScoredPoint};
-use crate::orientation::{angle_to_label, label_to_angle, patch_moments, Moments, OrientationLut};
+use crate::orientation::{label_to_angle, patch_moments, Moments, OrientationLut};
 use crate::pool::WorkerPool;
 use crate::stream::{self, BandMode, BandScratch};
-use eslam_image::filter::{gaussian_blur_7x7_fixed_into, gaussian_blur_7x7_fixed_reference};
+use eslam_image::filter::gaussian_blur_7x7_fixed_reference;
 use eslam_image::pyramid::{ImagePyramid, PyramidConfig, PyramidScratch};
 use eslam_image::GrayImage;
 use eslam_telemetry::{Stage, Telemetry};
@@ -57,17 +50,6 @@ pub enum DescriptorKind {
     OriginalDirect,
 }
 
-/// Extraction workflow schedule (§3.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Workflow {
-    /// Detect → filter → compute (the pre-rescheduling baseline).
-    Original,
-    /// Detect → compute → filter (the paper's streaming schedule). The
-    /// accelerator describes all M candidates; this extractor describes
-    /// each level's best N, `Σ min(M_level, N)`, and keeps the same N.
-    Rescheduled,
-}
-
 /// Configuration of the [`OrbExtractor`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OrbConfig {
@@ -79,8 +61,6 @@ pub struct OrbConfig {
     pub max_features: usize,
     /// Descriptor flavour.
     pub descriptor: DescriptorKind,
-    /// Workflow schedule.
-    pub workflow: Workflow,
     /// Seed for the descriptor pattern generation.
     pub pattern_seed: u64,
     /// Row-band count of the streaming pass: each level splits into
@@ -98,7 +78,6 @@ impl Default for OrbConfig {
             fast_threshold: fast::DEFAULT_THRESHOLD,
             max_features: DEFAULT_HEAP_CAPACITY,
             descriptor: DescriptorKind::RsBrief,
-            workflow: Workflow::Rescheduled,
             pattern_seed: 0xe51a,
             bands: BandMode::Auto,
         }
@@ -137,9 +116,8 @@ pub struct ExtractionStats {
     pub candidates: usize,
     /// Features finally kept (the paper's N ≤ 1024).
     pub kept: usize,
-    /// Descriptors actually computed: N for [`Workflow::Original`],
-    /// `Σ_levels min(M_level, N)` for [`Workflow::Rescheduled`] (each
-    /// level's best N; the accelerator of the `eslam-hw` model describes
+    /// Descriptors actually computed: `Σ_levels min(M_level, N)`, each
+    /// level's best N (the accelerator of the `eslam-hw` model describes
     /// all M).
     pub descriptors_computed: usize,
     /// Total pixels processed across the pyramid.
@@ -153,7 +131,7 @@ pub struct OrbFeatures {
     pub keypoints: Vec<Keypoint>,
     /// `descriptors[i]` belongs to `keypoints[i]`.
     pub descriptors: Vec<Descriptor>,
-    /// Workflow counters.
+    /// Work counters.
     pub stats: ExtractionStats,
 }
 
@@ -185,18 +163,14 @@ struct LevelScratch {
     /// Per-band rings, candidates, results and counters of the two
     /// streaming passes.
     bands: Vec<BandScratch>,
-    /// The smoothed level [`Workflow::Original`] describes its kept
-    /// features from (untouched under [`Workflow::Rescheduled`]).
-    smoothed: GrayImage,
-    blur_scratch: Vec<u16>,
 }
 
 /// Caller-owned scratch for [`OrbExtractor::extract_with`]: holds the
-/// pyramid, every band's line buffers and result lists, and the
-/// smoothed levels of [`Workflow::Original`], so steady-state frames
-/// reuse them instead of reallocating (after the first frame of a
-/// given geometry). Each frame still allocates its band schedule, the
-/// boxed band tasks, the heap and the returned vectors.
+/// pyramid and every band's line buffers and result lists, so
+/// steady-state frames reuse them instead of reallocating (after the
+/// first frame of a given geometry). Each frame still allocates its
+/// band schedule, the boxed band tasks, the heap and the returned
+/// vectors.
 ///
 /// The scratch may also own a persistent [`WorkerPool`]
 /// ([`OrbScratch::with_threads`] / [`OrbScratch::with_pool`]); without
@@ -252,8 +226,8 @@ impl OrbScratch {
     /// halo duplication is exactly what the bound must charge for.
     /// Diagnostic for the `O(width · bands)` working-memory claim: for a
     /// fixed width and band count this is constant in image height
-    /// (whereas a full smoothed frame + `u16` blur scratch, which only
-    /// [`Workflow::Original`] keeps, scale with `width × height`).
+    /// (whereas a full smoothed frame + `u16` blur scratch would scale
+    /// with `width × height`).
     pub fn stream_working_bytes(&self) -> usize {
         self.levels
             .iter()
@@ -447,70 +421,26 @@ impl OrbExtractor {
             pixels_processed: pyramid.total_pixels(),
             ..Default::default()
         };
+        let mut heap: BestHeap<(Keypoint, Descriptor)> = BestHeap::new(self.config.max_features);
         for bs in levels.iter().flat_map(|ls| &ls.bands) {
             stats.fast_detections += bs.fast_count;
             stats.candidates += bs.candidates.len();
-        }
-
-        let (keypoints, descriptors) = match self.config.workflow {
-            Workflow::Rescheduled => {
-                let mut heap: BestHeap<(Keypoint, Descriptor)> =
-                    BestHeap::new(self.config.max_features);
-                for bs in levels.iter().flat_map(|ls| &ls.bands) {
-                    for &(kp, desc) in &bs.results {
-                        stats.descriptors_computed += 1;
-                        heap.push(kp.score, (kp, desc));
-                    }
-                }
-                let mut kps = Vec::with_capacity(heap.len());
-                let mut descs = Vec::with_capacity(heap.len());
-                for (_, (kp, d)) in heap.into_sorted_vec() {
-                    kps.push(kp);
-                    descs.push(d);
-                }
-                (kps, descs)
+            stats.descriptors_computed += bs.results.len();
+            for &(kp, desc) in &bs.results {
+                heap.push(kp.score, (kp, desc));
             }
-            Workflow::Original => {
-                let mut heap: BestHeap<Keypoint> = BestHeap::new(self.config.max_features);
-                for bs in levels.iter().flat_map(|ls| &ls.bands) {
-                    for &kp in &bs.keypoints {
-                        heap.push(kp.score, kp);
-                    }
-                }
-                // The band rings are gone by now: the N survivors are
-                // described off full smoothed levels.
-                for ((_, img), ls) in pyramid.iter().zip(levels.iter_mut()) {
-                    gaussian_blur_7x7_fixed_into(img, &mut ls.smoothed, &mut ls.blur_scratch);
-                }
-                let mut kps = Vec::with_capacity(heap.len());
-                let mut descs = Vec::with_capacity(heap.len());
-                for (_, kp) in heap.into_sorted_vec() {
-                    let ls = &levels[kp.level];
-                    let desc = self.describe_level(&ls.smoothed, &kp, ls.offsets.as_ref());
-                    stats.descriptors_computed += 1;
-                    kps.push(kp);
-                    descs.push(desc);
-                }
-                (kps, descs)
-            }
-        };
-
-        stats.kept = keypoints.len();
-        OrbFeatures {
-            keypoints,
-            descriptors,
-            stats,
         }
+        into_features(heap, stats)
     }
 
     /// Sequential scalar reference of [`OrbExtractor::extract`]: the
     /// original per-pixel implementation built from the reference kernels
     /// ([`fast::detect_reference`], [`gaussian_blur_7x7_fixed_reference`],
     /// [`suppress`], clamped descriptor sampling). Retained as the
-    /// bit-exact oracle the optimized path is tested against: under
-    /// [`Workflow::Rescheduled`] it describes every candidate, and
-    /// reports the `Σ min(M_level, N)` descriptors the keep bound
-    /// computes.
+    /// bit-exact oracle the optimized path is tested against: it
+    /// describes every candidate, which shows the keep bound loses
+    /// nothing, and reports the `Σ min(M_level, N)` descriptors the keep
+    /// bound computes.
     pub fn extract_reference(&self, image: &GrayImage) -> OrbFeatures {
         let pyramid = ImagePyramid::build(image, &self.config.pyramid);
         let mut stats = ExtractionStats {
@@ -547,59 +477,20 @@ impl OrbExtractor {
             smoothed.push(gaussian_blur_7x7_fixed_reference(img));
         }
 
-        let (keypoints, descriptors) = match self.config.workflow {
-            Workflow::Rescheduled => {
-                // Compute descriptors for every candidate, then filter.
-                // The count reported is the keep bound's: the streaming
-                // pass describes each level's best N only.
-                let mut heap: BestHeap<(Keypoint, Descriptor)> =
-                    BestHeap::new(self.config.max_features);
-                for (level, candidates) in level_candidates.iter().enumerate() {
-                    let scale = pyramid.scale_of(level);
-                    stats.descriptors_computed += candidates.len().min(self.config.max_features);
-                    for c in candidates {
-                        let kp = self.orient(&smoothed[level], c, level, scale);
-                        let desc = self.describe(&smoothed[level], &kp);
-                        heap.push(kp.score, (kp, desc));
-                    }
-                }
-                let mut kps = Vec::with_capacity(heap.len());
-                let mut descs = Vec::with_capacity(heap.len());
-                for (_, (kp, d)) in heap.into_sorted_vec() {
-                    kps.push(kp);
-                    descs.push(d);
-                }
-                (kps, descs)
+        // Compute descriptors for every candidate, then filter. The count
+        // reported is the keep bound's: the streaming pass describes each
+        // level's best N only.
+        let mut heap: BestHeap<(Keypoint, Descriptor)> = BestHeap::new(self.config.max_features);
+        for (level, candidates) in level_candidates.iter().enumerate() {
+            let scale = pyramid.scale_of(level);
+            stats.descriptors_computed += candidates.len().min(self.config.max_features);
+            for c in candidates {
+                let kp = self.orient(&smoothed[level], c, level, scale);
+                let desc = self.describe(&smoothed[level], c.x, c.y, kp.label, kp.angle);
+                heap.push(kp.score, (kp, desc));
             }
-            Workflow::Original => {
-                // Filter first on Harris score, then compute descriptors
-                // only for the survivors.
-                let mut heap: BestHeap<Keypoint> = BestHeap::new(self.config.max_features);
-                for (level, candidates) in level_candidates.iter().enumerate() {
-                    let scale = pyramid.scale_of(level);
-                    for c in candidates {
-                        let kp = self.orient(&smoothed[level], c, level, scale);
-                        heap.push(kp.score, kp);
-                    }
-                }
-                let mut kps = Vec::with_capacity(heap.len());
-                let mut descs = Vec::with_capacity(heap.len());
-                for (_, kp) in heap.into_sorted_vec() {
-                    let desc = self.describe(&smoothed[kp.level], &kp);
-                    stats.descriptors_computed += 1;
-                    kps.push(kp);
-                    descs.push(desc);
-                }
-                (kps, descs)
-            }
-        };
-
-        stats.kept = keypoints.len();
-        OrbFeatures {
-            keypoints,
-            descriptors,
-            stats,
         }
+        into_features(heap, stats)
     }
 
     /// Compiles the RS-BRIEF sampling table for a level's stride (only
@@ -656,77 +547,48 @@ impl OrbExtractor {
         }
     }
 
-    /// Computes the steered descriptor for a keypoint.
-    fn describe(&self, smoothed: &GrayImage, kp: &Keypoint) -> Descriptor {
-        match &self.engine {
-            Engine::Rs(rs) => rs.compute(smoothed, kp.level_x, kp.level_y, kp.label),
-            Engine::Original(orig) => orig.compute_lut(smoothed, kp.level_x, kp.level_y, kp.angle),
-            Engine::Direct(orig) => orig.compute_direct(smoothed, kp.level_x, kp.level_y, kp.angle),
-        }
-    }
-
-    /// Hot-path descriptor: RS-BRIEF keypoints sample through the
-    /// compiled per-level offset table (the keypoint margin of 16 pixels
-    /// exceeds the 15-pixel patch radius, so clamping never engages and
-    /// the result is bit-identical to [`OrbExtractor::describe`]).
-    fn describe_level(
-        &self,
-        smoothed: &GrayImage,
-        kp: &Keypoint,
-        offsets: Option<&PatternOffsets>,
-    ) -> Descriptor {
-        self.describe_at(
-            smoothed, kp.level_x, kp.level_y, kp.label, kp.angle, offsets,
-        )
-    }
-
-    /// Descriptor computation at explicit level coordinates — the
-    /// streaming pass calls this with ring-buffer coordinates, where
-    /// `y` is the keypoint row's slot in the mirrored ring. Identical
-    /// engine dispatch to [`OrbExtractor::describe`]; none of the
-    /// engines' clamped sampling engages because the caller guarantees
-    /// a full radius-15 interior around `(x, y)`.
-    pub(crate) fn describe_at(
+    /// Computes the steered descriptor at explicit level coordinates
+    /// with the clamped sampling of the configured engine. The reference
+    /// calls it at the keypoint's own coordinates on a full smoothed
+    /// level; the streaming pass calls it with ring-buffer coordinates,
+    /// where `y` is the keypoint row's slot in the mirrored ring (its
+    /// caller guarantees a full radius-15 interior around `(x, y)`, so
+    /// the clamping never engages).
+    pub(crate) fn describe(
         &self,
         smoothed: &GrayImage,
         x: u32,
         y: u32,
         label: u8,
         angle: f64,
-        offsets: Option<&PatternOffsets>,
     ) -> Descriptor {
-        if let Some(table) = offsets {
-            compute_descriptor_interior(smoothed, x, y, table).steer(label)
-        } else {
-            match &self.engine {
-                Engine::Rs(rs) => rs.compute(smoothed, x, y, label),
-                Engine::Original(orig) => orig.compute_lut(smoothed, x, y, angle),
-                Engine::Direct(orig) => orig.compute_direct(smoothed, x, y, angle),
-            }
-        }
-    }
-
-    /// Computes the *unsteered* descriptor at a keypoint (used by the
-    /// hardware model, which steers in a separate Rotator stage).
-    pub fn describe_unsteered(&self, smoothed: &GrayImage, x: u32, y: u32) -> Descriptor {
         match &self.engine {
-            Engine::Rs(rs) => compute_descriptor(smoothed, x, y, rs.pattern()),
-            Engine::Original(orig) | Engine::Direct(orig) => {
-                compute_descriptor(smoothed, x, y, orig.pattern())
-            }
+            Engine::Rs(rs) => rs.compute(smoothed, x, y, label),
+            Engine::Original(orig) => orig.compute_lut(smoothed, x, y, angle),
+            Engine::Direct(orig) => orig.compute_direct(smoothed, x, y, angle),
         }
     }
 }
 
-/// Convenience: checks that the orientation label discretization used by
-/// keypoints agrees with [`angle_to_label`].
-pub fn label_of_angle(angle: f64) -> u8 {
-    angle_to_label(angle)
+/// Drains the heap, best first, into the extraction result.
+fn into_features(
+    heap: BestHeap<(Keypoint, Descriptor)>,
+    mut stats: ExtractionStats,
+) -> OrbFeatures {
+    let (keypoints, descriptors): (Vec<Keypoint>, Vec<Descriptor>) =
+        heap.into_sorted_vec().into_iter().map(|(_, kd)| kd).unzip();
+    stats.kept = keypoints.len();
+    OrbFeatures {
+        keypoints,
+        descriptors,
+        stats,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::orientation::angle_to_label;
 
     /// A corner-rich checkerboard with mild pseudo-random variation.
     fn test_image(w: u32, h: u32, seed: u64) -> GrayImage {
@@ -768,50 +630,27 @@ mod tests {
     }
 
     #[test]
-    fn workflows_produce_identical_features() {
-        // §3.1: rescheduling changes latency/memory, not results.
-        let img = test_image(320, 240, 2);
-        let base = OrbConfig {
-            max_features: 100,
-            ..Default::default()
-        };
-        let original = OrbExtractor::new(OrbConfig {
-            workflow: Workflow::Original,
-            ..base
-        })
-        .extract(&img);
-        let rescheduled = OrbExtractor::new(OrbConfig {
-            workflow: Workflow::Rescheduled,
-            ..base
-        })
-        .extract(&img);
-        assert_eq!(original.keypoints, rescheduled.keypoints);
-        assert_eq!(original.descriptors, rescheduled.descriptors);
-    }
-
-    #[test]
     fn rescheduled_computes_more_descriptors() {
-        // The keep bound: Rescheduled describes min(M_level, N) per level
-        // — all M when N ≥ M, levels × N when every level has more than N
-        // — which still exceeds the N it keeps; Original describes N.
+        // The keep bound: the extractor describes min(M_level, N) per
+        // level — all M when N ≥ M, levels × N when every level has more
+        // than N — which still exceeds the N it keeps.
         // Random 5×5 blocks have corners on every pyramid level (the
         // checkerboard of `test_image` has none on level 0).
         let img = GrayImage::from_fn(160, 120, |x, y| {
             let block = ((x / 5) as u64 * 2_654_435_761) ^ ((y / 5) as u64 * 40_503);
             (block.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56) as u8
         });
-        let extract = |workflow, max_features| {
+        let extract = |max_features| {
             OrbExtractor::new(OrbConfig {
-                workflow,
                 max_features,
                 ..Default::default()
             })
             .extract(&img)
         };
         let n = 64;
-        let rescheduled = extract(Workflow::Rescheduled, n);
+        let rescheduled = extract(n);
         let m = rescheduled.stats.candidates;
-        let all = extract(Workflow::Rescheduled, m);
+        let all = extract(m);
         assert_eq!(all.stats.kept, m);
         assert_eq!(all.stats.descriptors_computed, m);
         // Every candidate is kept at N = M, so its keypoints count each
@@ -823,9 +662,6 @@ mod tests {
         }
         assert_eq!(rescheduled.stats.descriptors_computed, levels * n);
         assert!(rescheduled.stats.kept < rescheduled.stats.descriptors_computed);
-        let original = extract(Workflow::Original, n);
-        assert_eq!(original.stats.descriptors_computed, original.stats.kept);
-        assert_eq!(original.keypoints, rescheduled.keypoints);
     }
 
     #[test]
@@ -911,17 +747,14 @@ mod tests {
                 DescriptorKind::OriginalLut,
                 DescriptorKind::OriginalDirect,
             ] {
-                for workflow in [Workflow::Rescheduled, Workflow::Original] {
-                    let e = OrbExtractor::new(OrbConfig {
-                        descriptor: kind,
-                        workflow,
-                        max_features: 200,
-                        ..Default::default()
-                    });
-                    let fast_path = e.extract(&img);
-                    let reference = e.extract_reference(&img);
-                    assert_eq!(fast_path, reference, "seed {seed} {kind:?} {workflow:?}");
-                }
+                let e = OrbExtractor::new(OrbConfig {
+                    descriptor: kind,
+                    max_features: 200,
+                    ..Default::default()
+                });
+                let fast_path = e.extract(&img);
+                let reference = e.extract_reference(&img);
+                assert_eq!(fast_path, reference, "seed {seed} {kind:?}");
             }
         }
     }
@@ -953,15 +786,6 @@ mod tests {
             rs_other.extract_with(&img, &mut scratch),
             rs_other.extract_reference(&img)
         );
-
-        let original = OrbExtractor::new(OrbConfig {
-            workflow: Workflow::Original,
-            ..Default::default()
-        });
-        assert_eq!(
-            original.extract_with(&img, &mut scratch),
-            original.extract_reference(&img)
-        );
     }
 
     #[test]
@@ -988,7 +812,7 @@ mod tests {
         for kp in &f.keypoints {
             assert!(kp.label < 32);
             // RS-BRIEF keypoints carry the label's representative angle.
-            assert_eq!(label_of_angle(kp.angle), kp.label);
+            assert_eq!(angle_to_label(kp.angle), kp.label);
         }
     }
 }

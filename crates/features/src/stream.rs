@@ -12,9 +12,8 @@
 //!    score and the 3×3 NMS and leaves the band's candidates (the NMS +
 //!    edge-margin survivors) in raster order;
 //! 2. the **description pass** (`describe_band`) runs the lazy blur,
-//!    the moments, the orientation label and, under
-//!    [`Workflow::Rescheduled`], the descriptor, for the candidates the
-//!    keep bound lets through.
+//!    the moments, the orientation label and the descriptor, for the
+//!    candidates the keep bound lets through.
 //!
 //! It is the extractor's only production path; the sequential scalar
 //! [`OrbExtractor::extract_reference`] is its bit-exact oracle.
@@ -125,10 +124,6 @@
 //! `tests/stream_equivalence.rs` proves it across the paper sequences
 //! and on inputs where the bound cuts through exact score ties.
 //!
-//! Under [`Workflow::Original`] the description pass orients only; the
-//! extractor describes the N features its heap keeps afterwards, off
-//! full smoothed levels, so exactly N descriptors are computed.
-//!
 //! # Band parallelism
 //!
 //! The stream is also the unit of parallelism: a level's finalize rows
@@ -155,7 +150,7 @@ use crate::descriptor::Descriptor;
 use crate::fast::{self, FastDetection};
 use crate::harris::{HarrisScorer, BLOCK_HALF};
 use crate::nms::ScoredPoint;
-use crate::orb::{Keypoint, OrbExtractor, Workflow, EDGE_MARGIN};
+use crate::orb::{Keypoint, OrbExtractor, EDGE_MARGIN};
 use crate::orientation::patch_moments_ring;
 use eslam_image::filter::{blur_hrow_7x7_into, blur_vrow_7x7_into};
 use eslam_image::GrayImage;
@@ -340,11 +335,8 @@ pub(crate) struct BandScratch {
     /// it has more than N (empty otherwise).
     best: Vec<ScoredPoint>,
     /// Oriented + described candidates within the keep bound, in raster
-    /// order ([`Workflow::Rescheduled`]).
+    /// order: the description pass's output.
     pub(crate) results: Vec<(Keypoint, Descriptor)>,
-    /// Oriented candidates within the keep bound, in raster order
-    /// ([`Workflow::Original`], which describes after filtering).
-    pub(crate) keypoints: Vec<Keypoint>,
     /// Raw FAST detections on the band's owned scan rows (halo rows are
     /// scanned by two bands but counted by their owner only).
     pub(crate) fast_count: usize,
@@ -428,7 +420,7 @@ fn nms_survives(prev: &[f64], cur: &[f64], next: &[f64], x: usize, s: f64) -> bo
 }
 
 /// Per-band state of the description pass: advances the lazy smoothing
-/// chain and emits the oriented (and described) candidates.
+/// chain and emits the oriented, described candidates.
 struct StreamLevel<'a> {
     ex: &'a OrbExtractor,
     img: &'a GrayImage,
@@ -440,7 +432,6 @@ struct StreamLevel<'a> {
     hrows: &'a mut [u16],
     offsets: Option<&'a PatternOffsets>,
     results: &'a mut Vec<(Keypoint, Descriptor)>,
-    keypoints: &'a mut Vec<Keypoint>,
     /// Next raw row to run the horizontal blur on.
     h_next: usize,
     /// Next smoothed row to produce into the ring.
@@ -448,8 +439,7 @@ struct StreamLevel<'a> {
 }
 
 impl StreamLevel<'_> {
-    /// Orients one candidate off the ring and, under
-    /// [`Workflow::Rescheduled`], describes it there too.
+    /// Orients and describes one candidate off the ring.
     fn emit(&mut self, p: &ScoredPoint) {
         let yc = p.y as usize;
         let halo = STREAM_PATCH_HALO as usize;
@@ -459,16 +449,11 @@ impl StreamLevel<'_> {
         let kp = self
             .ex
             .orient_from_moments(moments, p, self.level, self.scale);
-        if self.ex.config().workflow == Workflow::Original {
-            self.keypoints.push(kp);
-            return;
-        }
         let desc = if let Some(table) = self.offsets {
             compute_descriptor_ring(self.ring, p.x, p.y, SMOOTH_RING_ROWS, table).steer(kp.label)
         } else {
             let slot = (p.y - STREAM_PATCH_HALO) % SMOOTH_RING_ROWS + STREAM_PATCH_HALO;
-            self.ex
-                .describe_at(self.ring, p.x, slot, kp.label, kp.angle, None)
+            self.ex.describe(self.ring, p.x, slot, kp.label, kp.angle)
         };
         self.results.push((kp, desc));
     }
@@ -639,11 +624,10 @@ pub(crate) fn detect_band(
 
 /// The description pass of one row band — the task body of the second
 /// batch. Per candidate at or above the level's `cutoff` (every
-/// candidate when `None`), in raster order: lazy blur, moments and
-/// orientation off the ring buffers and, under
-/// [`Workflow::Rescheduled`], the descriptor. `offsets` must already be
-/// prepared by the caller (the table is shared read-only across a
-/// level's bands).
+/// candidate when `None`), in raster order: lazy blur, moments,
+/// orientation and descriptor off the ring buffers. `offsets` must
+/// already be prepared by the caller (the table is shared read-only
+/// across a level's bands).
 ///
 /// The lazy blur chain independently re-produces up to
 /// [`STREAM_LATENCY_ROWS`] raw rows above the band's first described
@@ -662,11 +646,9 @@ pub(crate) fn describe_band(
         hrows,
         candidates,
         results,
-        keypoints,
         ..
     } = bs;
     results.clear();
-    keypoints.clear();
     let mut st = StreamLevel {
         ex,
         img,
@@ -678,7 +660,6 @@ pub(crate) fn describe_band(
         hrows,
         offsets,
         results,
-        keypoints,
         h_next: 0,
         smooth_next: 0,
     };
@@ -708,7 +689,7 @@ pub fn latency_schedule() -> ([(&'static str, u32); 5], u32) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::orb::{DescriptorKind, OrbConfig, OrbScratch};
+    use crate::orb::{DescriptorKind, ExtractionStats, OrbConfig, OrbScratch};
     use eslam_image::pyramid::ImagePyramid;
 
     fn test_image(w: u32, h: u32, seed: u64) -> GrayImage {
@@ -837,11 +818,11 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(32))]
 
-            // Satellite: degenerate sizes down to 1×1 must degrade the
-            // band count, never panic or drift from the scalar reference.
+            // Degenerate sizes down to 0×0 must degrade the band count,
+            // never panic or drift from the scalar reference.
             #[test]
             fn banded_stream_matches_reference_on_degenerate_sizes(
-                w in 1u32..40, h in 1u32..40, bands in 1usize..10, seed in 0u64..1000,
+                w in 0u32..40, h in 0u32..40, bands in 1usize..10, seed in 0u64..1000,
             ) {
                 let img = test_image(w, h, seed);
                 let e = OrbExtractor::new(OrbConfig {
@@ -907,22 +888,15 @@ mod tests {
             DescriptorKind::OriginalLut,
             DescriptorKind::OriginalDirect,
         ] {
-            for workflow in [Workflow::Rescheduled, Workflow::Original] {
-                let e = OrbExtractor::new(OrbConfig {
-                    descriptor: kind,
-                    workflow,
-                    max_features: 200,
-                    ..Default::default()
-                });
-                for (w, h) in [(200u32, 150u32), (64, 64), (40, 400), (400, 40)] {
-                    let img = test_image(w, h, kind as u64);
-                    let stream = e.extract_with(&img, &mut OrbScratch::default());
-                    assert_eq!(
-                        stream,
-                        e.extract_reference(&img),
-                        "{kind:?} {workflow:?} {w}x{h}"
-                    );
-                }
+            let e = OrbExtractor::new(OrbConfig {
+                descriptor: kind,
+                max_features: 200,
+                ..Default::default()
+            });
+            for (w, h) in [(200u32, 150u32), (64, 64), (40, 400), (400, 40)] {
+                let img = test_image(w, h, kind as u64);
+                let stream = e.extract_with(&img, &mut OrbScratch::default());
+                assert_eq!(stream, e.extract_reference(&img), "{kind:?} {w}x{h}");
             }
         }
     }
@@ -930,10 +904,24 @@ mod tests {
     #[test]
     fn stream_handles_degenerate_sizes() {
         let e = OrbExtractor::new(OrbConfig::default());
-        for (w, h) in [(1u32, 1u32), (6, 6), (8, 40), (40, 8), (17, 19), (33, 33)] {
+        for (w, h) in [
+            (0u32, 0u32),
+            (0, 40),
+            (40, 0),
+            (1, 1),
+            (6, 6),
+            (8, 40),
+            (40, 8),
+            (17, 19),
+            (33, 33),
+        ] {
             let img = test_image(w, h, 7);
             let stream = e.extract_with(&img, &mut OrbScratch::default());
             assert_eq!(stream, e.extract_reference(&img), "{w}x{h}");
+            if w == 0 || h == 0 {
+                assert!(stream.is_empty(), "{w}x{h}");
+                assert_eq!(stream.stats, ExtractionStats::default(), "{w}x{h}");
+            }
         }
     }
 
@@ -1045,27 +1033,6 @@ mod tests {
                 let cut = ScoredPoint { x: bx, y: by, score: SCORES[b] };
                 prop_assert_eq!(at_or_above(&p, &cut), heap_order(&p, &cut).is_le());
             }
-        }
-    }
-
-    #[test]
-    fn original_workflow_streams_and_matches_reference() {
-        // Original streams detection and orientation through the bands
-        // and describes only the kept N off smoothed levels held in the
-        // scratch; reuse across frames and a geometry change must not
-        // leak stale smoothed rows into the descriptors.
-        let e = OrbExtractor::new(OrbConfig {
-            workflow: Workflow::Original,
-            max_features: 100,
-            bands: BandMode::Fixed(3),
-            ..Default::default()
-        });
-        let mut scratch = OrbScratch::default();
-        for (w, h, seed) in [(160u32, 120u32, 3u64), (160, 120, 4), (96, 80, 9)] {
-            let img = test_image(w, h, seed);
-            let f = e.extract_with(&img, &mut scratch);
-            assert_eq!(f.stats.descriptors_computed, f.stats.kept);
-            assert_eq!(f, e.extract_reference(&img), "{w}x{h} seed {seed}");
         }
     }
 }

@@ -15,7 +15,7 @@
 use eslam_features::matcher::{
     match_brute_force, match_brute_force_reference, match_with_ratio, match_with_ratio_reference,
 };
-use eslam_features::orb::{DescriptorKind, OrbConfig, OrbExtractor, Workflow};
+use eslam_features::orb::{DescriptorKind, OrbConfig, OrbExtractor};
 use eslam_features::{fast, Descriptor};
 use eslam_image::filter::{gaussian_blur_7x7_fixed, gaussian_blur_7x7_fixed_reference};
 use eslam_image::pyramid::{resize_nearest, resize_nearest_reference};
@@ -126,16 +126,13 @@ proptest! {
             DescriptorKind::OriginalLut,
             DescriptorKind::OriginalDirect,
         ] {
-            for workflow in [Workflow::Rescheduled, Workflow::Original] {
-                let extractor = OrbExtractor::new(OrbConfig {
-                    descriptor: kind,
-                    workflow,
-                    max_features: 150,
-                    pattern_seed: seed ^ 0xe51a,
-                    ..Default::default()
-                });
-                prop_assert_eq!(extractor.extract(&img), extractor.extract_reference(&img));
-            }
+            let extractor = OrbExtractor::new(OrbConfig {
+                descriptor: kind,
+                max_features: 150,
+                pattern_seed: seed ^ 0xe51a,
+                ..Default::default()
+            });
+            prop_assert_eq!(extractor.extract(&img), extractor.extract_reference(&img));
         }
     }
 }

@@ -1,13 +1,13 @@
 //! Per-kernel bit-identity suite for the Hamming matcher dispatch
-//! ladder (avx512 → avx2 → popcnt → scalar) and the persistent worker
-//! pool.
+//! ladder (avx512 → popcnt → scalar) and the persistent worker pool.
 //!
 //! Every rung the CPU supports is proven bit-identical to
 //! [`match_brute_force_reference`] / [`match_with_ratio_reference`] on
 //! random corpora, degenerate descriptors (all-zero, all-one,
 //! single-bit-set) and shapes that straddle the tile and SIMD-batch
-//! boundaries (query/train counts that are not multiples of the 4-wide
-//! AVX2 step, the 8-row query block or the 128-descriptor train tile).
+//! boundaries (query/train counts that are not multiples of the 8-train
+//! AVX-512 group, the 8-row query block or the 128-descriptor train
+//! tile).
 //! The pooled entry points are proven independent of pool size,
 //! including pools wider than the host's core count.
 
@@ -48,7 +48,7 @@ fn single_bit(bit: usize) -> Descriptor {
 
 #[test]
 fn every_supported_kernel_matches_reference_on_boundary_shapes() {
-    // Shapes straddling the SIMD batch (4), the query block (8) and the
+    // Shapes straddling the SIMD group (8), the query block (8) and the
     // train tile (128): remainder handling must not change results.
     let shapes = [
         (1usize, 1usize),
@@ -143,9 +143,9 @@ fn kernel_names_round_trip() {
         assert_eq!(named, [kernel]);
     }
     // The ladder is ordered slowest → fastest.
+    assert_eq!(MatchKernel::ALL.len(), 3);
     assert!(MatchKernel::Scalar < MatchKernel::Popcnt);
-    assert!(MatchKernel::Popcnt < MatchKernel::Avx2);
-    assert!(MatchKernel::Avx2 < MatchKernel::Avx512);
+    assert!(MatchKernel::Popcnt < MatchKernel::Avx512);
     // Detection picks a supported rung.
     assert!(MatchKernel::detect().is_supported());
 }

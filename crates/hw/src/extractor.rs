@@ -15,6 +15,8 @@
 //! For the **original (non-rescheduled) workflow** ablation (§3.1), the
 //! descriptor phase cannot overlap detection, and the smoothened frame no
 //! longer fits on-chip — every kept keypoint pays an SDRAM patch fetch.
+//! [`Workflow`] selects between the two schedules; it is a property of
+//! the accelerator alone, since both select the same features.
 //!
 //! Functional results delegate to [`eslam_features::orb::OrbExtractor`],
 //! making the simulator's features bit-identical to the software
@@ -22,10 +24,28 @@
 
 use crate::axi::AxiConfig;
 use crate::clock::{Cycles, FPGA_CLOCK_HZ};
-use eslam_features::orb::{DescriptorKind, OrbConfig, OrbExtractor, OrbFeatures, Workflow};
+use eslam_features::orb::{DescriptorKind, OrbConfig, OrbExtractor, OrbFeatures};
 use eslam_features::stream;
 use eslam_image::pyramid::PyramidConfig;
 use eslam_image::GrayImage;
+
+/// The accelerator's extraction schedule (§3.1). Both schedules keep the
+/// same N features; they differ in latency and on-chip memory, which
+/// [`ExtractorModel::extraction_timing`] and
+/// [`ExtractorModel::memory_footprint`] charge. The software extractor
+/// always runs the rescheduled order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Workflow {
+    /// Detect → filter (top-N) → compute descriptors for the N
+    /// survivors: the pre-rescheduling baseline. The descriptor stage
+    /// idles until filtering finishes, and the smoothened frame must be
+    /// buffered for it.
+    Original,
+    /// Detect → compute descriptors for all M candidates → filter: the
+    /// paper's streaming schedule, overlapping every stage at the cost of
+    /// M − N extra descriptors.
+    Rescheduled,
+}
 
 /// Bytes stored per extracted feature (256-bit descriptor + coordinates,
 /// level, score).
@@ -459,7 +479,6 @@ pub struct SimulatedExtraction {
 pub fn simulate_extraction(image: &GrayImage, model: &ExtractorModel) -> SimulatedExtraction {
     let config = OrbConfig {
         descriptor: DescriptorKind::RsBrief,
-        workflow: Workflow::Rescheduled,
         ..Default::default()
     };
     let extractor = OrbExtractor::new(config);

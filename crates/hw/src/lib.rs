@@ -12,7 +12,7 @@
 //! * [`units`] — per-unit latency/II/resource contracts (FAST, smoother,
 //!   NMS, orientation, BRIEF, rotator, heap, matcher blocks);
 //! * [`extractor`] — the ORB Extractor latency model, including the
-//!   workflow-rescheduling ablation of §3.1;
+//!   workflow-rescheduling ablation of §3.1 ([`extractor::Workflow`]);
 //! * [`matcher`] — the BRIEF Matcher latency model (§3.2);
 //! * [`resource`] — Table 1 (FPGA utilization);
 //! * [`power`] — the Table 3 power/energy model;
@@ -73,9 +73,9 @@ mod proptests {
             let (lo, hi) = if c1 <= c2 { (c1, c2) } else { (c2, c1) };
             let mut wl = extractor::ExtractionWorkload::vga_nominal();
             wl.candidates = lo;
-            let t_lo = model.extraction_timing(&wl, eslam_features::orb::Workflow::Rescheduled);
+            let t_lo = model.extraction_timing(&wl, extractor::Workflow::Rescheduled);
             wl.candidates = hi;
-            let t_hi = model.extraction_timing(&wl, eslam_features::orb::Workflow::Rescheduled);
+            let t_hi = model.extraction_timing(&wl, extractor::Workflow::Rescheduled);
             prop_assert!(t_lo.total <= t_hi.total);
         }
 

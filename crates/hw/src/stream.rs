@@ -135,8 +135,7 @@ impl StreamModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::extractor::{ExtractionWorkload, ExtractorModel};
-    use eslam_features::orb::Workflow;
+    use crate::extractor::{ExtractionWorkload, ExtractorModel, Workflow};
 
     #[test]
     fn vga_level_has_no_stalls_with_default_axi() {

@@ -10,10 +10,9 @@
 //! * **CPU baselines**: all five stages run sequentially.
 
 use crate::cpu::{arm_cortex_a9, intel_i7, CpuModel};
-use crate::extractor::{ExtractionWorkload, ExtractorModel};
+use crate::extractor::{ExtractionWorkload, ExtractorModel, Workflow};
 use crate::matcher::{MatcherModel, NOMINAL_MAP_POINTS, NOMINAL_QUERIES};
 use crate::power::{energy_per_frame_mj, eslam_power_w, ARM_POWER_W, I7_POWER_W};
-use eslam_features::orb::Workflow;
 
 /// Per-stage times in milliseconds (one frame).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]

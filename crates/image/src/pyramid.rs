@@ -136,10 +136,17 @@ impl ImagePyramid {
         for level in 1..config.levels {
             // Target size derives from the *base* to avoid compounding
             // rounding, but pixels are sampled from the previous layer as
-            // the hardware does.
+            // the hardware does. A non-empty dimension keeps at least one
+            // pixel; an empty one stays empty on every level.
             let s = config.scale_of(level);
-            let w = ((base.width() as f64) / s).round().max(1.0) as u32;
-            let h = ((base.height() as f64) / s).round().max(1.0) as u32;
+            let scaled = |d: u32| {
+                if d == 0 {
+                    0
+                } else {
+                    ((d as f64) / s).round().max(1.0) as u32
+                }
+            };
+            let (w, h) = (scaled(base.width()), scaled(base.height()));
             let (prev, rest) = self.layers[level - 1..].split_first_mut().expect("levels");
             resize_nearest_into(prev, &mut rest[0], w, h, &mut scratch.xmap);
         }
@@ -412,6 +419,21 @@ mod tests {
         let cfg = PyramidConfig::default();
         let pyr = ImagePyramid::build(&base, &cfg);
         assert_eq!(pyr.total_pixels(), cfg.total_pixels(640, 480));
+    }
+
+    #[test]
+    fn empty_base_gives_empty_levels() {
+        let cfg = PyramidConfig::default();
+        for (w, h) in [(0u32, 0u32), (0, 40), (40, 0)] {
+            let pyr = ImagePyramid::build(&GrayImage::new(w, h), &cfg);
+            assert_eq!(pyr.levels(), cfg.levels);
+            for (level, layer) in pyr.iter().skip(1) {
+                assert_eq!(layer.width() == 0, w == 0, "{w}x{h} level {level}");
+                assert_eq!(layer.height() == 0, h == 0, "{w}x{h} level {level}");
+            }
+            assert_eq!(pyr.total_pixels(), 0, "{w}x{h}");
+            assert_eq!(cfg.total_pixels(w, h), 0, "{w}x{h}");
+        }
     }
 
     #[test]

@@ -8,8 +8,7 @@
 //! ```
 
 use eslam_dataset::sequence::SequenceSpec;
-use eslam_features::orb::Workflow;
-use eslam_hw::extractor::{ExtractionWorkload, ExtractorModel};
+use eslam_hw::extractor::{ExtractionWorkload, ExtractorModel, Workflow};
 use eslam_hw::matcher::{MatcherModel, NOMINAL_MAP_POINTS};
 use eslam_hw::resource::{eslam_total, DEFAULT_MATCHER_PARALLELISM, XCZ7045};
 use eslam_hw::simulate_extraction;

@@ -3,15 +3,15 @@
 //! sequential scalar reference (`OrbExtractor::extract_reference`) —
 //! keypoints, Harris responses, orientation angles/labels, descriptors,
 //! and extraction stats — for every paper sequence, every pyramid depth,
-//! odd and degenerate image sizes, every descriptor kind and workflow,
-//! every band count and worker-pool shape, and heap capacities where the
-//! per-level keep bound cuts through exact score ties.
+//! odd and degenerate image sizes, every descriptor kind, every band
+//! count and worker-pool shape, and heap capacities where the per-level
+//! keep bound cuts through exact score ties.
 
 use eslam_core::{run_sequence, Slam, SlamConfig};
 use eslam_dataset::sequence::{SequenceSpec, SyntheticSequence};
 use eslam_features::fast::{self, FastDetection};
 use eslam_features::harris::harris_score;
-use eslam_features::orb::{DescriptorKind, OrbConfig, OrbExtractor, OrbScratch, Workflow};
+use eslam_features::orb::{DescriptorKind, OrbConfig, OrbExtractor, OrbScratch};
 use eslam_features::BandMode;
 use eslam_image::pyramid::PyramidConfig;
 use eslam_image::GrayImage;
@@ -127,14 +127,12 @@ fn streaming_bit_identical_on_odd_and_degenerate_sizes() {
 }
 
 #[test]
-fn streaming_bit_identical_for_all_descriptor_kinds_and_workflows() {
-    // The Original workflow streams detection and orientation, then
-    // describes only the kept N off smoothed levels; both workflows
-    // must agree with the reference exactly — on a corner-rich texture
-    // and on an image whose adjacent hits tie exactly — for every band
-    // count and for heap capacities N at which the per-level keep bound
-    // cuts every level of the tie image (1, 7), only its busiest (64),
-    // or none (200).
+fn streaming_bit_identical_for_all_descriptor_kinds() {
+    // Every descriptor kind must agree with the reference exactly — on
+    // a corner-rich texture and on an image whose adjacent hits tie
+    // exactly — for every band count and for heap capacities N at which
+    // the per-level keep bound cuts every level of the tie image (1, 7),
+    // only its busiest (64), or none (200).
     let ties = tied_pairs(160, 120);
     let hits = fast::detect(&ties, fast::DEFAULT_THRESHOLD);
     let tied = |a: &FastDetection, (dx, dy): (i64, i64)| {
@@ -175,25 +173,21 @@ fn streaming_bit_identical_for_all_descriptor_kinds_and_workflows() {
             DescriptorKind::OriginalLut,
             DescriptorKind::OriginalDirect,
         ] {
-            for workflow in [Workflow::Rescheduled, Workflow::Original] {
-                for max_features in CAPACITIES {
-                    let config = OrbConfig {
-                        descriptor: kind,
-                        workflow,
-                        max_features,
-                        ..Default::default()
-                    };
-                    let oracle = OrbExtractor::new(config).extract_reference(&img);
-                    for bands in 1..=4 {
-                        let extractor = OrbExtractor::new(OrbConfig {
-                            bands: BandMode::Fixed(bands),
-                            ..config
-                        });
-                        let streamed = extractor.extract_with(&img, &mut OrbScratch::default());
-                        let ctx =
-                            format!("{name} {kind:?} {workflow:?} N {max_features} bands {bands}");
-                        assert_eq!(streamed, oracle, "{ctx}");
-                    }
+            for max_features in CAPACITIES {
+                let config = OrbConfig {
+                    descriptor: kind,
+                    max_features,
+                    ..Default::default()
+                };
+                let oracle = OrbExtractor::new(config).extract_reference(&img);
+                for bands in 1..=4 {
+                    let extractor = OrbExtractor::new(OrbConfig {
+                        bands: BandMode::Fixed(bands),
+                        ..config
+                    });
+                    let streamed = extractor.extract_with(&img, &mut OrbScratch::default());
+                    let ctx = format!("{name} {kind:?} N {max_features} bands {bands}");
+                    assert_eq!(streamed, oracle, "{ctx}");
                 }
             }
         }
@@ -246,39 +240,24 @@ fn band_parallel_bit_identical_across_paper_and_loop_sequences() {
 
 #[test]
 fn band_parallel_bit_identical_across_worker_pool_shapes() {
-    // Band count × workflow × pool shape: the depth-first schedule
-    // dispatches onto whatever pool the scratch carries (1 thread =
-    // inline, a small private pool, the process-global pool) and the
-    // merge must stay deterministic under every shape. Original must
-    // also describe exactly the N features it keeps.
+    // Band count × pool shape: the depth-first schedule dispatches onto
+    // whatever pool the scratch carries (1 thread = inline, a small
+    // private pool, the process-global pool) and the merge must stay
+    // deterministic under every shape.
     let img = paper_sequences(1)[2].frame(0).gray.clone();
-    for workflow in [Workflow::Rescheduled, Workflow::Original] {
-        let oracle = OrbExtractor::new(OrbConfig {
-            workflow,
+    let oracle = OrbExtractor::new(OrbConfig::default()).extract_reference(&img);
+    for bands in [1usize, 2, 4] {
+        let extractor = OrbExtractor::new(OrbConfig {
+            bands: BandMode::Fixed(bands),
             ..Default::default()
-        })
-        .extract_reference(&img);
-        for bands in [1usize, 2, 4] {
-            let extractor = OrbExtractor::new(OrbConfig {
-                workflow,
-                bands: BandMode::Fixed(bands),
-                ..Default::default()
-            });
-            for threads in [Some(1), Some(3), None] {
-                let mut scratch = match threads {
-                    Some(_) => OrbScratch::with_threads(threads),
-                    None => OrbScratch::default(),
-                };
-                let streamed = extractor.extract_with(&img, &mut scratch);
-                let ctx = format!("{workflow:?} bands {bands} threads {threads:?}");
-                assert_eq!(streamed, oracle, "{ctx}");
-                if workflow == Workflow::Original {
-                    assert_eq!(
-                        streamed.stats.descriptors_computed, streamed.stats.kept,
-                        "{ctx}"
-                    );
-                }
-            }
+        });
+        for threads in [Some(1), Some(3), None] {
+            let mut scratch = match threads {
+                Some(_) => OrbScratch::with_threads(threads),
+                None => OrbScratch::default(),
+            };
+            let streamed = extractor.extract_with(&img, &mut scratch);
+            assert_eq!(streamed, oracle, "bands {bands} threads {threads:?}");
         }
     }
 }
