@@ -24,7 +24,7 @@ use crate::tracking::track_frame_with_telemetry;
 use eslam_backend::keyframe::KeyframeObservation;
 use eslam_backend::{BackendRunner, BackendStats, KeyframeData};
 use eslam_dataset::Trajectory;
-use eslam_features::orb::{ExtractionStats, OrbExtractor, OrbScratch};
+use eslam_features::orb::{ExtractionStats, Keypoint, OrbExtractor, OrbScratch};
 use eslam_geometry::{Se3, Vec2};
 use eslam_hw::extractor::{ExtractionWorkload, ExtractorModel, Workflow};
 use eslam_hw::matcher::MatcherModel;
@@ -502,11 +502,28 @@ impl Slam {
         let frame = self.frame_index;
 
         let map_size_before = self.map.len();
+        // The metric depth under a keypoint, where the frame has one: the
+        // features a keyframe can turn into landmarks.
+        let depth_at = |kp: &Keypoint| {
+            let (px, py) = (kp.x.round() as i64, kp.y.round() as i64);
+            let inside =
+                px >= 0 && py >= 0 && px < gray.width() as i64 && py < gray.height() as i64;
+            inside.then(|| depth.metres(px as u32, py as u32)).flatten()
+        };
         let mut relocalized = false;
         let (pose_c2w, tracking_ok, raw_matches, inliers, matched_feats, matched_map) =
             if self.map.is_empty() {
-                // Bootstrap: the first frame defines the world origin.
-                (Se3::identity(), true, 0, 0, Vec::new(), Vec::new())
+                // Bootstrap: the first frame that adds a landmark defines
+                // the world origin. One without any feature at a valid
+                // depth (a blank, flat or zero-size frame) fails and holds
+                // the pose, leaving the map empty.
+                let ok = features.keypoints.iter().any(|kp| depth_at(kp).is_some());
+                let pose_c2w = if ok {
+                    Se3::identity()
+                } else {
+                    self.pose_w2c.inverse()
+                };
+                (pose_c2w, ok, 0, 0, Vec::new(), Vec::new())
             } else {
                 // Prior: constant-velocity prediction (or the held pose).
                 let prior = if self.config.motion_model {
@@ -576,13 +593,13 @@ impl Slam {
         }
 
         // Key-frame decision (§2.1): translation or rotation relative to
-        // the last key frame above threshold. The bootstrap frame is
-        // always a key frame.
+        // the last key frame above threshold. A successful bootstrap frame
+        // is always a key frame.
         let rel = self.last_keyframe_c2w.relative_to(&pose_c2w);
-        let is_keyframe = self.map.is_empty()
-            || (tracking_ok
-                && (rel.translation.norm() > self.config.keyframe_translation
-                    || rel.rotation_angle() > self.config.keyframe_rotation));
+        let is_keyframe = tracking_ok
+            && (self.map.is_empty()
+                || rel.translation.norm() > self.config.keyframe_translation
+                || rel.rotation_angle() > self.config.keyframe_rotation);
 
         if is_keyframe {
             let _kf_span = Telemetry::span_opt(self.telemetry.as_deref(), Stage::KeyframePromotion);
@@ -640,11 +657,7 @@ impl Slam {
                 if matched.contains(&i) {
                     continue;
                 }
-                let (px, py) = (kp.x.round() as i64, kp.y.round() as i64);
-                if px < 0 || py < 0 || px >= gray.width() as i64 || py >= gray.height() as i64 {
-                    continue;
-                }
-                if let Some(z) = depth.metres(px as u32, py as u32) {
+                if let Some(z) = depth_at(kp) {
                     let pixel = Vec2::new(kp.x, kp.y);
                     let cam_pt = self.config.camera.unproject(pixel, z);
                     let world = pose_c2w.transform(cam_pt);
@@ -774,6 +787,38 @@ mod tests {
         // zero when frames are handed in directly.
         assert!(report.track_ms > 0.0);
         assert_eq!(report.frame_wait_ms, 0.0);
+    }
+
+    #[test]
+    fn bootstrap_needs_a_landmark() {
+        // Frames that add no landmark fail the bootstrap and leave the
+        // map empty: zero-size, flat (no features), and textured without
+        // any valid depth. The first real frame then bootstraps.
+        let seq = quarter_scale_sequence(0, 1);
+        let real = seq.frame(0);
+        let (w, h) = (real.gray.width(), real.gray.height());
+        let mut slam = Slam::builder()
+            .config(SlamConfig::scaled_for_tests(4.0))
+            .build();
+        let flat_depth = DepthImage::from_fn(w, h, |_, _| 5000);
+        let blank: [(GrayImage, DepthImage); 4] = [
+            (GrayImage::new(0, 0), DepthImage::new(0, 0)),
+            (GrayImage::new(40, 0), DepthImage::new(40, 0)),
+            (GrayImage::from_fn(w, h, |_, _| 128), flat_depth),
+            (real.gray.clone(), DepthImage::new(w, h)),
+        ];
+        for (i, (gray, depth)) in blank.iter().enumerate() {
+            let report = slam.process(i as f64 * 0.03, gray, depth);
+            assert!(!report.tracking_ok, "blank frame {i}");
+            assert!(!report.is_keyframe, "blank frame {i}");
+            assert_eq!(report.map_size, 0, "blank frame {i}");
+            assert_eq!(slam.keyframes(), 0, "blank frame {i}");
+        }
+        let report = slam.process(0.12, &real.gray, &real.depth);
+        assert!(report.tracking_ok && report.is_keyframe);
+        assert!(report.map_size > 0);
+        assert_eq!(report.pose_c2w, Se3::identity());
+        assert_eq!(slam.keyframes(), 1);
     }
 
     #[test]

@@ -13,16 +13,30 @@
 //!   oracle behind
 //!   [`OrbExtractor::extract_reference`](crate::orb::OrbExtractor::extract_reference).
 //! * `HarrisScorer` — the streaming scorer each row band of the
-//!   extractor ([`crate::stream`]) holds. It computes the clamped Sobel
-//!   gradients of each raw row once, into a ring of [`GRAD_RING_ROWS`]
-//!   `i16` rows, and only for rows some detection's block reaches
-//!   (spans without detections are skipped, as the lazy blur chain
-//!   skips them). For each row of detections it sums the three gradient
-//!   products down the block's 7 rows once per column, in `i32`, over
-//!   the detections' column span; each detection then adds 7 of those
-//!   column sums and finishes with [`harris_score`]'s `f64` expression.
-//!   Neighbouring detections share every gradient and column sum
-//!   instead of recomputing 49 Sobel pairs each.
+//!   extractor ([`crate::stream`]) holds. It runs four row stages per
+//!   row of detections, all in exact integers until the last:
+//!   1. **Gradients.** The clamped Sobel gradients of each raw row are
+//!      computed once, into a ring of [`GRAD_RING_ROWS`] `i16` rows, and
+//!      only for rows some detection's block reaches (spans without
+//!      detections are skipped, as the lazy blur chain skips them).
+//!   2. **Column sums.** Per column of the detections' span, the three
+//!      gradient products summed down the block's 7 rows, in `i32`. When
+//!      the previous row was scored, its sums *roll* one row down: the
+//!      entering gradient row `y + 3` is added and the leaving row
+//!      `y − 4` subtracted, both still in the 8-row ring. A band's first
+//!      scored row, a row after one without detections, and the columns
+//!      the previous row's span did not cover are *rebuilt* from their 7
+//!      rows.
+//!   3. **Box sums.** The 7-wide sums of the column sums, densely over
+//!      the detections' span.
+//!   4. **Responses.** [`harris_score`]'s `f64` expression on each
+//!      detection's three box sums, 4 detections per step.
+//!
+//!   Neighbouring detections and rows share every gradient and column
+//!   sum instead of recomputing 49 Sobel pairs each. The stages are one
+//!   source compiled twice: a baseline instance, and one with AVX2
+//!   enabled (16 `i16`, 8 `i32` or 4 `f64` lanes per step) that the
+//!   scorer runs wherever the CPU has AVX2. Neither uses FMA.
 //!
 //! # Exactness
 //!
@@ -33,15 +47,20 @@
 //! 49 · 1020² = 50,979,600 — below 2³¹ (it fits `i32`) and far below 2⁵³.
 //! Every `f64` partial sum [`harris_score`] forms is therefore an exact
 //! integer, equal to the scorer's `i32` sum in any order of summation,
-//! and both finish through the same `response` expression. The
-//! in-crate property test compares the two by `f64::to_bits` on every
-//! FAST detection of noise, saturated and sparse images, border rows
-//! and columns included.
+//! and both finish through the same `response` expression, lane by lane
+//! in the same order of operations. Rolling adds no bound: a rolled
+//! column sum is the same integer as a rebuilt one, and no partial value
+//! of a roll exceeds 8 · 1020². The in-crate property tests compare the
+//! two by `f64::to_bits`, calling both compiled instances directly, on
+//! every FAST detection of noise, saturated and sparse images, border
+//! rows and columns included, and on gapped rows at ±1020 gradients
+//! where both the roll and the rebuild run.
 
 use crate::fast::FastDetection;
 use crate::nms::ScoredPoint;
 use crate::stream::GRAD_RING_ROWS;
 use eslam_image::GrayImage;
+use std::ops::Range;
 
 /// Harris detector constant `k` in `det(M) − k·trace(M)²`.
 pub const HARRIS_K: f64 = 0.04;
@@ -124,9 +143,14 @@ fn response(sum_xx: f64, sum_xy: f64, sum_yy: f64) -> f64 {
     det - HARRIS_K * trace * trace
 }
 
+/// The three gradient products a block sums, in this order:
+/// `Ix²`, `Ix·Iy`, `Iy²`.
+const PRODUCTS: usize = 3;
+
 /// Line buffers of the streaming Harris scorer: a ring of
-/// [`GRAD_RING_ROWS`] rows of Sobel gradients and one row of 7-row
-/// column sums. Held per row band in the extractor's scratch and reused
+/// [`GRAD_RING_ROWS`] rows of Sobel gradients, one row of 7-row column
+/// sums and one row of 7×7 box sums, each of the last two per gradient
+/// product. Held per row band in the extractor's scratch and reused
 /// across frames; [`HarrisScorer::stream`] binds it to one image.
 #[derive(Debug, Default)]
 pub(crate) struct HarrisScorer {
@@ -136,38 +160,46 @@ pub(crate) struct HarrisScorer {
     /// Vertical gradients `Iy`, in the same slots.
     gy: Vec<i16>,
     /// Column sums of `Ix²`, `Ix·Iy` and `Iy²` down the 7 block rows of
-    /// the row being scored.
-    sum_xx: Vec<i32>,
-    sum_xy: Vec<i32>,
-    sum_yy: Vec<i32>,
+    /// the row [`HarrisStream::summed`] names, at their columns.
+    sums: [Vec<i32>; PRODUCTS],
+    /// 7-wide box sums of `sums` for the row being scored: the entry for
+    /// column `x` sits at `x − x0`, where `x0` is the row's first
+    /// detection.
+    boxes: [Vec<i32>; PRODUCTS],
 }
 
 impl HarrisScorer {
     /// Sizes the buffers for `img` and starts a fresh pass over it: no
-    /// gradient row of an earlier image or pass survives into the
-    /// returned stream.
+    /// gradient row or column sum of an earlier image or pass survives
+    /// into the returned stream.
     pub(crate) fn stream<'a>(&'a mut self, img: &'a GrayImage) -> HarrisStream<'a> {
         let w = img.width() as usize;
         let ring = GRAD_RING_ROWS as usize * w;
         self.gx.resize(ring, 0);
         self.gy.resize(ring, 0);
-        for sums in [&mut self.sum_xx, &mut self.sum_xy, &mut self.sum_yy] {
-            sums.resize(w, 0);
+        for row in self.sums.iter_mut().chain(&mut self.boxes) {
+            row.resize(w, 0);
         }
         HarrisStream {
             img,
             bufs: self,
             next: 0,
+            summed: None,
         }
     }
 
-    /// Bytes held by the gradient ring and the column-sum rows — linear
-    /// in the width of the last image streamed, independent of its
-    /// height.
+    /// Bytes held by the gradient ring, the column-sum rows and the
+    /// box-sum rows — linear in the width of the last image streamed,
+    /// independent of its height.
     pub(crate) fn working_bytes(&self) -> usize {
+        let sums = self
+            .sums
+            .iter()
+            .chain(&self.boxes)
+            .map(Vec::len)
+            .sum::<usize>();
         std::mem::size_of::<i16>() * (self.gx.len() + self.gy.len())
-            + std::mem::size_of::<i32>()
-                * (self.sum_xx.len() + self.sum_xy.len() + self.sum_yy.len())
+            + std::mem::size_of::<i32>() * sums
     }
 }
 
@@ -179,6 +211,9 @@ pub(crate) struct HarrisStream<'a> {
     bufs: &'a mut HarrisScorer,
     /// Next raw row whose gradients the ring does not hold yet.
     next: usize,
+    /// The row whose column sums [`HarrisScorer::sums`] hold, and the
+    /// columns they hold them for; `None` before the first scored row.
+    summed: Option<(usize, Range<usize>)>,
 }
 
 impl HarrisStream<'_> {
@@ -188,11 +223,43 @@ impl HarrisStream<'_> {
     /// Every score is bit-identical to [`harris_score`] at the same
     /// point.
     ///
+    /// Runs the AVX2 instance of the row stages where the CPU has AVX2,
+    /// and the baseline instance elsewhere.
+    ///
     /// # Panics
     ///
     /// If a detection's 7×7 block leaves the image (FAST never detects
     /// within 3 pixels of the border).
     pub(crate) fn score_row(&mut self, detections: &[FastDetection], out: &mut Vec<ScoredPoint>) {
+        #[cfg(target_arch = "x86_64")]
+        if crate::avx2_available() {
+            // SAFETY: AVX2 was detected on this CPU.
+            unsafe { self.score_row_avx2(detections, out) };
+            return;
+        }
+        self.score_row_baseline(detections, out);
+    }
+
+    /// [`Self::score_row`]'s row stages compiled for the target's
+    /// baseline features: the only instance on hosts without AVX2.
+    fn score_row_baseline(&mut self, detections: &[FastDetection], out: &mut Vec<ScoredPoint>) {
+        self.score_row_stages(detections, out);
+    }
+
+    /// [`Self::score_row`]'s row stages compiled with AVX2 enabled: the
+    /// same source as [`Self::score_row_baseline`], vectorized 16 `i16`,
+    /// 8 `i32` or 4 `f64` lanes wide.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn score_row_avx2(&mut self, detections: &[FastDetection], out: &mut Vec<ScoredPoint>) {
+        self.score_row_stages(detections, out);
+    }
+
+    /// The row stages: gradients, column sums (rolled or rebuilt), box
+    /// sums and responses. Inlined into each compiled instance, so every
+    /// loop below it is compiled once per instance.
+    #[inline(always)]
+    fn score_row_stages(&mut self, detections: &[FastDetection], out: &mut Vec<ScoredPoint>) {
         let (Some(first), Some(last)) = (detections.first(), detections.last()) else {
             return;
         };
@@ -205,48 +272,82 @@ impl HarrisStream<'_> {
         );
         debug_assert!(detections.iter().all(|d| d.y == first.y));
         // The column span every block of the row covers.
-        let (lo, hi) = (x0 - half, x1 + half + 1);
+        let span = x0 - half..x1 + half + 1;
         self.ensure_gradients(y - half, y + half);
 
+        // Columns whose sums for row `y − 1` are held roll one row down;
+        // the rest of the span, on either side of them, is rebuilt from
+        // its 7 rows.
+        let rolled = match self.summed.take() {
+            Some((row, held)) if row + 1 == y => {
+                let start = held.start.clamp(span.start, span.end);
+                start..held.end.clamp(start, span.end)
+            }
+            _ => span.start..span.start,
+        };
         let HarrisScorer {
             gx,
             gy,
-            sum_xx,
-            sum_xy,
-            sum_yy,
+            sums,
+            boxes,
         } = &mut *self.bufs;
-        let (sum_xx, sum_xy, sum_yy) = (
-            &mut sum_xx[lo..hi],
-            &mut sum_xy[lo..hi],
-            &mut sum_yy[lo..hi],
-        );
-        sum_xx.fill(0);
-        sum_xy.fill(0);
-        sum_yy.fill(0);
-        for r in y - half..=y + half {
+        let grad = |r: usize, cols: &Range<usize>| {
             let slot = (r % GRAD_RING_ROWS as usize) * w;
-            let (ix, iy) = (&gx[slot + lo..slot + hi], &gy[slot + lo..slot + hi]);
-            for i in 0..hi - lo {
-                let (a, b) = (ix[i] as i32, iy[i] as i32);
-                sum_xx[i] += a * a;
-                sum_xy[i] += a * b;
-                sum_yy[i] += b * b;
+            (
+                &gx[slot + cols.start..slot + cols.end],
+                &gy[slot + cols.start..slot + cols.end],
+            )
+        };
+        if !rolled.is_empty() {
+            let cols = sums.each_mut().map(|s| &mut s[rolled.clone()]);
+            roll_columns(cols, grad(y + half, &rolled), grad(y - half - 1, &rolled));
+        }
+        for part in [span.start..rolled.start, rolled.end..span.end] {
+            if !part.is_empty() {
+                let g = |k: usize| grad(y - half + k, &part);
+                let rows = [g(0), g(1), g(2), g(3), g(4), g(5), g(6)];
+                rebuild_columns(sums.each_mut().map(|s| &mut s[part.clone()]), rows);
             }
         }
-        for d in detections {
-            let block = d.x as usize - half - lo..d.x as usize + half + 1 - lo;
-            let total = |sums: &[i32]| sums[block.clone()].iter().sum::<i32>() as f64;
-            out.push(ScoredPoint {
+
+        let n = x1 - x0 + 1;
+        for (sums, boxes) in sums.iter().zip(boxes.iter_mut()) {
+            box_sums(&sums[span.clone()], &mut boxes[..n]);
+        }
+        self.summed = Some((y, span));
+
+        let [box_xx, box_xy, box_yy] = boxes;
+        let (box_xx, box_xy, box_yy) = (&box_xx[..n], &box_xy[..n], &box_yy[..n]);
+        out.reserve(detections.len());
+        for chunk in detections.chunks(4) {
+            // Lanes past a short last chunk repeat its first hit; only
+            // the chunk's own lanes are kept. Plain lane loops unroll into
+            // 4-wide vector code; written with `array::map`, the inliner
+            // left the gathers as out-of-line calls compiled without AVX2,
+            // and Harris ran ~1.7× slower.
+            let (mut xx, mut xy, mut yy) = ([0.0; 4], [0.0; 4], [0.0; 4]);
+            for lane in 0..4 {
+                let i = chunk.get(lane).unwrap_or(&chunk[0]).x as usize - x0;
+                xx[lane] = f64::from(box_xx[i]);
+                xy[lane] = f64::from(box_xy[i]);
+                yy[lane] = f64::from(box_yy[i]);
+            }
+            let mut scores = [0.0; 4];
+            for lane in 0..4 {
+                scores[lane] = response(xx[lane], xy[lane], yy[lane]);
+            }
+            out.extend(chunk.iter().zip(scores).map(|(d, score)| ScoredPoint {
                 x: d.x,
                 y: d.y,
-                score: response(total(sum_xx), total(sum_xy), total(sum_yy)),
-            });
+                score,
+            }));
         }
     }
 
     /// Fills the ring with gradient rows `lo..=upto`. Rows below `lo`
     /// that the ring has not reached yet are skipped, not computed: no
     /// block of this or a later row reads them.
+    #[inline(always)]
     fn ensure_gradients(&mut self, lo: usize, upto: usize) {
         debug_assert!(self.next <= upto + 1, "rows scored out of order");
         self.next = self.next.max(lo);
@@ -264,8 +365,67 @@ impl HarrisStream<'_> {
     }
 }
 
+/// Moves column sums one row down: adds the products of the entering
+/// gradient row `(ex, ey)` and subtracts those of the leaving row
+/// `(lx, ly)`.
+#[inline(always)]
+fn roll_columns(sums: [&mut [i32]; PRODUCTS], enter: (&[i16], &[i16]), leave: (&[i16], &[i16])) {
+    let [xx, xy, yy] = sums;
+    let n = xx.len();
+    let (xy, yy) = (&mut xy[..n], &mut yy[..n]);
+    let (ex, ey, lx, ly) = (&enter.0[..n], &enter.1[..n], &leave.0[..n], &leave.1[..n]);
+    for i in 0..n {
+        let (a, b) = (i32::from(ex[i]), i32::from(ey[i]));
+        let (c, d) = (i32::from(lx[i]), i32::from(ly[i]));
+        xx[i] += a * a - c * c;
+        xy[i] += a * b - c * d;
+        yy[i] += b * b - d * d;
+    }
+}
+
+/// Column sums of the three gradient products down 7 gradient rows: the
+/// first row's products, then one accumulating pass per further row.
+#[inline(always)]
+fn rebuild_columns(sums: [&mut [i32]; PRODUCTS], rows: [(&[i16], &[i16]); 7]) {
+    let [xx, xy, yy] = sums;
+    let n = xx.len();
+    let (xy, yy) = (&mut xy[..n], &mut yy[..n]);
+    let (gx, gy) = (&rows[0].0[..n], &rows[0].1[..n]);
+    for i in 0..n {
+        let (a, b) = (i32::from(gx[i]), i32::from(gy[i]));
+        (xx[i], xy[i], yy[i]) = (a * a, a * b, b * b);
+    }
+    for &(gx, gy) in &rows[1..] {
+        let (gx, gy) = (&gx[..n], &gy[..n]);
+        for i in 0..n {
+            let (a, b) = (i32::from(gx[i]), i32::from(gy[i]));
+            xx[i] += a * a;
+            xy[i] += a * b;
+            yy[i] += b * b;
+        }
+    }
+}
+
+/// 7-wide box sums of one column-sum row: `out[i]` is the sum of
+/// `sums[i..i + 7]`, so `sums` holds 6 entries more than `out`.
+#[inline(always)]
+fn box_sums(sums: &[i32], out: &mut [i32]) {
+    let n = out.len();
+    let taps: [&[i32]; 7] = std::array::from_fn(|k| &sums[k..k + n]);
+    for (i, o) in out.iter_mut().enumerate() {
+        *o = taps[0][i]
+            + taps[1][i]
+            + taps[2][i]
+            + taps[3][i]
+            + taps[4][i]
+            + taps[5][i]
+            + taps[6][i];
+    }
+}
+
 /// The clamped 3×3 Sobel gradients of raw row `r` — the integers
 /// [`harris_score`] forms in `f64`, with the same border replication.
+#[inline(always)]
 fn sobel_row(img: &GrayImage, r: usize, gx: &mut [i16], gy: &mut [i16]) {
     let (w, h) = (img.width() as usize, img.height() as usize);
     let data = img.as_raw();
@@ -424,34 +584,62 @@ mod tests {
         GrayImage::from_fn(w, h, |x, y| mix(seed, x, y) as u8)
     }
 
+    /// The compiled instances of the row stages: the baseline one, run
+    /// directly (an AVX2 host never dispatches to it), and the AVX2 one
+    /// wherever this CPU has it.
+    #[derive(Debug, Clone, Copy)]
+    enum Instance {
+        Baseline,
+        #[cfg(target_arch = "x86_64")]
+        Avx2,
+    }
+
+    fn instances() -> Vec<Instance> {
+        let mut all = vec![Instance::Baseline];
+        #[cfg(target_arch = "x86_64")]
+        if crate::avx2_available() {
+            all.push(Instance::Avx2);
+        }
+        all
+    }
+
     /// Scores `rows` of detections (each one image row, sorted by `x`,
-    /// rows ascending) through one stream of `scorer` and checks every
-    /// score against [`harris_score`] bit for bit.
+    /// rows ascending) through one stream of `scorer` per compiled
+    /// instance of the row stages, and checks every score against
+    /// [`harris_score`] bit for bit.
     fn check_rows(
         scorer: &mut HarrisScorer,
         img: &GrayImage,
         rows: &[Vec<FastDetection>],
     ) -> Result<(), TestCaseError> {
-        let mut stream = scorer.stream(img);
-        let mut scored = Vec::new();
-        for row in rows {
-            scored.clear();
-            stream.score_row(row, &mut scored);
-            prop_assert_eq!(scored.len(), row.len());
-            for (d, p) in row.iter().zip(&scored) {
-                let oracle = harris_score(img, d.x, d.y);
-                prop_assert_eq!((p.x, p.y), (d.x, d.y));
-                prop_assert_eq!(
-                    p.score.to_bits(),
-                    oracle.to_bits(),
-                    "{}x{} at ({}, {}): scorer {} vs harris_score {}",
-                    img.width(),
-                    img.height(),
-                    d.x,
-                    d.y,
-                    p.score,
-                    oracle
-                );
+        for instance in instances() {
+            let mut stream = scorer.stream(img);
+            let mut scored = Vec::new();
+            for row in rows {
+                scored.clear();
+                match instance {
+                    Instance::Baseline => stream.score_row_baseline(row, &mut scored),
+                    // SAFETY: `instances` lists AVX2 only where detected.
+                    #[cfg(target_arch = "x86_64")]
+                    Instance::Avx2 => unsafe { stream.score_row_avx2(row, &mut scored) },
+                }
+                prop_assert_eq!(scored.len(), row.len());
+                for (d, p) in row.iter().zip(&scored) {
+                    let oracle = harris_score(img, d.x, d.y);
+                    prop_assert_eq!((p.x, p.y), (d.x, d.y));
+                    prop_assert_eq!(
+                        p.score.to_bits(),
+                        oracle.to_bits(),
+                        "{:?} {}x{} at ({}, {}): scorer {} vs harris_score {}",
+                        instance,
+                        img.width(),
+                        img.height(),
+                        d.x,
+                        d.y,
+                        p.score,
+                        oracle
+                    );
+                }
             }
         }
         Ok(())
@@ -499,14 +687,18 @@ mod tests {
     fn scorer_is_exact_at_full_gradient_swing() {
         // 0/255 columns of period 4 make every gradient |Ix| = 1020 and
         // every block sum of Ix² 49 · 1020² = 50,979,600, the i32
-        // headroom bound; scored at every interior pixel, as a dense
-        // detection row, in both polarities and both orientations.
+        // headroom bound (each rolled column sum adds and drops 1020² a
+        // row); scored at every interior pixel, as dense detection rows,
+        // in both polarities and both orientations, and at every width
+        // from 7 to 200.
         let stripes = |x: u32, _y: u32| if x % 4 < 2 { 0 } else { 255 };
-        for img in [
+        let images = [
             GrayImage::from_fn(40, 24, stripes),
             GrayImage::from_fn(40, 24, |x, y| 255 - stripes(x, y)),
             GrayImage::from_fn(24, 40, |x, y| stripes(y, x)),
-        ] {
+        ];
+        let widths = (7..=200).map(|w| GrayImage::from_fn(w, 12, stripes));
+        for img in images.into_iter().chain(widths) {
             let (w, h) = (img.width(), img.height());
             let rows: Vec<Vec<FastDetection>> = (3..h - 3)
                 .map(|y| (3..w - 3).map(|x| FastDetection { x, y }).collect())
@@ -515,6 +707,46 @@ mod tests {
             check_rows(&mut scorer, &img, &rows).unwrap();
             let peak = scorer.gx.iter().chain(&scorer.gy).map(|g| g.abs()).max();
             assert_eq!(peak, Some(1020));
+        }
+    }
+
+    mod kernel_props {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Detection rows for the row stages on their own: every row
+        /// `y` in `3..h − 3` with `y % gap != 0`, so runs of consecutive
+        /// rows (the column sums roll) alternate with skipped rows (they
+        /// are rebuilt), each a random third of the interior columns
+        /// (spans shift from row to row, so a roll also rebuilds the
+        /// columns the previous row did not cover).
+        fn gapped_rows(w: u32, h: u32, gap: u32, seed: u64) -> Vec<Vec<FastDetection>> {
+            (3..h - 3)
+                .filter(|y| y % gap != 0)
+                .map(|y| {
+                    (3..w - 3)
+                        .filter(|&x| mix(seed ^ 0x5eed, x, y).is_multiple_of(3))
+                        .map(|x| FastDetection { x, y })
+                        .collect()
+                })
+                .collect()
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            #[test]
+            fn row_stages_match_oracle_at_full_swing(
+                w in 7u32..201, h in 12u32..40, gap in 3u32..8,
+                seed in 0u64..u64::MAX, cell in 1u32..4,
+            ) {
+                // Random 0/255 cells (single pixels when `cell` is 1):
+                // gradients take every multiple of 255 up to ±1020.
+                let img = GrayImage::from_fn(w, h, |x, y| {
+                    if mix(seed, x / cell, y / cell) & 1 == 0 { 0 } else { 255 }
+                });
+                check_rows(&mut HarrisScorer::default(), &img, &gapped_rows(w, h, gap, seed))?;
+            }
         }
     }
 

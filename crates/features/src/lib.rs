@@ -6,7 +6,9 @@
 //!   module of §3.1); 32 centres decide per AVX2 step, by an in-register
 //!   run walk, where the CPU has it;
 //! * [`harris`] — Harris corner response used for filtering, streamed
-//!   per row band through a Sobel line buffer in exact integer sums;
+//!   per row band through a Sobel line buffer in exact integer sums that
+//!   roll from row to row; the row stages run AVX2-compiled, 4 responses
+//!   per step, where the CPU has it;
 //! * [`nms`] — 3×3 non-maximum suppression;
 //! * [`orientation`] — intensity-centroid orientation with the paper's
 //!   32-label hardware LUT discretization; the patch moments run as an
@@ -75,8 +77,8 @@ pub use pool::WorkerPool;
 pub use stream::BandMode;
 
 /// Whether the CPU supports AVX2, detected once per process. The FAST
-/// scan, the moments kernel and the descriptor sampler all dispatch on
-/// this one answer.
+/// scan, the Harris row stages, the moments kernel and the descriptor
+/// sampler all dispatch on this one answer.
 #[cfg(target_arch = "x86_64")]
 pub(crate) fn avx2_available() -> bool {
     static AVAILABLE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();

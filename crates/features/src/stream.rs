@@ -52,11 +52,14 @@
 //!   compiled descriptor tables run on the ring unchanged.
 //! * **H-row ring** — [`HROW_RING_ROWS`] (8) rows of 16-bit horizontal
 //!   blur sums, covering the vertical tap window (7) under monotone
-//!   advance.
+//!   advance. Both blur row producers run AVX2-compiled where the CPU
+//!   has it ([`eslam_image::filter`]).
 //! * **Gradient ring** — [`GRAD_RING_ROWS`] (8) rows of 16-bit Sobel
-//!   gradient pairs `(Ix, Iy)`, covering the 7-row Harris block, plus
-//!   one row of three 32-bit column sums of the block's gradient
-//!   products ([`crate::harris`]).
+//!   gradient pairs `(Ix, Iy)`, covering the 7-row Harris block and the
+//!   row that leaves it when the block's column sums roll one row down,
+//!   plus one row of three 32-bit column sums of the block's gradient
+//!   products and one row of their three 32-bit 7-wide box sums
+//!   ([`crate::harris`]).
 //! * **Score rows** — 3 dense `f64` rows of the level width, one per
 //!   row of the 3×3 NMS window (indexed `y % 3`), holding each scored
 //!   detection's Harris response at its column and `NEG_INFINITY` in
@@ -70,9 +73,10 @@
 //! spans nobody reads. Peak extraction working memory is `O(width)` —
 //! independent of image height: every band of a level holds its own
 //! full-width rings, `64·w` smoothed-ring bytes + `2·8·w` h-row bytes +
-//! `2·2·8·w` gradient bytes + `3·4·w` column-sum bytes + `3·8·w` score
-//! bytes = `148·w` bytes per band, where a full-frame blur holds a
-//! smoothed frame plus a `u16` scratch (`3·w·h` bytes).
+//! `2·2·8·w` gradient bytes + `3·4·w` column-sum bytes + `3·4·w` box-sum
+//! bytes + `3·8·w` score bytes = `160·w` bytes per band, where a
+//! full-frame blur holds a smoothed frame plus a `u16` scratch (`3·w·h`
+//! bytes).
 //!
 //! # 3×3 NMS
 //!
@@ -179,7 +183,8 @@ pub const SMOOTH_RING_ROWS: u32 = 32;
 /// `2 · STREAM_BLUR_HALO + 1 = 7` rows, rounded up to a power of two.
 pub const HROW_RING_ROWS: u32 = 8;
 /// Rows of the Sobel gradient ring: the Harris block spans
-/// `2 · BLOCK_HALF + 1 = 7` gradient rows, rounded up to a power of two.
+/// `2 · BLOCK_HALF + 1 = 7` gradient rows, and rolling its column sums
+/// one row down also reads the row leaving it, 8 in all.
 pub const GRAD_RING_ROWS: u32 = 8;
 
 /// Raw-row lookahead between a candidate's row and the last raw row its
@@ -320,7 +325,8 @@ pub(crate) struct BandScratch {
     ring: GrayImage,
     /// Horizontal blur sums: `HROW_RING_ROWS` rows of `u16`.
     hrows: Vec<u16>,
-    /// Sobel gradient ring and column sums of the Harris scorer.
+    /// Sobel gradient ring, column sums and box sums of the Harris
+    /// scorer.
     harris: HarrisScorer,
     /// Scored detections of the three NMS window rows, indexed `y % 3`,
     /// sorted by x: the hits each dense row is walked and reset through.
@@ -713,7 +719,7 @@ mod tests {
         // The rings hold their widest consumer window.
         const { assert!(SMOOTH_RING_ROWS > 2 * STREAM_PATCH_HALO) };
         const { assert!(HROW_RING_ROWS > 2 * STREAM_BLUR_HALO) };
-        const { assert!(GRAD_RING_ROWS as i64 > 2 * BLOCK_HALF) };
+        const { assert!(GRAD_RING_ROWS as i64 >= 2 * BLOCK_HALF + 2) };
     }
 
     #[test]
@@ -961,12 +967,12 @@ mod tests {
             "line-buffer memory must not scale with height"
         );
         // The single band of every level holds exactly the module docs'
-        // 148·w bytes.
+        // 160·w bytes.
         let widths: usize = ImagePyramid::build(&short_img, &e.config().pyramid)
             .iter()
             .map(|(_, level)| level.width() as usize)
             .sum();
-        assert_eq!(bytes, 148 * widths);
+        assert_eq!(bytes, 160 * widths);
     }
 
     mod nms_props {

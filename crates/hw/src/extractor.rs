@@ -88,11 +88,8 @@ impl ExtractionWorkload {
     ) -> Self {
         let levels = (0..config.levels)
             .map(|l| {
-                let s = config.scale_of(l);
-                LevelDims {
-                    width: ((width as f64) / s).round().max(1.0) as u32,
-                    height: ((height as f64) / s).round().max(1.0) as u32,
-                }
+                let (width, height) = config.level_size(l, width, height);
+                LevelDims { width, height }
             })
             .collect();
         ExtractionWorkload {
@@ -532,6 +529,39 @@ mod tests {
         // 640×480 + 533×400 + 444×333 + 370×278 = 771,112.
         assert_eq!(w.total_pixels(), 771_112);
         assert_eq!(w.total_rows(), 1491);
+    }
+
+    #[test]
+    fn workload_levels_are_the_software_pyramid() {
+        // The model's level sizes, the software pyramid's layers and
+        // `PyramidConfig::total_pixels` follow one rule: every base up
+        // to 4×4 at 1–8 levels, empty dimensions staying empty.
+        use eslam_image::pyramid::ImagePyramid;
+        use eslam_image::GrayImage;
+        for levels in 1..=8 {
+            let cfg = PyramidConfig {
+                levels,
+                ..Default::default()
+            };
+            for (w, h) in (0..=4u32).flat_map(|w| (0..=4u32).map(move |h| (w, h))) {
+                let model = ExtractionWorkload::from_pyramid(w, h, &cfg, 0, 0);
+                let pyramid = ImagePyramid::build(&GrayImage::new(w, h), &cfg);
+                let built: Vec<LevelDims> = pyramid
+                    .iter()
+                    .map(|(_, l)| LevelDims {
+                        width: l.width(),
+                        height: l.height(),
+                    })
+                    .collect();
+                assert_eq!(model.levels, built, "{w}x{h} {levels} levels");
+                assert_eq!(model.total_pixels(), cfg.total_pixels(w, h), "{w}x{h}");
+            }
+        }
+        let vga = PyramidConfig::default();
+        let pyramid = ImagePyramid::build(&GrayImage::new(640, 480), &vga);
+        assert_eq!(pyramid.total_pixels(), 771_112);
+        assert_eq!(vga.total_pixels(640, 480), 771_112);
+        assert_eq!(ExtractionWorkload::vga_nominal().total_pixels(), 771_112);
     }
 
     #[test]

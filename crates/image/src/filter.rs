@@ -11,6 +11,16 @@
 //!   `eslam-hw` smoother unit);
 //! * [`gaussian_blur`] — a floating-point separable blur for software
 //!   baselines.
+//!
+//! The fixed-point blur is built from two row producers,
+//! [`blur_hrow_7x7_into`] and [`blur_vrow_7x7_into`], which the
+//! streaming extractor also drives row by row off its line buffers. Each
+//! row loop is one source compiled twice: a baseline instance, and one
+//! with AVX2 enabled (16 `u16` lanes for the horizontal pass, 8 `u32`
+//! lanes for the vertical one) that runs wherever the CPU has AVX2. All
+//! arithmetic is exact integer arithmetic, so both instances equal the
+//! per-pixel [`gaussian_blur_7x7_fixed_reference`] bit for bit; the
+//! tests call both instances directly.
 
 use crate::image::GrayImage;
 
@@ -78,14 +88,41 @@ pub fn gaussian_blur_7x7_fixed_reference(src: &GrayImage) -> GrayImage {
 /// This is the row-band producer of the streaming extraction front-end:
 /// the full-frame [`gaussian_blur_7x7_fixed_into`] and the per-band
 /// line-buffer path both build on it, so the two are bit-identical at
-/// every border by construction.
+/// every border by construction. Runs the AVX2 instance of the row loop
+/// where the CPU has AVX2, and the baseline instance elsewhere.
 ///
 /// # Panics
 /// Panics if `out.len() != row.len()` or the row is empty.
 pub fn blur_hrow_7x7_into(row: &[u8], out: &mut [u16]) {
+    assert_eq!(out.len(), row.len(), "output row length mismatch");
+    assert!(!row.is_empty(), "empty row");
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: AVX2 was detected on this CPU.
+        unsafe { hrow_avx2(row, out) };
+        return;
+    }
+    hrow_baseline(row, out);
+}
+
+/// [`blur_hrow_7x7_into`]'s row loop compiled for the target's baseline
+/// features: the only instance on hosts without AVX2.
+fn hrow_baseline(row: &[u8], out: &mut [u16]) {
+    hrow(row, out);
+}
+
+/// [`blur_hrow_7x7_into`]'s row loop compiled with AVX2 enabled (16
+/// `u16` lanes): the same source as [`hrow_baseline`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn hrow_avx2(row: &[u8], out: &mut [u16]) {
+    hrow(row, out);
+}
+
+/// The horizontal pass over a non-empty row, `out.len() == row.len()`.
+#[inline(always)]
+fn hrow(row: &[u8], out: &mut [u16]) {
     let w = row.len();
-    assert_eq!(out.len(), w, "output row length mismatch");
-    assert!(w > 0, "empty row");
     let clamped_tap = |x: usize| -> u16 {
         let mut acc: u32 = 0;
         for (k, &weight) in KERNEL_7_FIXED.iter().enumerate() {
@@ -94,26 +131,26 @@ pub fn blur_hrow_7x7_into(row: &[u8], out: &mut [u16]) {
         }
         acc as u16
     };
-    let interior_end = w.saturating_sub(3);
-    // Left border (clamped).
-    for (x, o) in out.iter_mut().enumerate().take(w.min(3)) {
-        *o = clamped_tap(x);
+    // Border columns, whose taps clamp: all of a row narrower than the
+    // kernel, else the first 3 and the last 3.
+    if w < 7 {
+        for (x, o) in out.iter_mut().enumerate() {
+            *o = clamped_tap(x);
+        }
+        return;
     }
-    // Interior: direct 7-tap window (empty when w < 7).
-    let interior = 3.min(w)..interior_end.max(3).min(w);
-    for (win, o) in row.windows(7).zip(out[interior].iter_mut()) {
-        let acc = KERNEL_7_FIXED[0] * win[0] as u32
-            + KERNEL_7_FIXED[1] * win[1] as u32
-            + KERNEL_7_FIXED[2] * win[2] as u32
-            + KERNEL_7_FIXED[3] * win[3] as u32
-            + KERNEL_7_FIXED[4] * win[4] as u32
-            + KERNEL_7_FIXED[5] * win[5] as u32
-            + KERNEL_7_FIXED[6] * win[6] as u32;
-        *o = acc as u16;
+    for x in [0, 1, 2, w - 3, w - 2, w - 1] {
+        out[x] = clamped_tap(x);
     }
-    // Right border (clamped).
-    for (x, o) in out.iter_mut().enumerate().skip(interior_end.max(w.min(3))) {
-        *o = clamped_tap(x);
+    // Interior columns: equal-length shifted slices let the loop
+    // vectorize. Every partial sum stays below 255 × 64, so `u16`
+    // arithmetic is exact.
+    let n = w - 6;
+    let taps: [&[u8]; 7] = std::array::from_fn(|k| &row[k..k + n]);
+    let weight = KERNEL_7_FIXED.map(|k| k as u16);
+    for (i, o) in out[3..w - 3].iter_mut().enumerate() {
+        let tap = |k: usize| weight[k] * u16::from(taps[k][i]);
+        *o = tap(0) + tap(1) + tap(2) + tap(3) + tap(4) + tap(5) + tap(6);
     }
 }
 
@@ -124,25 +161,50 @@ pub fn blur_hrow_7x7_into(row: &[u8], out: &mut [u16]) {
 /// fixed-point blur happens here.
 ///
 /// Companion band producer to [`blur_hrow_7x7_into`]; together they are
-/// the single source of truth for the 7×7 blur arithmetic.
+/// the single source of truth for the 7×7 blur arithmetic. Runs the AVX2
+/// instance of the row loop where the CPU has AVX2, and the baseline
+/// instance elsewhere.
 ///
 /// # Panics
 /// Panics if any input row's length differs from `out.len()`.
 pub fn blur_vrow_7x7_into(hrows: &[&[u16]; 7], out: &mut [u8]) {
-    const ROUND: u32 = (KERNEL_7_FIXED_SUM * KERNEL_7_FIXED_SUM) / 2;
-    const DENOM: u32 = KERNEL_7_FIXED_SUM * KERNEL_7_FIXED_SUM;
     for r in hrows {
         assert_eq!(r.len(), out.len(), "horizontal row length mismatch");
     }
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: AVX2 was detected on this CPU.
+        unsafe { vrow_avx2(hrows, out) };
+        return;
+    }
+    vrow_baseline(hrows, out);
+}
+
+/// [`blur_vrow_7x7_into`]'s row loop compiled for the target's baseline
+/// features: the only instance on hosts without AVX2.
+fn vrow_baseline(hrows: &[&[u16]; 7], out: &mut [u8]) {
+    vrow(hrows, out);
+}
+
+/// [`blur_vrow_7x7_into`]'s row loop compiled with AVX2 enabled (8 `u32`
+/// lanes): the same source as [`vrow_baseline`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn vrow_avx2(hrows: &[&[u16]; 7], out: &mut [u8]) {
+    vrow(hrows, out);
+}
+
+/// The vertical pass; every row of `hrows` is `out.len()` long.
+#[inline(always)]
+fn vrow(hrows: &[&[u16]; 7], out: &mut [u8]) {
+    const ROUND: u32 = (KERNEL_7_FIXED_SUM * KERNEL_7_FIXED_SUM) / 2;
+    const DENOM: u32 = KERNEL_7_FIXED_SUM * KERNEL_7_FIXED_SUM;
+    let n = out.len();
+    let rows = hrows.map(|r| &r[..n]);
     for (x, o) in out.iter_mut().enumerate() {
+        let tap = |k: usize| KERNEL_7_FIXED[k] * u32::from(rows[k][x]);
         // Max 16320 * 64 = 1 044 480 < u32::MAX: exact in u32.
-        let acc = KERNEL_7_FIXED[0] * hrows[0][x] as u32
-            + KERNEL_7_FIXED[1] * hrows[1][x] as u32
-            + KERNEL_7_FIXED[2] * hrows[2][x] as u32
-            + KERNEL_7_FIXED[3] * hrows[3][x] as u32
-            + KERNEL_7_FIXED[4] * hrows[4][x] as u32
-            + KERNEL_7_FIXED[5] * hrows[5][x] as u32
-            + KERNEL_7_FIXED[6] * hrows[6][x] as u32;
+        let acc = tap(0) + tap(1) + tap(2) + tap(3) + tap(4) + tap(5) + tap(6);
         *o = ((acc + ROUND) / DENOM).min(255) as u8;
     }
 }
@@ -374,41 +436,66 @@ mod tests {
         }
     }
 
+    /// A horizontal and a vertical row loop, one compiled instance each.
+    type RowLoops = (
+        &'static str,
+        fn(&[u8], &mut [u16]),
+        fn(&[&[u16]; 7], &mut [u8]),
+    );
+
+    /// The compiled instances of the two row loops: the baseline ones,
+    /// called directly (an AVX2 host never dispatches to them), and the
+    /// AVX2 ones wherever this CPU has it.
+    fn row_loop_instances() -> Vec<RowLoops> {
+        let mut all: Vec<RowLoops> = vec![("baseline", hrow_baseline, vrow_baseline)];
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            all.push((
+                "avx2",
+                // SAFETY: listed only where AVX2 was detected.
+                |row, out| unsafe { hrow_avx2(row, out) },
+                |rows, out| unsafe { vrow_avx2(rows, out) },
+            ));
+        }
+        all
+    }
+
     #[test]
     fn band_producers_match_full_frame_blur() {
         // The streaming front-end drives blur_hrow/blur_vrow through a
-        // line-buffer ring; assembling a frame from the row producers
-        // with explicitly clamped row indices must equal the full-frame
-        // pass (and hence the reference) bit-exactly, including top and
-        // bottom rows where the vertical window is clamped.
-        for (w, h) in [(1u32, 1u32), (5, 3), (7, 7), (9, 4), (33, 11), (40, 31)] {
-            let img = GrayImage::from_fn(w, h, |x, y| {
-                ((x as u64 * 31 + y as u64 * 17 + 5) % 256) as u8
-            });
-            let wz = w as usize;
-            let hz = h as usize;
-            let data = img.as_raw();
-            let mut hrows = vec![0u16; wz * hz];
-            for y in 0..hz {
-                blur_hrow_7x7_into(
-                    &data[y * wz..(y + 1) * wz],
-                    &mut hrows[y * wz..(y + 1) * wz],
-                );
-            }
-            let mut assembled = GrayImage::new(w, h);
-            let out = assembled.as_raw_mut();
-            for y in 0..hz {
-                let rows: [&[u16]; 7] = std::array::from_fn(|k| {
-                    let sy = (y as i64 + k as i64 - 3).clamp(0, hz as i64 - 1) as usize;
-                    &hrows[sy * wz..(sy + 1) * wz]
+        // line-buffer ring; assembling a frame from each compiled
+        // instance of the two row loops, with explicitly clamped row
+        // indices, must equal the reference bit-exactly. Every width
+        // from 1 to 200 (rows narrower than the kernel clamp every tap;
+        // wider ones clamp 3 columns at each end), heights that clamp
+        // the vertical window at one or both ends, and pixels over the
+        // full range: a ramp, and blocks of 255 and 0 that push the sums
+        // to their 16320 and 1 044 480 peaks.
+        for w in 1..=200u32 {
+            for h in [1u32, 3, 4, 9, 31] {
+                let img = GrayImage::from_fn(w, h, |x, y| match (x / 9 + y) % 4 {
+                    0 => 255,
+                    1 => 0,
+                    _ => ((x as u64 * 31 + y as u64 * 17 + 5) % 256) as u8,
                 });
-                blur_vrow_7x7_into(&rows, &mut out[y * wz..(y + 1) * wz]);
+                let oracle = gaussian_blur_7x7_fixed_reference(&img);
+                let (wz, hz) = (w as usize, h as usize);
+                for (name, hrow, vrow) in row_loop_instances() {
+                    let mut hrows = vec![0u16; wz * hz];
+                    for (src, dst) in img.as_raw().chunks(wz).zip(hrows.chunks_mut(wz)) {
+                        hrow(src, dst);
+                    }
+                    let mut assembled = GrayImage::new(w, h);
+                    for (y, dst) in assembled.as_raw_mut().chunks_mut(wz).enumerate() {
+                        let rows: [&[u16]; 7] = std::array::from_fn(|k| {
+                            let sy = (y + k).saturating_sub(3).min(hz - 1);
+                            &hrows[sy * wz..(sy + 1) * wz]
+                        });
+                        vrow(&rows, dst);
+                    }
+                    assert_eq!(assembled, oracle, "{name} {w}x{h}");
+                }
             }
-            assert_eq!(
-                assembled,
-                gaussian_blur_7x7_fixed_reference(&img),
-                "size {w}x{h}"
-            );
         }
     }
 

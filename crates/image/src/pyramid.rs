@@ -38,22 +38,34 @@ impl PyramidConfig {
         self.scale_factor.powi(level as i32)
     }
 
+    /// The size of layer `level` for a `width`×`height` base image: each
+    /// dimension divided by the layer's [`scale_of`](Self::scale_of) and
+    /// rounded. A non-empty dimension keeps at least one pixel; an empty
+    /// one stays empty on every level. The one level-size rule behind
+    /// [`ImagePyramid::build_into`], [`Self::total_pixels`] and the
+    /// accelerator model's workloads.
+    pub fn level_size(&self, level: usize, width: u32, height: u32) -> (u32, u32) {
+        let s = self.scale_of(level);
+        let scaled = |d: u32| {
+            if d == 0 {
+                0
+            } else {
+                ((d as f64) / s).round().max(1.0) as u32
+            }
+        };
+        (scaled(width), scaled(height))
+    }
+
     /// Total number of pixels across all layers for a `width`×`height`
     /// base image; the quantity behind the paper's "48% more pixels"
     /// comparison (§4.4).
     pub fn total_pixels(&self, width: u32, height: u32) -> u64 {
-        let mut total = 0u64;
-        let mut w = width;
-        let mut h = height;
-        for level in 0..self.levels {
-            total += w as u64 * h as u64;
-            if level + 1 < self.levels {
-                let s = self.scale_of(level + 1);
-                w = ((width as f64) / s).round() as u32;
-                h = ((height as f64) / s).round() as u32;
-            }
-        }
-        total
+        (0..self.levels)
+            .map(|level| {
+                let (w, h) = self.level_size(level, width, height);
+                w as u64 * h as u64
+            })
+            .sum()
     }
 }
 
@@ -136,17 +148,8 @@ impl ImagePyramid {
         for level in 1..config.levels {
             // Target size derives from the *base* to avoid compounding
             // rounding, but pixels are sampled from the previous layer as
-            // the hardware does. A non-empty dimension keeps at least one
-            // pixel; an empty one stays empty on every level.
-            let s = config.scale_of(level);
-            let scaled = |d: u32| {
-                if d == 0 {
-                    0
-                } else {
-                    ((d as f64) / s).round().max(1.0) as u32
-                }
-            };
-            let (w, h) = (scaled(base.width()), scaled(base.height()));
+            // the hardware does.
+            let (w, h) = config.level_size(level, base.width(), base.height());
             let (prev, rest) = self.layers[level - 1..].split_first_mut().expect("levels");
             resize_nearest_into(prev, &mut rest[0], w, h, &mut scratch.xmap);
         }
@@ -415,10 +418,32 @@ mod tests {
 
     #[test]
     fn total_pixels_consistent() {
-        let base = GrayImage::new(640, 480);
+        // The built layers follow `level_size`, and the two pixel totals
+        // agree: VGA, and every base up to 4×4 at 1–8 levels, where a
+        // 1×1 base keeps one pixel on every level.
         let cfg = PyramidConfig::default();
-        let pyr = ImagePyramid::build(&base, &cfg);
+        let pyr = ImagePyramid::build(&GrayImage::new(640, 480), &cfg);
         assert_eq!(pyr.total_pixels(), cfg.total_pixels(640, 480));
+        assert_eq!(cfg.total_pixels(640, 480), 771_112);
+        for levels in 1..=8 {
+            let cfg = PyramidConfig {
+                levels,
+                ..Default::default()
+            };
+            for (w, h) in (0..=4u32).flat_map(|w| (0..=4u32).map(move |h| (w, h))) {
+                let pyr = ImagePyramid::build(&GrayImage::new(w, h), &cfg);
+                for (level, layer) in pyr.iter() {
+                    let size = (layer.width(), layer.height());
+                    assert_eq!(size, cfg.level_size(level, w, h), "{w}x{h} level {level}");
+                }
+                assert_eq!(
+                    pyr.total_pixels(),
+                    cfg.total_pixels(w, h),
+                    "{w}x{h} {levels}"
+                );
+            }
+            assert_eq!(cfg.total_pixels(1, 1), levels as u64);
+        }
     }
 
     #[test]
