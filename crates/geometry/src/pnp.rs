@@ -5,10 +5,11 @@
 //! implements:
 //!
 //! * [`solve_p3p`] — Grunert's classic three-point minimal solver (up to
-//!   four solutions), used inside RANSAC;
+//!   four solutions), whose quartic is solved in closed form by Ferrari's
+//!   method ([`crate::poly`]); used inside RANSAC;
 //! * [`solve_pnp_ransac`] — the full robust pipeline: P3P hypotheses →
 //!   reprojection-error consensus → least-squares polish on the inliers via
-//!   Gauss-Newton ([`crate::lm`]).
+//!   Levenberg–Marquardt ([`crate::lm`]).
 
 use crate::align::align_rigid;
 use crate::camera::PinholeCamera;
@@ -19,9 +20,13 @@ use crate::se3::Se3;
 use crate::vector::{Vec2, Vec3};
 
 /// Multiplies two dense polynomials given in ascending-degree coefficient
-/// order.
-fn poly_mul(a: &[f64], b: &[f64]) -> Vec<f64> {
-    let mut out = vec![0.0; a.len() + b.len() - 1];
+/// order; `C` must be `A + B − 1`.
+fn poly_mul<const A: usize, const B: usize, const C: usize>(
+    a: &[f64; A],
+    b: &[f64; B],
+) -> [f64; C] {
+    debug_assert_eq!(C, A + B - 1);
+    let mut out = [0.0; C];
     for (i, &ai) in a.iter().enumerate() {
         for (j, &bj) in b.iter().enumerate() {
             out[i + j] += ai * bj;
@@ -30,13 +35,11 @@ fn poly_mul(a: &[f64], b: &[f64]) -> Vec<f64> {
     out
 }
 
-/// Adds polynomial `b` (scaled by `s`) into `a`, extending as necessary.
-fn poly_add_scaled(a: &mut Vec<f64>, b: &[f64], s: f64) {
-    if b.len() > a.len() {
-        a.resize(b.len(), 0.0);
-    }
-    for (i, &bi) in b.iter().enumerate() {
-        a[i] += s * bi;
+/// Adds polynomial `b` (scaled by `s`) into `a`, which must be at least as
+/// long.
+fn poly_add_scaled(a: &mut [f64], b: &[f64], s: f64) {
+    for (ai, &bi) in a.iter_mut().zip(b) {
+        *ai += s * bi;
     }
 }
 
@@ -49,7 +52,9 @@ fn poly_add_scaled(a: &mut Vec<f64>, b: &[f64], s: f64) {
 /// Returns up to four camera poses `T` such that the camera at `T` (world →
 /// camera convention, `p_cam = R p_world + t`) observes the three points
 /// along the given bearings. Degenerate configurations (collinear points,
-/// coincident bearings) yield an empty vector.
+/// coincident bearings) yield an empty vector. Grunert's quartic is solved
+/// in closed form ([`real_roots`]: Ferrari's method, or Cardano's when its
+/// leading coefficient vanishes).
 ///
 /// # Examples
 ///
@@ -64,13 +69,23 @@ fn poly_add_scaled(a: &mut Vec<f64>, b: &[f64], s: f64) {
 /// assert!(poses.iter().any(|t| (t.translation - truth.translation).norm() < 1e-6));
 /// ```
 pub fn solve_p3p(world: &[Vec3; 3], bearings: &[Vec3; 3]) -> Vec<Se3> {
-    let f: Vec<Vec3> = match bearings
-        .iter()
-        .map(|b| b.normalized())
-        .collect::<Option<Vec<_>>>()
-    {
-        Some(f) => f,
-        None => return vec![],
+    solve_p3p_with(world, bearings, real_roots)
+}
+
+/// [`solve_p3p`] with the real roots of Grunert's quartic (descending
+/// coefficients) found by `roots`.
+fn solve_p3p_with(
+    world: &[Vec3; 3],
+    bearings: &[Vec3; 3],
+    roots: impl Fn(&[f64]) -> Vec<f64>,
+) -> Vec<Se3> {
+    let f = match (
+        bearings[0].normalized(),
+        bearings[1].normalized(),
+        bearings[2].normalized(),
+    ) {
+        (Some(f0), Some(f1), Some(f2)) => [f0, f1, f2],
+        _ => return vec![],
     };
 
     // Side lengths of the world triangle.
@@ -105,24 +120,25 @@ pub fn solve_p3p(world: &[Vec3; 3], bearings: &[Vec3; 3]) -> Vec<Se3> {
     ];
     let m = [1.0, -q, 1.0]; // 1 − q v + v²
 
-    let l2 = poly_mul(&l, &l);
-    let n2 = poly_mul(&n, &n);
-    let nl = poly_mul(&n, &l);
-    let ml2 = poly_mul(&m, &l2);
+    let l2: [f64; 3] = poly_mul(&l, &l);
+    let n2: [f64; 5] = poly_mul(&n, &n);
+    let nl: [f64; 4] = poly_mul(&n, &l);
+    let ml2: [f64; 5] = poly_mul(&m, &l2);
 
-    let mut g = l2.clone();
+    let mut g = [l2[0], l2[1], l2[2], 0.0, 0.0];
     poly_add_scaled(&mut g, &n2, 1.0);
     poly_add_scaled(&mut g, &nl, -r);
     poly_add_scaled(&mut g, &ml2, -big_b);
 
-    // `real_roots` expects descending order.
-    let mut desc: Vec<f64> = g.iter().rev().copied().collect();
-    while desc.len() > 1 && desc[0].abs() < 1e-12 {
-        desc.remove(0);
+    // The root finder expects descending order.
+    g.reverse();
+    let mut lead = 0;
+    while lead < g.len() - 1 && g[lead].abs() < 1e-12 {
+        lead += 1;
     }
 
     let mut poses = Vec::new();
-    for v in real_roots(&desc) {
+    for v in roots(&g[lead..]) {
         if v <= 1e-9 {
             continue;
         }
@@ -180,8 +196,8 @@ pub struct PnpParams {
     /// RANSAC configuration. `threshold` is the inlier reprojection error
     /// in pixels.
     pub ransac: RansacParams,
-    /// Whether to polish the pose on all inliers with Gauss-Newton after
-    /// consensus.
+    /// Whether to polish the pose on all inliers with Levenberg–Marquardt
+    /// ([`optimize_pose`]) after consensus.
     pub refine: bool,
 }
 
@@ -201,7 +217,8 @@ impl Default for PnpParams {
 }
 
 /// Estimates the camera pose from 3-D/2-D correspondences with
-/// P3P + RANSAC, optionally polished by Gauss-Newton on the inliers.
+/// P3P + RANSAC, optionally polished by Levenberg–Marquardt on the
+/// inliers.
 ///
 /// * `world` — 3-D map points in world coordinates.
 /// * `pixels` — observed pixel positions of the same points in the current
@@ -280,9 +297,12 @@ pub fn solve_pnp_ransac(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::poly::{poly_eval_derivative, real_roots_reference};
     use crate::quaternion::Quaternion;
+    use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
+    use std::cell::RefCell;
 
     fn make_scene(seed: u64, n: usize) -> (Vec<Vec3>, Se3, PinholeCamera, Vec<Vec2>) {
         let mut rng = SmallRng::seed_from_u64(seed);
@@ -354,6 +374,69 @@ mod tests {
                 "seed {seed}: no pose matched truth among {}",
                 poses.len()
             );
+        }
+    }
+
+    fn same_pose(a: &Se3, b: &Se3, tol: f64) -> bool {
+        (a.translation - b.translation).norm() < tol
+            && (a.rotation - b.rotation).frobenius_norm() < tol
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn p3p_matches_the_reference_on_random_triples(seed in any::<u64>()) {
+            let (world, truth, _cam, _pix) = make_scene(seed, 3);
+            let w = [world[0], world[1], world[2]];
+            let bearings = w.map(|p| truth.transform(p).normalized().unwrap());
+            let poses = solve_p3p(&w, &bearings);
+
+            // The same solve with Durand–Kerner behind it, keeping the
+            // quartic and its real roots to judge their conditioning.
+            let quartic = RefCell::new((Vec::new(), Vec::new()));
+            let reference = solve_p3p_with(&w, &bearings, |g| {
+                let roots = real_roots_reference(g);
+                quartic.replace((g.to_vec(), roots.clone()));
+                roots
+            });
+            // Where the reference recovers the truth, so does the closed
+            // form: to 1e-5 on well-conditioned triples (below), and to
+            // 1e-3 where a near-double root leaves its place uncertain.
+            let found = |tol| poses.iter().any(|t| same_pose(t, &truth, tol));
+            prop_assert!(
+                found(1e-3) || !reference.iter().any(|t| same_pose(t, &truth, 1e-5)),
+                "seed {seed}: the reference recovers the truth, the closed form does not"
+            );
+
+            // Well conditioned: rounding the quartic's coefficients moves
+            // none of its real roots by more than ~1e-13, and neither the
+            // bearings nor the world triangle have an angle under 5°. Then
+            // both root finders must give the same poses to far below 1e-9.
+            // (Where two real roots nearly meet, both can miss the truth's
+            // rmse gate; on a needle triangle, `align_rigid` moved a pose
+            // by 2e-8 for a one-ulp change in its root.)
+            let (g, v) = quartic.into_inner();
+            prop_assume!(v.iter().all(|&x| {
+                let magnitude = g.iter().fold(0.0, |acc, c| acc * x.abs() + c.abs());
+                f64::EPSILON * magnitude < 1e-13 * poly_eval_derivative(&g, x).abs()
+            }));
+            let min_angle = (5.0f64).to_radians();
+            let angle = |a: Vec3, b: Vec3| a.dot(b).clamp(-1.0, 1.0).acos();
+            let corner = |i: usize, j: usize, k: usize| {
+                angle((w[j] - w[i]).normalized().unwrap(), (w[k] - w[i]).normalized().unwrap())
+            };
+            prop_assume!([(0, 1), (0, 2), (1, 2)]
+                .iter()
+                .all(|&(i, j)| angle(bearings[i], bearings[j]) > min_angle));
+            prop_assume!([corner(0, 1, 2), corner(1, 0, 2), corner(2, 0, 1)]
+                .iter()
+                .all(|&a| a > min_angle));
+            prop_assert!(found(1e-5), "seed {seed}: no pose matched truth among {}", poses.len());
+            prop_assert_eq!(poses.len(), reference.len(), "seed {}", seed);
+            for (a, b) in poses.iter().zip(&reference) {
+                prop_assert!(same_pose(a, b, 1e-9), "seed {seed}: {a:?} vs {b:?}");
+            }
         }
     }
 

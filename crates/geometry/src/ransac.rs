@@ -95,6 +95,7 @@ where
     }
     let mut rng = SmallRng::seed_from_u64(params.seed);
     let mut best: Option<(M, Vec<usize>)> = None;
+    let mut best_count = 0;
     let mut required_iterations = params.max_iterations;
     let mut sample = vec![0usize; sample_size];
     let mut iterations = 0;
@@ -103,14 +104,14 @@ where
         iterations += 1;
         draw_distinct(&mut rng, n, &mut sample);
         for model in fit(&sample) {
-            let inliers: Vec<usize> = (0..n)
-                .filter(|&i| error(&model, i) < params.threshold)
-                .collect();
-            let best_len = best.as_ref().map_or(0, |(_, inl)| inl.len());
-            if inliers.len() > best_len && inliers.len() >= params.min_inliers {
+            // Count first: only a hypothesis that is adopted has its
+            // inliers collected, by a second pass over the same errors.
+            let is_inlier = |i: &usize| error(&model, *i) < params.threshold;
+            let count = (0..n).filter(is_inlier).count();
+            if count > best_count && count >= params.min_inliers {
                 // Adaptive termination: with inlier ratio w, a minimal
                 // sample is all-inlier with probability w^s.
-                let w = inliers.len() as f64 / n as f64;
+                let w = count as f64 / n as f64;
                 let p_good_sample = w.powi(sample_size as i32);
                 if p_good_sample > 1.0 - 1e-12 {
                     required_iterations = iterations;
@@ -118,6 +119,8 @@ where
                     let needed = (1.0 - params.confidence).ln() / (1.0 - p_good_sample).ln();
                     required_iterations = needed.ceil().max(1.0) as usize;
                 }
+                let inliers = (0..n).filter(is_inlier).collect();
+                best_count = count;
                 best = Some((model.clone(), inliers));
             }
         }
@@ -148,6 +151,7 @@ fn draw_distinct(rng: &mut SmallRng, n: usize, sample: &mut [usize]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// Line model y = a x + b fitted from two points.
     fn line_fit(data: &[(f64, f64)]) -> impl Fn(&[usize]) -> Vec<(f64, f64)> + '_ {
@@ -262,6 +266,74 @@ mod tests {
         .unwrap();
         assert!(res.iterations < 100, "took {} iterations", res.iterations);
         assert_eq!(res.inliers.len(), 100);
+    }
+
+    /// The loop before count-first scoring: every hypothesis collects its
+    /// inliers, and the best is the first with the most.
+    fn ransac_collecting_every_hypothesis<M: Clone>(
+        n: usize,
+        sample_size: usize,
+        params: &RansacParams,
+        fit: impl Fn(&[usize]) -> Vec<M>,
+        error: impl Fn(&M, usize) -> f64,
+    ) -> Option<RansacResult<M>> {
+        let mut rng = SmallRng::seed_from_u64(params.seed);
+        let mut best: Option<(M, Vec<usize>)> = None;
+        let mut required_iterations = params.max_iterations;
+        let mut sample = vec![0usize; sample_size];
+        let mut iterations = 0;
+        while iterations < required_iterations.min(params.max_iterations) {
+            iterations += 1;
+            draw_distinct(&mut rng, n, &mut sample);
+            for model in fit(&sample) {
+                let inliers: Vec<usize> = (0..n)
+                    .filter(|&i| error(&model, i) < params.threshold)
+                    .collect();
+                let best_len = best.as_ref().map_or(0, |(_, inl)| inl.len());
+                if inliers.len() > best_len && inliers.len() >= params.min_inliers {
+                    let w = inliers.len() as f64 / n as f64;
+                    let p_good_sample = w.powi(sample_size as i32);
+                    if p_good_sample > 1.0 - 1e-12 {
+                        required_iterations = iterations;
+                    } else if p_good_sample > 0.0 {
+                        let needed = (1.0 - params.confidence).ln() / (1.0 - p_good_sample).ln();
+                        required_iterations = needed.ceil().max(1.0) as usize;
+                    }
+                    best = Some((model.clone(), inliers));
+                }
+            }
+        }
+        best.map(|(model, inliers)| RansacResult {
+            model,
+            inliers,
+            iterations,
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn counting_first_adopts_the_same_models(
+            data in prop::collection::vec(0u8..6, 4..40),
+            min_inliers in 1usize..6,
+            seed in any::<u64>(),
+        ) {
+            // Small integer data, two hypotheses per sample: inlier counts
+            // tie often, and the first hypothesis with the most must win.
+            let data: Vec<f64> = data.into_iter().map(f64::from).collect();
+            let params = RansacParams {
+                max_iterations: 40,
+                threshold: 0.5,
+                min_inliers,
+                confidence: 0.99,
+                seed,
+            };
+            let fit = |idx: &[usize]| vec![data[idx[0]], data[idx[1]]];
+            let error = |m: &f64, i: usize| (data[i] - m).abs();
+            prop_assert_eq!(
+                ransac(data.len(), 2, &params, fit, error),
+                ransac_collecting_every_hypothesis(data.len(), 2, &params, fit, error)
+            );
+        }
     }
 
     #[test]
