@@ -1081,4 +1081,103 @@ mod tests {
             }
         }
     }
+
+    mod matched_pairs_oracle {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Naive scalar oracle of [`matched_pairs`]: query `q` and train
+        /// `t` pair iff `t` is the nearest train of `q` and `q` the
+        /// nearest query of `t`, the lowest index winning ties in both
+        /// directions, and both distances are within `max_distance`.
+        fn mutual_nearest(
+            query: &[Descriptor],
+            train: &[Descriptor],
+            max_distance: u32,
+        ) -> Vec<(usize, usize)> {
+            let nearest = |d: &Descriptor, set: &[Descriptor]| {
+                set.iter().enumerate().map(|(i, s)| (d.hamming(s), i)).min()
+            };
+            let mut pairs = Vec::new();
+            for (qi, q) in query.iter().enumerate() {
+                let Some((forward, ti)) = nearest(q, train) else {
+                    continue;
+                };
+                let Some((backward, back)) = nearest(&train[ti], query) else {
+                    continue;
+                };
+                if back == qi && forward <= max_distance && backward <= max_distance {
+                    pairs.push((qi, ti));
+                }
+            }
+            pairs
+        }
+
+        /// `n` splitmix descriptors; each extra `sparsity` step ANDs in
+        /// another random word, halving the bit density so distances
+        /// shrink and tie more often.
+        fn descriptors(n: usize, seed: u64, sparsity: u32) -> Vec<Descriptor> {
+            let mut state = seed;
+            let mut next = move || {
+                state = state.wrapping_add(0x9e3779b97f4a7c15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
+                z ^ (z >> 31)
+            };
+            (0..n)
+                .map(|_| {
+                    Descriptor::from_words(std::array::from_fn(|_| {
+                        (0..sparsity).fold(next(), |w, _| w & next())
+                    }))
+                })
+                .collect()
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// `matched_pairs` is the mutual-nearest cross-check on every
+            /// kernel rung the host supports, with duplicated
+            /// descriptors on both sides and across them, at the
+            /// tightest, a working and no distance cap.
+            #[test]
+            fn matched_pairs_equal_the_mutual_nearest_oracle(
+                nq in 1usize..40,
+                nt in 1usize..60,
+                seed in any::<u64>(),
+                sparsity in 0u32..4,
+                cap in 0usize..3,
+                dup in any::<u64>(),
+            ) {
+                let max_distance = [0, 64, u32::MAX][cap];
+                let mut query = descriptors(nq, seed, sparsity);
+                let mut train = descriptors(nt, !seed, sparsity);
+                // Duplicates: a query row copied into the train set
+                // (a distance-0 pair), and a repeated row on each side
+                // (ties in both directions).
+                let pick = |n: usize, salt: u32| (dup.rotate_left(salt) % n as u64) as usize;
+                train[pick(nt, 0)] = query[pick(nq, 16)];
+                query[pick(nq, 32)] = query[pick(nq, 48)];
+                train[pick(nt, 8)] = train[pick(nt, 24)];
+                if nq > 1 && nt > 1 {
+                    query[nq - 1] = train[pick(nt, 40)];
+                    train[nt - 1] = train[pick(nt, 56)];
+                }
+                let expect = mutual_nearest(&query, &train, max_distance);
+                for kernel in MatchKernel::ALL.into_iter().filter(|k| k.is_supported()) {
+                    let pairs = matched_pairs(kernel, &query, &train, max_distance);
+                    prop_assert_eq!(
+                        &pairs,
+                        &expect,
+                        "{:?} max {}: {:?} != {:?}",
+                        kernel,
+                        max_distance,
+                        pairs,
+                        expect
+                    );
+                }
+            }
+        }
+    }
 }

@@ -543,36 +543,20 @@ pub struct BackendStats {
     pub culled_keyframes: usize,
 }
 
-/// One dispatched solve, either in flight or already finished.
-enum PendingJob {
+/// One dispatched job (a local-BA solve, or a loop verification +
+/// correction), either in flight or already finished.
+enum Pending<T> {
     /// Running (or queued) on the worker pool.
-    Handle(TaskHandle<LocalBaOutcome>),
+    Handle(TaskHandle<T>),
     /// Solved inline (sync mode), waiting for its application point.
-    Ready(Box<LocalBaOutcome>),
+    Ready(Box<T>),
 }
 
-impl std::fmt::Debug for PendingJob {
+impl<T> std::fmt::Debug for Pending<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            PendingJob::Handle(h) => f.debug_tuple("Handle").field(h).finish(),
-            PendingJob::Ready(_) => f.debug_tuple("Ready").finish(),
-        }
-    }
-}
-
-/// One dispatched loop verification + correction, in flight or done.
-enum PendingLoop {
-    /// Running (or queued) on the worker pool.
-    Handle(TaskHandle<LoopClosureOutcome>),
-    /// Solved inline (sync mode), waiting for its application point.
-    Ready(Box<LoopClosureOutcome>),
-}
-
-impl std::fmt::Debug for PendingLoop {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PendingLoop::Handle(h) => f.debug_tuple("Handle").field(h).finish(),
-            PendingLoop::Ready(_) => f.debug_tuple("Ready").finish(),
+            Pending::Handle(h) => f.debug_tuple("Handle").field(h).finish(),
+            Pending::Ready(_) => f.debug_tuple("Ready").finish(),
         }
     }
 }
@@ -590,10 +574,10 @@ pub struct BackendRunner {
     mapper: LocalMapper,
     config: BackendConfig,
     camera: PinholeCamera,
-    pending: VecDeque<PendingJob>,
+    pending: VecDeque<Pending<LocalBaOutcome>>,
     /// Place recognition state; `None` when loop closure is disabled.
     detector: Option<LoopDetector>,
-    pending_loops: VecDeque<PendingLoop>,
+    pending_loops: VecDeque<Pending<LoopClosureOutcome>>,
     stats: BackendStats,
     /// Telemetry sink backend stages record into; `None` → off.
     telemetry: Option<Arc<Telemetry>>,
@@ -646,12 +630,6 @@ impl BackendRunner {
     /// Whether a local-BA solve is waiting for its application point.
     pub fn has_pending(&self) -> bool {
         !self.pending.is_empty()
-    }
-
-    /// Whether a loop verification is waiting for its application
-    /// point.
-    pub fn has_pending_loop(&self) -> bool {
-        !self.pending_loops.is_empty()
     }
 
     /// Inserts a keyframe and drives the whole backend step: redundant
@@ -708,28 +686,8 @@ impl BackendRunner {
                 if let Some(t) = &self.telemetry {
                     t.count(Counter::LoopCandidates, 1);
                 }
-                // The `Arc` clone travels into the job so verification
-                // is timed on whichever thread runs it.
-                let telemetry = self
-                    .telemetry
-                    .as_ref()
-                    .filter(|t| t.timing())
-                    .map(Arc::clone);
-                if self.is_async() {
-                    self.pending_loops
-                        .push_back(PendingLoop::Handle(pool.submit(move || {
-                            let _span =
-                                Telemetry::span_opt(telemetry.as_deref(), Stage::LoopVerify);
-                            job.run()
-                        })));
-                } else {
-                    let outcome = {
-                        let _span = Telemetry::span_opt(telemetry.as_deref(), Stage::LoopVerify);
-                        job.run()
-                    };
-                    self.pending_loops
-                        .push_back(PendingLoop::Ready(Box::new(outcome)));
-                }
+                let pending = self.dispatch(pool, Stage::LoopVerify, move || job.run());
+                self.pending_loops.push_back(pending);
             }
         }
         let Some(job) = self
@@ -739,24 +697,48 @@ impl BackendRunner {
             return;
         };
         self.stats.runs += 1;
+        let pending = self.dispatch(pool, Stage::BackendSolve, move || job.run());
+        self.pending.push_back(pending);
+    }
+
+    /// Runs `job` under a `stage` span: on `pool` in async mode, inline
+    /// in sync mode. The telemetry `Arc` travels into the job, so the
+    /// span times it on whichever thread runs it.
+    fn dispatch<T: Send + 'static>(
+        &self,
+        pool: &WorkerPool,
+        stage: Stage,
+        job: impl FnOnce() -> T + Send + 'static,
+    ) -> Pending<T> {
         let telemetry = self
             .telemetry
             .as_ref()
             .filter(|t| t.timing())
             .map(Arc::clone);
+        let run = move || {
+            let _span = Telemetry::span_opt(telemetry.as_deref(), stage);
+            job()
+        };
         if self.is_async() {
-            self.pending
-                .push_back(PendingJob::Handle(pool.submit(move || {
-                    let _span = Telemetry::span_opt(telemetry.as_deref(), Stage::BackendSolve);
-                    job.run()
-                })));
+            Pending::Handle(pool.submit(run))
         } else {
-            let outcome = {
-                let _span = Telemetry::span_opt(telemetry.as_deref(), Stage::BackendSolve);
-                job.run()
-            };
-            self.pending.push_back(PendingJob::Ready(Box::new(outcome)));
+            Pending::Ready(Box::new(run()))
         }
+    }
+
+    /// Collects a dispatched job's outcome, blocking (help-draining the
+    /// pool) while it still runs, and books the wait as join time.
+    fn collect<T>(&mut self, pending: Pending<T>) -> T {
+        let collect_start = std::time::Instant::now();
+        let outcome = match pending {
+            Pending::Handle(handle) => handle.join(),
+            Pending::Ready(ready) => *ready,
+        };
+        self.stats.join_wait_ms += collect_start.elapsed().as_secs_f64() * 1e3;
+        if let Some(t) = &self.telemetry {
+            t.record_since(Stage::BackendJoin, collect_start);
+        }
+        outcome
     }
 
     /// Collects the oldest dispatched solve, applying its poses to the
@@ -768,15 +750,7 @@ impl BackendRunner {
     /// Returns `None` when nothing is pending.
     pub fn take_refinement(&mut self) -> Option<LocalBaOutcome> {
         let pending = self.pending.pop_front()?;
-        let collect_start = std::time::Instant::now();
-        let outcome = match pending {
-            PendingJob::Handle(handle) => handle.join(),
-            PendingJob::Ready(ready) => *ready,
-        };
-        self.stats.join_wait_ms += collect_start.elapsed().as_secs_f64() * 1e3;
-        if let Some(t) = &self.telemetry {
-            t.record_since(Stage::BackendJoin, collect_start);
-        }
+        let outcome = self.collect(pending);
         self.mapper.apply(&outcome);
         self.stats.applied += 1;
         self.stats.iterations += outcome.result.iterations;
@@ -798,14 +772,8 @@ impl BackendRunner {
     /// Returns `None` when nothing is pending.
     pub fn take_loop_closure(&mut self) -> Option<LoopClosureOutcome> {
         let pending = self.pending_loops.pop_front()?;
-        let collect_start = std::time::Instant::now();
-        let outcome = match pending {
-            PendingLoop::Handle(handle) => handle.join(),
-            PendingLoop::Ready(ready) => *ready,
-        };
-        self.stats.join_wait_ms += collect_start.elapsed().as_secs_f64() * 1e3;
+        let outcome = self.collect(pending);
         if let Some(t) = &self.telemetry {
-            t.record_since(Stage::BackendJoin, collect_start);
             t.count(
                 if outcome.accepted {
                     Counter::LoopClosuresAccepted

@@ -8,16 +8,6 @@ use eslam_geometry::PinholeCamera;
 pub use eslam_backend::{BackendConfig, BackendMode, KeyframeCullConfig, LoopClosureConfig};
 pub use eslam_telemetry::{TelemetryConfig, TelemetryMode};
 
-/// Hardware-model selection for the front-end stages.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Backend {
-    /// Pure software execution (the CPU baselines of the paper).
-    Software,
-    /// The simulated FPGA accelerator: functionally identical, but frame
-    /// processing also reports modelled hardware latencies.
-    Accelerator,
-}
-
 /// Whether [`crate::run_sequence`] streams frames through the async
 /// double-buffered prefetcher (`eslam_dataset::prefetch`) or pulls them
 /// synchronously. Both paths are bit-identical (proven by
@@ -77,19 +67,10 @@ pub struct SlamConfig {
     pub max_map_points: usize,
     /// Minimum PnP inliers for a frame to be considered tracked.
     pub min_inliers: usize,
-    /// Hardware model: whether frame reports carry the modelled FPGA
-    /// latencies of the paper's accelerator. (Renamed from `backend`
-    /// when the keyframe backend landed; the timing model selection and
-    /// the mapping backend are independent axes.)
-    pub hw_model: Backend,
     /// The keyframe backend: covisibility-linked keyframes + windowed
     /// local bundle adjustment, run sync/async per
     /// [`BackendConfig::mode`].
     pub backend: BackendConfig,
-    /// Use a constant-velocity motion model to seed tracking (extension):
-    /// the prior pose is extrapolated from the last inter-frame motion
-    /// instead of held constant.
-    pub motion_model: bool,
     /// Worker threads for the front-end pool (parallel extraction levels
     /// and matcher rows). `None` sizes the pool to the host's available
     /// parallelism. An explicit `Some(n)` is **clamped** to available
@@ -136,9 +117,7 @@ impl SlamConfig {
             map_cull_age: 45,
             max_map_points: 2304,
             min_inliers: 10,
-            hw_model: Backend::Accelerator,
             backend: BackendConfig::default(),
-            motion_model: true,
             worker_threads: None,
             prefetch: PrefetchMode::Auto,
             telemetry: TelemetryConfig::default(),
@@ -169,7 +148,6 @@ mod tests {
         let cfg = SlamConfig::default();
         assert_eq!(cfg.orb.max_features, 1024);
         assert_eq!(cfg.max_map_points, 2304);
-        assert_eq!(cfg.hw_model, Backend::Accelerator);
         assert_eq!(cfg.camera.width, 640);
         // The keyframe backend defaults to the async local-mapping
         // pattern with a sane sliding window.

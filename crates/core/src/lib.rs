@@ -21,9 +21,9 @@
 //!   ([`config::BackendConfig::mode`]); refinements swap in at frame
 //!   boundaries, so async == sync bit-identically
 //!   (`tests/backend_equivalence.rs`);
-//! * **Heterogeneous execution model** — with
-//!   [`config::Backend::Accelerator`], every frame also reports the
-//!   modelled FPGA latencies from `eslam-hw`, and [`pipeline`] schedules
+//! * **Heterogeneous execution model** — every frame also reports the
+//!   modelled FPGA latencies of its front-end stages from `eslam-hw`
+//!   ([`FrameReport::hw_timing`]), and [`pipeline`] schedules
 //!   whole sequences under the Fig. 7 pipeline for the ARM / Intel i7 /
 //!   eSLAM platform comparison;
 //! * **Streaming dataset layer** — [`runner::run_sequence`] accepts any
@@ -131,8 +131,8 @@ pub use eslam_telemetry as telemetry;
 
 pub use atlas::{Atlas, AtlasState};
 pub use config::{
-    Backend, BackendConfig, BackendMode, KeyframeCullConfig, LoopClosureConfig, PrefetchMode,
-    SlamConfig, TelemetryConfig, TelemetryMode,
+    BackendConfig, BackendMode, KeyframeCullConfig, LoopClosureConfig, PrefetchMode, SlamConfig,
+    TelemetryConfig, TelemetryMode,
 };
 pub use map::{Map, MapPoint, PointObservation};
 pub use overrides::Overrides;

@@ -108,10 +108,9 @@ fn cpu_stages(report: &FrameReport, cpu: &CpuModel, map_size_hint: usize) -> Sta
 /// host for the geometric stages.
 fn eslam_stages(report: &FrameReport) -> StageTimesMs {
     let arm = arm_cortex_a9();
-    let hw = report.hw_timing.unwrap_or_default();
     StageTimesMs {
-        fe: hw.fe_ms,
-        fm: hw.fm_ms,
+        fe: report.hw_timing.fe_ms,
+        fm: report.hw_timing.fm_ms,
         pe: arm.pe_ms,
         po: arm.po_ms,
         mu: arm.mu_ms,
@@ -229,10 +228,10 @@ mod tests {
                 descriptors_computed: 2500,
                 pixels_processed: 771_112,
             },
-            hw_timing: Some(FrameHwTiming {
+            hw_timing: FrameHwTiming {
                 fe_ms: 9.1,
                 fm_ms: 4.0,
-            }),
+            },
             frame_wait_ms: 2.5,
             track_ms: 40.0,
             backend_applied: false,

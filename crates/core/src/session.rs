@@ -60,7 +60,6 @@ impl Localization {
 pub struct Session {
     atlas: Arc<Atlas>,
     config: SlamConfig,
-    relocalization: RelocalizationConfig,
     extractor: OrbExtractor,
     scratch: OrbScratch,
     snapshot: Arc<AtlasState>,
@@ -77,19 +76,12 @@ impl Session {
         Session {
             atlas,
             config,
-            relocalization: RelocalizationConfig::default(),
             extractor: OrbExtractor::new(config.orb),
             scratch: OrbScratch::with_threads(config.worker_threads),
             snapshot,
             epoch_seen,
             last_pose_w2c: None,
         }
-    }
-
-    /// Replaces the cold-start relocalization tuning (builder-style).
-    pub fn with_relocalization(mut self, config: RelocalizationConfig) -> Session {
-        self.relocalization = config;
-        self
     }
 
     /// The atlas this session localizes against.
@@ -166,7 +158,7 @@ impl Session {
             &self.config.camera,
             &features.descriptors,
             &pixels,
-            &self.relocalization,
+            &RelocalizationConfig::default(),
         )?;
 
         // Refine with a map-tracking pass seeded by the relocalized
@@ -174,7 +166,7 @@ impl Session {
         // support. The raw solve runs against the candidate keyframe's
         // promotion-time *camera-frame* landmark snapshot (drift-free
         // RGB-D measurements); the refine runs against the global map,
-        // whose triangulations carry whatever drift the mapping run
+        // whose landmark positions carry whatever drift the mapping run
         // accumulated. When the keyframe already explains the frame
         // better (more inliers), polishing against the map would trade
         // metric accuracy for map consistency.

@@ -120,7 +120,7 @@ mod tests {
                 kept: 300,
                 ..Default::default()
             },
-            hw_timing: Some(FrameHwTiming::default()),
+            hw_timing: FrameHwTiming::default(),
             frame_wait_ms: 0.0,
             track_ms: 0.0,
             backend_applied: false,

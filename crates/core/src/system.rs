@@ -4,8 +4,8 @@
 //! `Slam::process` runs feature extraction, feature matching, pose
 //! estimation (PnP + RANSAC), pose optimization (Levenberg-Marquardt) and
 //! — on key frames — map updating, exactly the five stages of the paper.
-//! With [`Backend::Accelerator`] the front-end stages also report the
-//! modelled FPGA latencies for this frame's actual workload.
+//! Every frame also reports the modelled FPGA latencies of its front-end
+//! stages ([`FrameHwTiming`]) for its actual workload.
 //!
 //! On top of the per-frame loop sits the keyframe backend
 //! (`eslam-backend`): every promoted frame becomes a covisibility-linked
@@ -18,7 +18,7 @@
 //! point that makes the async mode bit-identical to the sync one.
 
 use crate::atlas::{Atlas, AtlasState};
-use crate::config::{Backend, SlamConfig};
+use crate::config::SlamConfig;
 use crate::map::Map;
 use crate::tracking::track_frame_with_telemetry;
 use eslam_backend::keyframe::KeyframeObservation;
@@ -66,8 +66,8 @@ pub struct FrameReport {
     pub map_size: usize,
     /// Extraction work counters.
     pub extraction: ExtractionStats,
-    /// Modelled accelerator latencies ([`Backend::Accelerator`] only).
-    pub hw_timing: Option<FrameHwTiming>,
+    /// Modelled accelerator latencies of this frame's front-end stages.
+    pub hw_timing: FrameHwTiming,
     /// Measured wall-clock time the caller blocked waiting for this
     /// frame's pixels (dataset render/load/prefetch-join latency).
     /// Filled by [`crate::run_sequence`]; 0 when frames are handed to
@@ -503,11 +503,17 @@ impl Slam {
 
         let map_size_before = self.map.len();
         // The metric depth under a keypoint, where the frame has one: the
-        // features a keyframe can turn into landmarks.
+        // features a keyframe can turn into landmarks. A depth image of
+        // another size than the gray one does not register with it, so
+        // the frame carries no depth at all.
+        let registered = depth.width() == gray.width() && depth.height() == gray.height();
         let depth_at = |kp: &Keypoint| {
             let (px, py) = (kp.x.round() as i64, kp.y.round() as i64);
-            let inside =
-                px >= 0 && py >= 0 && px < gray.width() as i64 && py < gray.height() as i64;
+            let inside = registered
+                && px >= 0
+                && py >= 0
+                && px < gray.width() as i64
+                && py < gray.height() as i64;
             inside.then(|| depth.metres(px as u32, py as u32)).flatten()
         };
         let mut relocalized = false;
@@ -525,12 +531,8 @@ impl Slam {
                 };
                 (pose_c2w, ok, 0, 0, Vec::new(), Vec::new())
             } else {
-                // Prior: constant-velocity prediction (or the held pose).
-                let prior = if self.config.motion_model {
-                    self.velocity.compose(&self.pose_w2c)
-                } else {
-                    self.pose_w2c
-                };
+                // Prior: the constant-velocity prediction.
+                let prior = self.velocity.compose(&self.pose_w2c);
                 let pool = self.extractor_scratch.pool();
                 let telemetry = self.telemetry.as_deref();
                 let mut outcome = track_frame_with_telemetry(
@@ -706,29 +708,22 @@ impl Slam {
             }
         }
 
-        let hw_timing = match self.config.hw_model {
-            Backend::Software => None,
-            Backend::Accelerator => {
-                let workload = ExtractionWorkload::from_pyramid(
-                    gray.width(),
-                    gray.height(),
-                    &self.config.orb.pyramid,
-                    extraction.candidates as u64,
-                    extraction.kept as u64,
-                );
-                let fe = self
-                    .extractor_model
-                    .extraction_timing(&workload, Workflow::Rescheduled)
-                    .total_ms();
-                let fm = self
-                    .matcher_model
-                    .matching_timing(extraction.kept as u64, map_size_before as u64)
-                    .total_ms();
-                Some(FrameHwTiming {
-                    fe_ms: fe,
-                    fm_ms: fm,
-                })
-            }
+        let workload = ExtractionWorkload::from_pyramid(
+            gray.width(),
+            gray.height(),
+            &self.config.orb.pyramid,
+            extraction.candidates as u64,
+            extraction.kept as u64,
+        );
+        let hw_timing = FrameHwTiming {
+            fe_ms: self
+                .extractor_model
+                .extraction_timing(&workload, Workflow::Rescheduled)
+                .total_ms(),
+            fm_ms: self
+                .matcher_model
+                .matching_timing(extraction.kept as u64, map_size_before as u64)
+                .total_ms(),
         };
 
         self.trajectory.push(timestamp, pose_c2w);
@@ -821,6 +816,71 @@ mod tests {
         assert_eq!(slam.keyframes(), 1);
     }
 
+    /// Crops of `depth` that do not register with its gray frame: half
+    /// size, and half width at full height.
+    fn unregistered_depths(depth: &DepthImage) -> [DepthImage; 2] {
+        let (w, h) = (depth.width(), depth.height());
+        [
+            DepthImage::from_fn(w / 2, h / 2, |x, y| depth.get(x, y)),
+            DepthImage::from_fn(w / 2, h, |x, y| depth.get(x, y)),
+        ]
+    }
+
+    /// The newest landmark id in the map.
+    fn newest_landmark(slam: &Slam) -> Option<u64> {
+        slam.map().points().iter().map(|p| p.id).max()
+    }
+
+    #[test]
+    fn unregistered_depth_cannot_bootstrap() {
+        // A depth image of another size than the gray one carries no
+        // depth: the bootstrap fails and holds the pose instead of
+        // indexing past the depth buffer or reading depths off the wrong
+        // pixels. A matching frame then bootstraps.
+        let seq = quarter_scale_sequence(0, 1);
+        let real = seq.frame(0);
+        let mut slam = Slam::builder()
+            .config(SlamConfig::scaled_for_tests(4.0))
+            .build();
+        for (i, depth) in unregistered_depths(&real.depth).iter().enumerate() {
+            let report = slam.process(i as f64 * 0.03, &real.gray, depth);
+            assert!(!report.tracking_ok, "depth {i}");
+            assert!(!report.is_keyframe, "depth {i}");
+            assert_eq!(report.map_size, 0, "depth {i}");
+            assert_eq!(report.pose_c2w, Se3::identity(), "depth {i}");
+        }
+        let report = slam.process(0.06, &real.gray, &real.depth);
+        assert!(report.tracking_ok && report.is_keyframe);
+        assert!(report.map_size > 0);
+        assert_eq!(slam.keyframes(), 1);
+    }
+
+    #[test]
+    fn unregistered_depth_adds_no_landmarks() {
+        // Mid-stream, such a frame still tracks on its gray image, but
+        // the keyframe it makes adds no landmark; the next matching
+        // frame does.
+        let seq = quarter_scale_sequence(0, 4);
+        let mut cfg = SlamConfig::scaled_for_tests(4.0);
+        cfg.keyframe_translation = 0.0; // every tracked frame is a keyframe
+        let mut slam = Slam::builder().config(cfg).build();
+        let f = seq.frame(0);
+        slam.process(f.timestamp, &f.gray, &f.depth);
+        for k in 0..2 {
+            let f = seq.frame(1 + k);
+            let depth = &unregistered_depths(&f.depth)[k];
+            let before = newest_landmark(&slam);
+            let report = slam.process(f.timestamp, &f.gray, depth);
+            assert!(report.tracking_ok && report.is_keyframe, "frame {}", 1 + k);
+            assert_eq!(newest_landmark(&slam), before, "frame {}", 1 + k);
+        }
+        let f = seq.frame(3);
+        let before = newest_landmark(&slam);
+        let report = slam.process(f.timestamp, &f.gray, &f.depth);
+        assert!(report.tracking_ok && report.is_keyframe);
+        assert!(newest_landmark(&slam) > before);
+    }
+
     #[test]
     fn tracks_second_frame_of_sequence() {
         let seq = quarter_scale_sequence(0, 3);
@@ -863,22 +923,10 @@ mod tests {
             .config(SlamConfig::scaled_for_tests(4.0))
             .build();
         let f = seq.frame(0);
-        let report = slam.process(f.timestamp, &f.gray, &f.depth);
-        let hw = report.hw_timing.expect("accelerator backend");
+        let hw = slam.process(f.timestamp, &f.gray, &f.depth).hw_timing;
         assert!(hw.fe_ms > 0.0);
         // Quarter-scale frames extract faster than the 9.1 ms VGA budget.
         assert!(hw.fe_ms < 9.1);
-    }
-
-    #[test]
-    fn software_backend_omits_hw_timing() {
-        let seq = quarter_scale_sequence(0, 1);
-        let mut cfg = SlamConfig::scaled_for_tests(4.0);
-        cfg.hw_model = Backend::Software;
-        let mut slam = Slam::builder().config(cfg).build();
-        let f = seq.frame(0);
-        let report = slam.process(f.timestamp, &f.gray, &f.depth);
-        assert!(report.hw_timing.is_none());
     }
 
     #[test]
@@ -891,22 +939,6 @@ mod tests {
             slam.process(f.timestamp, &f.gray, &f.depth);
         }
         assert_eq!(slam.trajectory().len(), 3);
-    }
-
-    #[test]
-    fn motion_model_can_be_disabled() {
-        // Both configurations must track this easy sequence; the motion
-        // model only changes the prior, not correctness.
-        let seq = quarter_scale_sequence(0, 4);
-        for motion_model in [true, false] {
-            let mut cfg = SlamConfig::scaled_for_tests(4.0);
-            cfg.motion_model = motion_model;
-            let mut slam = Slam::builder().config(cfg).build();
-            for f in seq.frames() {
-                let r = slam.process(f.timestamp, &f.gray, &f.depth);
-                assert!(r.tracking_ok, "motion_model={motion_model}");
-            }
-        }
     }
 
     #[test]

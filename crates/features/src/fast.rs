@@ -6,7 +6,7 @@
 //! or all darker than centre − threshold (FAST-9/16, the variant ORB
 //! uses).
 //!
-//! Two implementations coexist:
+//! There is one production scanner and one scalar oracle:
 //!
 //! * [`is_fast_corner`] — the per-pixel scalar reference (bit-exact
 //!   contract for the hardware FAST unit and the oracle for the fast
@@ -507,35 +507,6 @@ pub fn detect_band_into(
     }
 }
 
-/// Two-tier adaptive detection (extension, mirroring ORB-SLAM's
-/// `iniThFAST`/`minThFAST` scheme): detect at `threshold`; if fewer than
-/// `min_detections` corners fire (weakly textured input), retry once at
-/// `fallback_threshold`.
-///
-/// Returns the detections together with the threshold that produced
-/// them.
-///
-/// # Panics
-/// Panics if `fallback_threshold > threshold` (the fallback must be more
-/// permissive).
-pub fn detect_adaptive(
-    img: &GrayImage,
-    threshold: u8,
-    fallback_threshold: u8,
-    min_detections: usize,
-) -> (Vec<FastDetection>, u8) {
-    assert!(
-        fallback_threshold <= threshold,
-        "fallback threshold must not exceed the primary threshold"
-    );
-    let primary = detect(img, threshold);
-    if primary.len() >= min_detections || fallback_threshold == threshold {
-        (primary, threshold)
-    } else {
-        (detect(img, fallback_threshold), fallback_threshold)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -660,39 +631,6 @@ mod tests {
             let b = (pair[1].y, pair[1].x);
             assert!(a < b, "not raster ordered: {a:?} vs {b:?}");
         }
-    }
-
-    #[test]
-    fn adaptive_keeps_primary_when_plentiful() {
-        let img = bright_square(40, 20, 220);
-        let (corners, used) = detect_adaptive(&img, 30, 7, 1);
-        assert_eq!(used, 30);
-        assert_eq!(corners, detect(&img, 30));
-    }
-
-    #[test]
-    fn adaptive_falls_back_on_weak_texture() {
-        // Low-contrast square: threshold 60 finds nothing, 10 does.
-        let img = bright_square(40, 100, 130);
-        assert!(detect(&img, 60).is_empty());
-        let (corners, used) = detect_adaptive(&img, 60, 10, 1);
-        assert_eq!(used, 10);
-        assert!(!corners.is_empty());
-    }
-
-    #[test]
-    fn adaptive_reports_primary_when_fallback_also_needed_but_equal() {
-        let img = GrayImage::from_fn(16, 16, |_, _| 128);
-        let (corners, used) = detect_adaptive(&img, 20, 20, 5);
-        assert!(corners.is_empty());
-        assert_eq!(used, 20);
-    }
-
-    #[test]
-    #[should_panic(expected = "fallback")]
-    fn adaptive_rejects_inverted_thresholds() {
-        let img = GrayImage::new(8, 8);
-        detect_adaptive(&img, 10, 20, 1);
     }
 
     #[test]

@@ -1,33 +1,13 @@
-//! Grid-based spatial feature distribution (extension).
+//! Spatial coverage of a keypoint set.
 //!
-//! The paper filters purely by Harris score through the 1024-entry Heap;
-//! production ORB-SLAM additionally spreads keypoints across the image
-//! to stabilize PnP geometry. This module provides that post-filter as
-//! an optional extension: the image is divided into a grid and each cell
-//! retains at most `per_cell` keypoints (best score first), giving a
-//! bounded, spatially even selection. Used by the heap-capacity ablation
-//! to quantify what the Heap-only filter gives up.
+//! The paper filters purely by Harris score through the 1024-entry Heap,
+//! while production ORB-SLAM also spreads keypoints across the image to
+//! stabilize PnP geometry. [`coverage`] measures how evenly a keypoint
+//! set covers a grid of square cells; the heap-capacity ablation
+//! (`ablation_heap`) reports it per Heap size.
 
 use crate::orb::Keypoint;
 use std::collections::HashMap;
-
-/// Parameters of the grid filter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GridParams {
-    /// Cell edge in base-image pixels.
-    pub cell_size: u32,
-    /// Maximum keypoints retained per cell.
-    pub per_cell: usize,
-}
-
-impl Default for GridParams {
-    fn default() -> Self {
-        GridParams {
-            cell_size: 32,
-            per_cell: 4,
-        }
-    }
-}
 
 /// Statistics describing how evenly keypoints cover the image.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -49,41 +29,6 @@ impl CoverageStats {
             self.occupied_cells as f64 / self.total_cells as f64
         }
     }
-}
-
-/// Returns the indices of keypoints retained by the grid filter, ordered
-/// by descending score (the same order [`crate::orb::OrbExtractor`]
-/// emits). Keypoints are binned by their base-image coordinates.
-///
-/// # Panics
-/// Panics if `params.cell_size == 0` or `params.per_cell == 0`.
-pub fn grid_filter(keypoints: &[Keypoint], params: &GridParams) -> Vec<usize> {
-    assert!(params.cell_size > 0, "cell size must be positive");
-    assert!(params.per_cell > 0, "per-cell quota must be positive");
-    // Indices sorted by descending score; stable for equal scores.
-    let mut order: Vec<usize> = (0..keypoints.len()).collect();
-    order.sort_by(|&a, &b| {
-        keypoints[b]
-            .score
-            .partial_cmp(&keypoints[a].score)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.cmp(&b))
-    });
-    let mut counts: HashMap<(i64, i64), usize> = HashMap::new();
-    let mut kept = Vec::new();
-    for idx in order {
-        let kp = &keypoints[idx];
-        let cell = (
-            (kp.x / params.cell_size as f64).floor() as i64,
-            (kp.y / params.cell_size as f64).floor() as i64,
-        );
-        let count = counts.entry(cell).or_insert(0);
-        if *count < params.per_cell {
-            *count += 1;
-            kept.push(idx);
-        }
-    }
-    kept
 }
 
 /// Measures the spatial coverage of a keypoint set over its bounding
@@ -135,64 +80,9 @@ mod tests {
     }
 
     #[test]
-    fn quota_enforced_per_cell() {
-        // Five keypoints in one 32px cell, quota 2 → best two kept.
-        let kps = vec![
-            kp(5.0, 5.0, 1.0),
-            kp(6.0, 5.0, 5.0),
-            kp(7.0, 5.0, 3.0),
-            kp(8.0, 5.0, 4.0),
-            kp(9.0, 5.0, 2.0),
-        ];
-        let kept = grid_filter(
-            &kps,
-            &GridParams {
-                cell_size: 32,
-                per_cell: 2,
-            },
-        );
-        assert_eq!(kept.len(), 2);
-        assert_eq!(kept, vec![1, 3]); // scores 5.0 then 4.0
-    }
-
-    #[test]
-    fn separate_cells_independent() {
-        let kps = vec![kp(5.0, 5.0, 1.0), kp(100.0, 5.0, 1.0), kp(5.0, 100.0, 1.0)];
-        let kept = grid_filter(
-            &kps,
-            &GridParams {
-                cell_size: 32,
-                per_cell: 1,
-            },
-        );
-        assert_eq!(kept.len(), 3);
-    }
-
-    #[test]
-    fn output_sorted_by_score() {
-        let kps = vec![kp(5.0, 5.0, 1.0), kp(100.0, 5.0, 9.0), kp(200.0, 5.0, 4.0)];
-        let kept = grid_filter(&kps, &GridParams::default());
-        let scores: Vec<f64> = kept.iter().map(|&i| kps[i].score).collect();
-        assert_eq!(scores, vec![9.0, 4.0, 1.0]);
-    }
-
-    #[test]
     fn empty_input() {
-        assert!(grid_filter(&[], &GridParams::default()).is_empty());
         let stats = coverage(&[], 32);
         assert_eq!(stats.occupancy(), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "cell size")]
-    fn zero_cell_size_panics() {
-        grid_filter(
-            &[kp(0.0, 0.0, 1.0)],
-            &GridParams {
-                cell_size: 0,
-                per_cell: 1,
-            },
-        );
     }
 
     #[test]
@@ -209,37 +99,5 @@ mod tests {
         assert_eq!(stats.total_cells, 2);
         assert_eq!(stats.max_per_cell, 2);
         assert!((stats.occupancy() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn grid_filter_improves_spatial_evenness() {
-        // A dense cluster plus a sparse spread: after filtering, the
-        // cluster no longer dominates.
-        let mut kps = Vec::new();
-        for i in 0..50 {
-            kps.push(kp(
-                10.0 + (i % 7) as f64,
-                10.0 + (i / 7) as f64,
-                100.0 + i as f64,
-            ));
-        }
-        for i in 0..10 {
-            kps.push(kp(50.0 + 40.0 * i as f64, 200.0, 1.0));
-        }
-        let before = coverage(&kps, 32);
-        let kept = grid_filter(
-            &kps,
-            &GridParams {
-                cell_size: 32,
-                per_cell: 3,
-            },
-        );
-        let filtered: Vec<Keypoint> = kept.iter().map(|&i| kps[i]).collect();
-        let after = coverage(&filtered, 32);
-        assert!(after.max_per_cell <= 3);
-        // All sparse points survive; the cluster is capped.
-        assert_eq!(after.occupied_cells, before.occupied_cells);
-        assert!(filtered.len() < kps.len());
-        assert!(filtered.iter().filter(|k| k.score < 50.0).count() == 10);
     }
 }

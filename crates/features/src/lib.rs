@@ -174,27 +174,6 @@ mod proptests {
         }
 
         #[test]
-        fn grid_filter_never_exceeds_quota(
-            n in 1usize..100, cell in 8u32..64, quota in 1usize..6,
-        ) {
-            let kps: Vec<orb::Keypoint> = (0..n).map(|i| orb::Keypoint {
-                x: ((i * 37) % 320) as f64,
-                y: ((i * 53) % 240) as f64,
-                level: 0,
-                level_x: 0,
-                level_y: 0,
-                score: ((i * 7) % 19) as f64,
-                angle: 0.0,
-                label: 0,
-            }).collect();
-            let kept = grid::grid_filter(&kps, &grid::GridParams { cell_size: cell, per_cell: quota });
-            let filtered: Vec<orb::Keypoint> = kept.iter().map(|&i| kps[i]).collect();
-            let stats = grid::coverage(&filtered, cell);
-            prop_assert!(stats.max_per_cell <= quota);
-            prop_assert!(kept.len() <= kps.len());
-        }
-
-        #[test]
         fn brute_force_match_is_argmin(
             qw in prop::collection::vec(any::<u64>(), 4..12),
             tw in prop::collection::vec(any::<u64>(), 8..40),

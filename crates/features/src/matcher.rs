@@ -2,17 +2,15 @@
 //!
 //! Software reference of the paper's BRIEF Matcher (§3.2): for each
 //! descriptor of the current frame, compute the Hamming distance to every
-//! map descriptor and keep the minimum. Optional filters (distance cap,
-//! Lowe ratio, cross-check) are provided for the software pipeline; the
-//! hardware unit implements only the plain minimum search, as described in
-//! the paper.
+//! map descriptor and keep the minimum, the first one on ties, as the
+//! hardware Comparator does. There is one search, [`match_brute_force`],
+//! and one scalar oracle, [`match_brute_force_reference`].
 //!
-//! The production kernels ([`match_brute_force`], [`match_with_ratio`])
-//! are cache-tiled over the `[u64; 4]` descriptor words — train tiles
-//! stay L1-resident while a block of query rows streams over them — and
-//! split the query rows across a persistent [`WorkerPool`] on multicore
-//! hosts (the process-global pool for the plain entry points, an
-//! explicit pool for [`match_brute_force_in`] / [`match_with_ratio_in`]).
+//! The production kernel is cache-tiled over the `[u64; 4]` descriptor
+//! words — train tiles stay L1-resident while a block of query rows
+//! streams over them — and splits the query rows across a persistent
+//! [`WorkerPool`] on multicore hosts (the process-global pool for
+//! [`match_brute_force`], an explicit pool for [`match_brute_force_in`]).
 //!
 //! # Kernel dispatch ladder
 //!
@@ -38,9 +36,8 @@
 //! The production entry points run the fastest rung the CPU supports
 //! ([`active_kernel`]); the `*_with_kernel` hooks pin any rung, which is
 //! how the per-kernel property tests and benches cover the whole ladder
-//! in one process. The straightforward scalar loops are retained as
-//! [`match_brute_force_reference`] / [`match_with_ratio_reference`]; all
-//! kernels are bit-identical to them (proven by unit and property tests).
+//! in one process. Every rung is bit-identical to
+//! [`match_brute_force_reference`] (proven by unit and property tests).
 
 use crate::descriptor::Descriptor;
 use crate::pool::WorkerPool;
@@ -320,61 +317,10 @@ fn nearest_rows_inner(query: &[Descriptor], train: &[Descriptor], out: &mut [(u3
     }
 }
 
-/// Like [`nearest_rows_inner`], additionally tracking the second-best
-/// distance for the Lowe ratio test, with the reference's update rule.
-#[inline(always)]
-fn nearest2_rows_inner(query: &[Descriptor], train: &[Descriptor], out: &mut [(u32, u32, u32)]) {
-    for (tile_idx, tile) in train.chunks(TRAIN_TILE).enumerate() {
-        let base = (tile_idx * TRAIN_TILE) as u32;
-        for (q_block, o_block) in query.chunks(QUERY_BLOCK).zip(out.chunks_mut(QUERY_BLOCK)) {
-            for (q, o) in q_block.iter().zip(o_block.iter_mut()) {
-                let (mut best_d, mut best_i, mut second) = *o;
-                for (j, t) in tile.iter().enumerate() {
-                    let d = q.hamming(t);
-                    if d < best_d {
-                        second = best_d;
-                        best_d = d;
-                        best_i = base + j as u32;
-                    } else {
-                        second = second.min(d);
-                    }
-                }
-                *o = (best_d, best_i, second);
-            }
-        }
-    }
-}
-
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "popcnt")]
 unsafe fn nearest_rows_popcnt(query: &[Descriptor], train: &[Descriptor], out: &mut [(u32, u32)]) {
     nearest_rows_inner(query, train, out)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "popcnt")]
-unsafe fn nearest2_rows_popcnt(
-    query: &[Descriptor],
-    train: &[Descriptor],
-    out: &mut [(u32, u32, u32)],
-) {
-    nearest2_rows_inner(query, train, out)
-}
-
-/// Merges one `(distance, index)` candidate into a
-/// `(best, best_index, second)` triple. Lane bests arrive in arbitrary
-/// index order, so ties on distance break toward the lower index (the
-/// sequential scan's first occurrence); the displaced equal-distance
-/// best is the duplicate that the reference parks in `second`.
-#[cfg(target_arch = "x86_64")]
-#[inline]
-fn merge_top2(state: &mut (u32, u32, u32), d: u32, i: u32) {
-    let (best_d, best_i, second) = *state;
-    if d < best_d || (d == best_d && i < best_i) {
-        *state = (d, i, best_d);
-    } else {
-        state.2 = second.min(d);
-    }
 }
 
 /// The top rung: AVX-512 `vpopcntq`. A ZMM register holds **two**
@@ -385,7 +331,7 @@ fn merge_top2(state: &mut (u32, u32, u32), d: u32, i: u32) {
 /// lane — ≈3 µops per pair against the popcnt rung's port-1-bound 4.
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
-    use super::{merge_top2, Descriptor, TRAIN_TILE};
+    use super::{Descriptor, TRAIN_TILE};
     use std::arch::x86_64::*;
 
     /// Trains per inner step: four ZMMs of two descriptors each.
@@ -485,59 +431,6 @@ mod avx512 {
             }
         }
     }
-
-    /// AVX-512 twin of `nearest2_rows_inner`. Each lane tracks its two
-    /// smallest keys with a `vpminuq`/`vpmaxuq` sorting network; because
-    /// keys are distinct (unique index bits) and key order refines
-    /// distance order, merging the per-lane top-2 multisets with the
-    /// carried `(best, second)` yields exactly the two smallest distances
-    /// of the whole scan — including the duplicated-minimum case, where
-    /// the reference's `second` equals `best` — and the first-occurrence
-    /// best index.
-    #[target_feature(enable = "avx512f", enable = "avx512vpopcntdq", enable = "popcnt")]
-    pub(super) unsafe fn nearest2_rows(
-        query: &[Descriptor],
-        train: &[Descriptor],
-        out: &mut [(u32, u32, u32)],
-    ) {
-        let step = _mm512_set1_epi64(GROUP as i64);
-        let offsets = _mm512_loadu_si512(LANE_TRAIN_OFFSETS.as_ptr().cast());
-        for (tile_idx, tile) in train.chunks(TRAIN_TILE).enumerate() {
-            let base = (tile_idx * TRAIN_TILE) as u32;
-            let groups = tile.len() / GROUP;
-            let rem = &tile[groups * GROUP..];
-            for (q, o) in query.iter().zip(out.iter_mut()) {
-                let q2 = _mm512_broadcast_i64x4(_mm256_loadu_si256(q.words.as_ptr().cast()));
-                let mut idx = _mm512_add_epi64(_mm512_set1_epi64(base as i64), offsets);
-                let mut best = _mm512_set1_epi64(KEY_SENTINEL as i64);
-                let mut second = _mm512_set1_epi64(KEY_SENTINEL as i64);
-                for group in tile.chunks_exact(GROUP) {
-                    let key = keys_x8(q2, group, idx);
-                    let loser = _mm512_max_epu64(best, key);
-                    best = _mm512_min_epu64(best, key);
-                    second = _mm512_min_epu64(second, loser);
-                    idx = _mm512_add_epi64(idx, step);
-                }
-                let mut bests = [KEY_SENTINEL; 8];
-                let mut seconds = [KEY_SENTINEL; 8];
-                _mm512_storeu_si512(bests.as_mut_ptr().cast(), best);
-                _mm512_storeu_si512(seconds.as_mut_ptr().cast(), second);
-                let mut state = *o;
-                for k in 0..8 {
-                    if bests[k] != KEY_SENTINEL {
-                        merge_top2(&mut state, (bests[k] >> 32) as u32, bests[k] as u32);
-                    }
-                    if seconds[k] != KEY_SENTINEL {
-                        state.2 = state.2.min((seconds[k] >> 32) as u32);
-                    }
-                }
-                for (k, t) in rem.iter().enumerate() {
-                    merge_top2(&mut state, q.hamming(t), base + (groups * GROUP + k) as u32);
-                }
-                *o = state;
-            }
-        }
-    }
 }
 
 /// Runs the nearest-neighbour row kernel for an explicit dispatch rung.
@@ -563,147 +456,8 @@ fn nearest_rows_with(
     nearest_rows_inner(query, train, out)
 }
 
-/// Runs the two-nearest row kernel for an explicit dispatch rung.
-/// An unsupported `kernel` falls back to the scalar rung.
-fn nearest2_rows_with(
-    kernel: MatchKernel,
-    query: &[Descriptor],
-    train: &[Descriptor],
-    out: &mut [(u32, u32, u32)],
-) {
-    #[cfg(target_arch = "x86_64")]
-    match kernel {
-        MatchKernel::Avx512 if kernel.is_supported() => {
-            // SAFETY: avx512f + avx512vpopcntdq + popcnt just checked.
-            return unsafe { avx512::nearest2_rows(query, train, out) };
-        }
-        MatchKernel::Popcnt if kernel.is_supported() => {
-            // SAFETY: popcnt support just checked.
-            return unsafe { nearest2_rows_popcnt(query, train, out) };
-        }
-        _ => {}
-    }
-    nearest2_rows_inner(query, train, out)
-}
-
 fn nearest_rows(query: &[Descriptor], train: &[Descriptor], out: &mut [(u32, u32)]) {
     nearest_rows_with(active_kernel(), query, train, out)
-}
-
-fn nearest2_rows(query: &[Descriptor], train: &[Descriptor], out: &mut [(u32, u32, u32)]) {
-    nearest2_rows_with(active_kernel(), query, train, out)
-}
-
-/// Nearest-neighbour matching with Lowe's ratio test: a match survives iff
-/// `best < ratio × second_best`. `ratio` ∈ (0, 1]; smaller is stricter.
-///
-/// # Panics
-/// Panics if `ratio` is not within `(0, 1]`.
-pub fn match_with_ratio(
-    query: &[Descriptor],
-    train: &[Descriptor],
-    ratio: f64,
-    max_distance: u32,
-) -> Vec<DescriptorMatch> {
-    match_with_ratio_in(WorkerPool::global(), query, train, ratio, max_distance)
-}
-
-/// [`match_with_ratio`] running its parallel rows on an explicit
-/// [`WorkerPool`]. Results are identical for any pool size.
-///
-/// # Panics
-/// Panics if `ratio` is not within `(0, 1]`.
-pub fn match_with_ratio_in(
-    pool: &WorkerPool,
-    query: &[Descriptor],
-    train: &[Descriptor],
-    ratio: f64,
-    max_distance: u32,
-) -> Vec<DescriptorMatch> {
-    assert!(ratio > 0.0 && ratio <= 1.0, "ratio must be in (0, 1]");
-    if query.is_empty() || train.is_empty() {
-        return Vec::new();
-    }
-    let mut best = vec![(u32::MAX, 0u32, u32::MAX); query.len()];
-    run_rows(pool, query, &mut best, |rows, out| {
-        nearest2_rows(rows, train, out)
-    });
-    collect_ratio(&best, ratio, max_distance)
-}
-
-/// [`match_with_ratio`] forced onto one dispatch rung, single-threaded
-/// (see [`match_brute_force_with_kernel`]).
-///
-/// # Panics
-/// Panics if `ratio` is not within `(0, 1]`.
-pub fn match_with_ratio_with_kernel(
-    kernel: MatchKernel,
-    query: &[Descriptor],
-    train: &[Descriptor],
-    ratio: f64,
-    max_distance: u32,
-) -> Vec<DescriptorMatch> {
-    assert!(ratio > 0.0 && ratio <= 1.0, "ratio must be in (0, 1]");
-    if query.is_empty() || train.is_empty() {
-        return Vec::new();
-    }
-    let mut best = vec![(u32::MAX, 0u32, u32::MAX); query.len()];
-    nearest2_rows_with(kernel, query, train, &mut best);
-    collect_ratio(&best, ratio, max_distance)
-}
-
-/// Folds per-row `(best, train, second)` triples into the match list,
-/// applying the distance cap and the Lowe ratio gate.
-fn collect_ratio(best: &[(u32, u32, u32)], ratio: f64, max_distance: u32) -> Vec<DescriptorMatch> {
-    best.iter()
-        .enumerate()
-        .filter(|(_, &(d, _, second))| {
-            d <= max_distance && (second == u32::MAX || (d as f64) < ratio * second as f64)
-        })
-        .map(|(qi, &(d, ti, _))| DescriptorMatch {
-            query: qi,
-            train: ti as usize,
-            distance: d,
-        })
-        .collect()
-}
-
-/// Scalar reference of [`match_with_ratio`]; the bit-exact oracle for
-/// the production kernel.
-pub fn match_with_ratio_reference(
-    query: &[Descriptor],
-    train: &[Descriptor],
-    ratio: f64,
-    max_distance: u32,
-) -> Vec<DescriptorMatch> {
-    assert!(ratio > 0.0 && ratio <= 1.0, "ratio must be in (0, 1]");
-    let mut out = Vec::new();
-    for (qi, q) in query.iter().enumerate() {
-        let mut best: Option<(usize, u32)> = None;
-        let mut second: u32 = u32::MAX;
-        for (ti, t) in train.iter().enumerate() {
-            let d = q.hamming(t);
-            match best {
-                None => best = Some((ti, d)),
-                Some((_, bd)) if d < bd => {
-                    second = bd;
-                    best = Some((ti, d));
-                }
-                Some(_) => second = second.min(d),
-            }
-        }
-        if let Some((ti, d)) = best {
-            let passes_ratio = second == u32::MAX || (d as f64) < ratio * second as f64;
-            if d <= max_distance && passes_ratio {
-                out.push(DescriptorMatch {
-                    query: qi,
-                    train: ti,
-                    distance: d,
-                });
-            }
-        }
-    }
-    out
 }
 
 /// Mutual-consistency filter: keeps a forward match `(q → t)` only when
@@ -786,34 +540,6 @@ mod tests {
     }
 
     #[test]
-    fn ratio_test_rejects_ambiguous() {
-        // Query equidistant from two train descriptors → ambiguous.
-        let q = [desc(&[0])];
-        let t = [desc(&[1]), desc(&[2])]; // both distance 2
-        let strict = match_with_ratio(&q, &t, 0.8, u32::MAX);
-        assert!(strict.is_empty());
-        // A clearly better best passes.
-        let t2 = [desc(&[0]), desc(&[1, 2, 3, 4, 5])];
-        let ok = match_with_ratio(&q, &t2, 0.8, u32::MAX);
-        assert_eq!(ok.len(), 1);
-        assert_eq!(ok[0].train, 0);
-    }
-
-    #[test]
-    fn ratio_test_single_candidate_passes() {
-        let q = [desc(&[0])];
-        let t = [desc(&[0, 1])];
-        let m = match_with_ratio(&q, &t, 0.5, u32::MAX);
-        assert_eq!(m.len(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "ratio")]
-    fn bad_ratio_panics() {
-        match_with_ratio(&[], &[], 1.5, 0);
-    }
-
-    #[test]
     fn cross_check_keeps_mutual_only() {
         let fwd = vec![
             DescriptorMatch {
@@ -878,11 +604,6 @@ mod tests {
                     match_brute_force(&query, &train, max_d),
                     match_brute_force_reference(&query, &train, max_d),
                     "brute force {nq}x{nt} max {max_d}"
-                );
-                assert_eq!(
-                    match_with_ratio(&query, &train, 0.8, max_d),
-                    match_with_ratio_reference(&query, &train, 0.8, max_d),
-                    "ratio {nq}x{nt} max {max_d}"
                 );
             }
         }

@@ -46,8 +46,6 @@ pub enum DescriptorKind {
     RsBrief,
     /// Original ORB pattern steered through the 30-angle LUT \[8\].
     OriginalLut,
-    /// Original ORB pattern with direct per-feature rotation (Eq. 2).
-    OriginalDirect,
 }
 
 /// Configuration of the [`OrbExtractor`].
@@ -152,7 +150,6 @@ impl OrbFeatures {
 enum Engine {
     Rs(RsBrief),
     Original(OriginalBrief),
-    Direct(OriginalBrief),
 }
 
 /// Per-pyramid-level scratch of the frame loop, reused across frames.
@@ -301,9 +298,6 @@ impl OrbExtractor {
             DescriptorKind::RsBrief => Engine::Rs(RsBrief::new(config.pattern_seed)),
             DescriptorKind::OriginalLut => {
                 Engine::Original(OriginalBrief::new(config.pattern_seed))
-            }
-            DescriptorKind::OriginalDirect => {
-                Engine::Direct(OriginalBrief::new(config.pattern_seed))
             }
         };
         OrbExtractor {
@@ -529,11 +523,11 @@ impl OrbExtractor {
         scale: f64,
     ) -> Keypoint {
         let label = self.lut.label(moments.m10, moments.m01);
-        // The continuous angle is retained for the Original descriptor
-        // modes; RS-BRIEF uses only the label, as the hardware does.
+        // The continuous angle is retained for the Original descriptor's
+        // LUT steering; RS-BRIEF uses only the label, as the hardware does.
         let angle = match self.config.descriptor {
             DescriptorKind::RsBrief => label_to_angle(label),
-            _ => moments.angle(),
+            DescriptorKind::OriginalLut => moments.angle(),
         };
         Keypoint {
             x: c.x as f64 * scale,
@@ -565,7 +559,6 @@ impl OrbExtractor {
         match &self.engine {
             Engine::Rs(rs) => rs.compute(smoothed, x, y, label),
             Engine::Original(orig) => orig.compute_lut(smoothed, x, y, angle),
-            Engine::Direct(orig) => orig.compute_direct(smoothed, x, y, angle),
         }
     }
 }
@@ -710,11 +703,7 @@ mod tests {
     #[test]
     fn descriptor_kinds_all_work() {
         let img = test_image(240, 180, 7);
-        for kind in [
-            DescriptorKind::RsBrief,
-            DescriptorKind::OriginalLut,
-            DescriptorKind::OriginalDirect,
-        ] {
+        for kind in [DescriptorKind::RsBrief, DescriptorKind::OriginalLut] {
             let f = OrbExtractor::new(OrbConfig {
                 descriptor: kind,
                 max_features: 64,
@@ -742,11 +731,7 @@ mod tests {
         // stats.
         for seed in 0..3u64 {
             let img = test_image(200, 150, seed);
-            for kind in [
-                DescriptorKind::RsBrief,
-                DescriptorKind::OriginalLut,
-                DescriptorKind::OriginalDirect,
-            ] {
+            for kind in [DescriptorKind::RsBrief, DescriptorKind::OriginalLut] {
                 let e = OrbExtractor::new(OrbConfig {
                     descriptor: kind,
                     max_features: 200,

@@ -889,11 +889,7 @@ mod tests {
 
     #[test]
     fn stream_matches_reference_across_kinds_and_sizes() {
-        for kind in [
-            DescriptorKind::RsBrief,
-            DescriptorKind::OriginalLut,
-            DescriptorKind::OriginalDirect,
-        ] {
+        for kind in [DescriptorKind::RsBrief, DescriptorKind::OriginalLut] {
             let e = OrbExtractor::new(OrbConfig {
                 descriptor: kind,
                 max_features: 200,

@@ -1,20 +1,20 @@
 //! Per-kernel bit-identity suite for the Hamming matcher dispatch
 //! ladder (avx512 → popcnt → scalar) and the persistent worker pool.
 //!
-//! Every rung the CPU supports is proven bit-identical to
-//! [`match_brute_force_reference`] / [`match_with_ratio_reference`] on
-//! random corpora, degenerate descriptors (all-zero, all-one,
-//! single-bit-set) and shapes that straddle the tile and SIMD-batch
-//! boundaries (query/train counts that are not multiples of the 8-train
-//! AVX-512 group, the 8-row query block or the 128-descriptor train
-//! tile).
+//! The ladder runs one search, a nearest-neighbour argmin whose ties keep
+//! the lowest train index, like the hardware Comparator. Every rung the
+//! CPU supports is proven bit-identical to its scalar oracle,
+//! [`match_brute_force_reference`], on random corpora, degenerate
+//! descriptors (all-zero, all-one, single-bit-set) and shapes that
+//! straddle the tile and SIMD-batch boundaries (query/train counts that
+//! are not multiples of the 8-train AVX-512 group, the 8-row query block
+//! or the 128-descriptor train tile).
 //! The pooled entry points are proven independent of pool size,
 //! including pools wider than the host's core count.
 
 use eslam_features::matcher::{
     active_kernel, match_brute_force, match_brute_force_in, match_brute_force_reference,
-    match_brute_force_with_kernel, match_with_ratio_in, match_with_ratio_reference,
-    match_with_ratio_with_kernel, MatchKernel,
+    match_brute_force_with_kernel, MatchKernel,
 };
 use eslam_features::orb::{OrbConfig, OrbExtractor, OrbScratch};
 use eslam_features::pool::WorkerPool;
@@ -74,11 +74,6 @@ fn every_supported_kernel_matches_reference_on_boundary_shapes() {
                     match_brute_force_reference(&query, &train, max_d),
                     "{kernel:?} {nq}x{nt} max {max_d}"
                 );
-                assert_eq!(
-                    match_with_ratio_with_kernel(kernel, &query, &train, 0.8, max_d),
-                    match_with_ratio_reference(&query, &train, 0.8, max_d),
-                    "{kernel:?} ratio {nq}x{nt} max {max_d}"
-                );
             }
         }
     }
@@ -108,11 +103,6 @@ fn every_supported_kernel_handles_degenerate_descriptors() {
                 "{kernel:?} degenerate max {max_d}"
             );
         }
-        assert_eq!(
-            match_with_ratio_with_kernel(kernel, &query, &train, 0.7, u32::MAX),
-            match_with_ratio_reference(&query, &train, 0.7, u32::MAX),
-            "{kernel:?} degenerate ratio"
-        );
     }
 }
 
@@ -158,18 +148,12 @@ fn pooled_matching_is_identical_for_any_pool_size() {
     let query = descriptor_set(300, 7);
     let train = descriptor_set(513, 8);
     let expect = match_brute_force_reference(&query, &train, u32::MAX);
-    let expect_ratio = match_with_ratio_reference(&query, &train, 0.8, u32::MAX);
     for threads in [1usize, 2, 3, 5] {
         let pool = WorkerPool::new(threads);
         assert_eq!(
             match_brute_force_in(&pool, &query, &train, u32::MAX),
             expect,
             "{threads} threads"
-        );
-        assert_eq!(
-            match_with_ratio_in(&pool, &query, &train, 0.8, u32::MAX),
-            expect_ratio,
-            "{threads} threads (ratio)"
         );
     }
 }
@@ -214,17 +198,11 @@ proptest! {
             train[nt / 2] = train[1];
         }
         let expect = match_brute_force_reference(&query, &train, max_d);
-        let expect_ratio = match_with_ratio_reference(&query, &train, 0.8, max_d);
         for kernel in supported_kernels() {
             prop_assert_eq!(
                 &match_brute_force_with_kernel(kernel, &query, &train, max_d),
                 &expect,
                 "{:?}", kernel
-            );
-            prop_assert_eq!(
-                &match_with_ratio_with_kernel(kernel, &query, &train, 0.8, max_d),
-                &expect_ratio,
-                "{:?} (ratio)", kernel
             );
         }
     }

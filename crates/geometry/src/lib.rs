@@ -60,7 +60,6 @@ pub mod quaternion;
 pub mod ransac;
 pub mod robust;
 pub mod se3;
-pub mod triangulation;
 pub mod vector;
 
 pub use camera::PinholeCamera;

@@ -196,9 +196,6 @@ pub struct PnpParams {
     /// RANSAC configuration. `threshold` is the inlier reprojection error
     /// in pixels.
     pub ransac: RansacParams,
-    /// Whether to polish the pose on all inliers with Levenberg–Marquardt
-    /// ([`optimize_pose`]) after consensus.
-    pub refine: bool,
 }
 
 impl Default for PnpParams {
@@ -211,14 +208,14 @@ impl Default for PnpParams {
                 confidence: 0.99,
                 seed: 0xe51a,
             },
-            refine: true,
         }
     }
 }
 
 /// Estimates the camera pose from 3-D/2-D correspondences with
-/// P3P + RANSAC, optionally polished by Levenberg–Marquardt on the
-/// inliers.
+/// P3P + RANSAC, then polishes it on the inliers with
+/// Levenberg–Marquardt ([`optimize_pose`]) and re-classifies the inliers
+/// under the polished pose.
 ///
 /// * `world` — 3-D map points in world coordinates.
 /// * `pixels` — observed pixel positions of the same points in the current
@@ -262,7 +259,7 @@ pub fn solve_pnp_ransac(
     let mut pose = result.model;
     let mut inliers = result.inliers;
 
-    if params.refine && inliers.len() >= 4 {
+    if inliers.len() >= 4 {
         let in_world: Vec<Vec3> = inliers.iter().map(|&i| world[i]).collect();
         let in_pixels: Vec<Vec2> = inliers.iter().map(|&i| pixels[i]).collect();
         let lm = optimize_pose(&pose, &in_world, &in_pixels, camera, &LmParams::default());

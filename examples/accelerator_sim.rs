@@ -4,7 +4,7 @@
 //! and the Fig. 7 pipeline timeline.
 //!
 //! ```text
-//! cargo run --release -p eslam-core --example accelerator_sim
+//! cargo run --release -p eslam --example accelerator_sim
 //! ```
 
 use eslam_dataset::sequence::SequenceSpec;

@@ -3,7 +3,7 @@
 //! and dumps the Fig. 2 pattern visualization.
 //!
 //! ```text
-//! cargo run --release -p eslam-core --example descriptor_study
+//! cargo run --release -p eslam --example descriptor_study
 //! ```
 
 use eslam_dataset::sequence::SequenceSpec;

@@ -1,9 +1,10 @@
 //! Quickstart: run the eSLAM pipeline on a synthetic TUM-like sequence
-//! and print the per-frame tracking reports plus the final trajectory
-//! error.
+//! and print the per-frame tracking reports, with the accelerator
+//! model's FE/FM latencies every report carries, plus the final
+//! trajectory error.
 //!
 //! ```text
-//! cargo run --release -p eslam-core --example quickstart
+//! cargo run --release -p eslam --example quickstart
 //! ```
 
 use eslam_core::{Slam, SlamConfig};
@@ -41,7 +42,7 @@ fn main() {
         wait_ms += t0.elapsed().as_secs_f64() * 1e3;
         let r = slam.process(frame.timestamp, &frame.gray, &frame.depth);
         track_ms += r.track_ms;
-        let hw = r.hw_timing.unwrap_or_default();
+        let hw = r.hw_timing;
         println!(
             "{:>5}  {}  {:>7}  {:>7}  {:>5}  {:>7.2}ms  {:>7.2}ms{}",
             r.index,

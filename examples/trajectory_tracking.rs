@@ -3,7 +3,7 @@
 //! a Fig. 9-style overlay plot as a PPM image.
 //!
 //! ```text
-//! cargo run --release -p eslam-core --example trajectory_tracking
+//! cargo run --release -p eslam --example trajectory_tracking
 //! ```
 //!
 //! Outputs land in `target/eslam-out/`.

@@ -168,11 +168,7 @@ fn streaming_bit_identical_for_all_descriptor_kinds() {
     });
     assert!(cut_ties, "no keep-bound cutoff falls inside a score tie");
     for (name, img) in [("textured", textured(200, 150, 3)), ("tied pairs", ties)] {
-        for kind in [
-            DescriptorKind::RsBrief,
-            DescriptorKind::OriginalLut,
-            DescriptorKind::OriginalDirect,
-        ] {
+        for kind in [DescriptorKind::RsBrief, DescriptorKind::OriginalLut] {
             for max_features in CAPACITIES {
                 let config = OrbConfig {
                     descriptor: kind,
