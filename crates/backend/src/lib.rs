@@ -31,7 +31,10 @@
 //!   map (the serving-side use of the same machinery): tf-idf BoW
 //!   retrieval over a persisted vocabulary, cross-checked SIMD
 //!   matching, and P3P/RANSAC against promotion-time camera-frame
-//!   geometry, returning a [`RelocalizationResult`] world pose.
+//!   geometry, returning a [`RelocalizationResult`] world pose. The
+//!   loop detector and the relocalizer keep their per-keyframe BoW
+//!   vectors and inverted word → keyframe lists in one crate-private
+//!   index type, which also runs their shared retrieval walk.
 //!
 //! # Determinism contract
 //!
@@ -83,6 +86,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod bow_index;
 pub mod covisibility;
 pub mod keyframe;
 pub mod loop_closure;

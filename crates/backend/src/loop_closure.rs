@@ -6,10 +6,11 @@
 //!
 //! 1. **Candidate retrieval** — every keyframe is quantized into a
 //!    BoW vector over an online-trained binary vocabulary
-//!    (`eslam_features::bow`), retrieved through an inverted word →
-//!    keyframe index. Before the vocabulary has enough training
-//!    descriptors, a brute-force SIMD descriptor-matching fallback
-//!    scores the (gated) candidates directly.
+//!    (`eslam_features::bow`), retrieved through the inverted word →
+//!    keyframe index the relocalizer uses too. Before the vocabulary has
+//!    enough training descriptors, a brute-force SIMD
+//!    descriptor-matching fallback scores the (gated) candidates
+//!    directly.
 //! 2. **Gating** — a candidate must be temporally distant (keyframe-id
 //!    gap), **covisibility-distant** (outside the BFS neighbourhood of
 //!    the current keyframe: a place the graph already connects you to
@@ -18,11 +19,11 @@
 //!    [`LoopClosureConfig::consistency`] consecutive keyframes before
 //!    it is trusted (temporal consistency).
 //! 3. **Geometric verification** — descriptors of the two keyframes are
-//!    cross-checked-matched (SIMD Hamming kernel), and the matches feed
-//!    the existing P3P + RANSAC pipeline against the candidate's
-//!    *camera-frame* landmark positions (recorded at promotion, so the
-//!    check is drift-free and survives map culling). Success yields the
-//!    measured relative pose `Z = T_cur ∘ T_cand⁻¹`.
+//!    cross-checked-matched (the one-pass mutual-nearest SIMD search),
+//!    and the matches feed the existing P3P + RANSAC pipeline against
+//!    the candidate's *camera-frame* landmark positions (recorded at
+//!    promotion, so the check is drift-free and survives map culling).
+//!    Success yields the measured relative pose `Z = T_cur ∘ T_cand⁻¹`.
 //! 4. **Pose-graph correction** — odometry + strong-covisibility edges
 //!    snapshot the trajectory as tracked; the verified loop edge pulls
 //!    its two ends together and `eslam_geometry::pose_graph`
@@ -36,12 +37,11 @@
 //! 1–2 run on the tracking thread at keyframe insertion (they are
 //! cheap and their state must evolve deterministically).
 
+use crate::bow_index::BowIndex;
 use crate::covisibility::CovisibilityGraph;
 use crate::keyframe::{KeyframeId, KeyframeStore};
 use eslam_features::bow::{BowParams, BowVector, Vocabulary};
-use eslam_features::matcher::{
-    active_kernel, cross_check, match_brute_force_with_kernel, MatchKernel,
-};
+use eslam_features::matcher::{active_kernel, match_mutual_with_kernel, MatchKernel};
 use eslam_features::Descriptor;
 use eslam_geometry::pnp::{solve_pnp_ransac, PnpParams};
 use eslam_geometry::pose_graph::{
@@ -160,8 +160,8 @@ pub struct LoopCandidate {
     pub bow_backed: bool,
 }
 
-/// Place-recognition state: the online vocabulary, per-keyframe BoW
-/// vectors, the inverted index, and the temporal-consistency tracker.
+/// Place-recognition state: the online vocabulary, the BoW keyframe
+/// index, and the temporal-consistency tracker.
 #[derive(Debug, Clone)]
 pub struct LoopDetector {
     config: LoopClosureConfig,
@@ -169,10 +169,8 @@ pub struct LoopDetector {
     /// Descriptors pooled for vocabulary training (until trained).
     training: Vec<Descriptor>,
     /// Per-keyframe BoW vectors, store-id aligned (empty vectors before
-    /// the vocabulary exists).
-    bow: Vec<BowVector>,
-    /// Inverted index word → keyframes containing it (id-ascending).
-    inverted: HashMap<u32, Vec<KeyframeId>>,
+    /// the vocabulary exists), with their inverted word index.
+    index: BowIndex,
     /// Covisibility group of the previous keyframe's best candidate.
     last_group: Vec<KeyframeId>,
     /// Consecutive keyframes agreeing on that group.
@@ -190,8 +188,7 @@ impl LoopDetector {
             config,
             vocabulary: None,
             training: Vec::new(),
-            bow: Vec::new(),
-            inverted: HashMap::new(),
+            index: BowIndex::default(),
             last_group: Vec::new(),
             consistency: 0,
             seen: 0,
@@ -229,20 +226,19 @@ impl LoopDetector {
                 if let Some(vocab) = Vocabulary::train(&self.training, &self.config.bow) {
                     self.vocabulary = Some(vocab);
                     self.training = Vec::new();
-                    self.bow.clear();
-                    self.inverted.clear();
+                    self.index = BowIndex::default();
                     for kf in store.keyframes() {
                         self.index_keyframe(kf.id, &kf.descriptors);
                     }
                 }
             }
             if self.vocabulary.is_none() {
-                self.bow.push(BowVector::empty());
+                self.index.push(BowVector::empty());
             }
         } else {
             self.index_keyframe(id, descriptors);
         }
-        debug_assert_eq!(self.bow.len(), store.len());
+        debug_assert_eq!(self.index.len(), store.len());
 
         if descriptors.is_empty() {
             self.reset_consistency();
@@ -319,23 +315,12 @@ impl LoopDetector {
     /// detector knows; the surplus entry is ignored and the vector for
     /// that keyframe arrives with the observe call that follows.
     pub fn apply_remap(&mut self, remap: &[Option<KeyframeId>]) {
+        let indexed = self.index.len();
         debug_assert!(
-            remap.len() >= self.bow.len() && remap[self.bow.len()..].iter().all(|m| m.is_some()),
+            remap.len() >= indexed && remap[indexed..].iter().all(|m| m.is_some()),
             "cull remap removed a keyframe the detector has not indexed"
         );
-        let old = std::mem::take(&mut self.bow);
-        self.bow = old
-            .into_iter()
-            .zip(remap)
-            .filter(|(_, m)| m.is_some())
-            .map(|(v, _)| v)
-            .collect();
-        self.inverted.clear();
-        for (id, vector) in self.bow.iter().enumerate() {
-            for &(word, _) in vector.entries() {
-                self.inverted.entry(word).or_default().push(id);
-            }
-        }
+        self.index.apply_remap(remap);
         let mut group: Vec<KeyframeId> = self
             .last_group
             .iter()
@@ -348,12 +333,8 @@ impl LoopDetector {
     /// Quantizes and indexes one keyframe's descriptors.
     fn index_keyframe(&mut self, id: KeyframeId, descriptors: &[Descriptor]) {
         let vocab = self.vocabulary.as_ref().expect("vocabulary trained");
-        let vector = vocab.vector_of(descriptors);
-        for &(word, _) in vector.entries() {
-            self.inverted.entry(word).or_default().push(id);
-        }
-        debug_assert_eq!(self.bow.len(), id);
-        self.bow.push(vector);
+        let pushed = self.index.push(vocab.vector_of(descriptors));
+        debug_assert_eq!(pushed, id);
     }
 
     fn reset_consistency(&mut self) {
@@ -373,7 +354,7 @@ impl LoopDetector {
         covisibility: &CovisibilityGraph,
         gated: &mut dyn FnMut(KeyframeId) -> bool,
     ) -> Option<(KeyframeId, f64, bool)> {
-        let current = &self.bow[id];
+        let current = self.index.vector(id);
         if current.is_empty() {
             return None;
         }
@@ -382,25 +363,16 @@ impl LoopDetector {
         // least as strongly.
         let mut reference: f64 = 0.0;
         for (neighbor, _) in covisibility.neighbors(id, 1) {
-            let s = current.similarity(&self.bow[neighbor]);
+            let s = current.similarity(self.index.vector(neighbor));
             reference = reference.max(s);
         }
 
         // Deterministic sparse retrieval: every keyframe sharing ≥ 1
         // word, visited in ascending id order.
-        let mut sharing: Vec<KeyframeId> = Vec::new();
-        for &(word, _) in current.entries() {
-            if let Some(ids) = self.inverted.get(&word) {
-                sharing.extend(ids.iter().copied());
-            }
-        }
-        sharing.sort_unstable();
-        sharing.dedup();
-
-        let mut ranked: Vec<(KeyframeId, f64)> = sharing
+        let mut ranked: Vec<(KeyframeId, f64)> = self
+            .index
+            .scores(current, |c| c != id && gated(c))
             .into_iter()
-            .filter(|&c| c != id && gated(c))
-            .map(|c| (c, current.similarity(&self.bow[c])))
             .filter(|&(_, s)| s >= reference * 0.8)
             .collect();
         // Highest word overlap first; ties toward older keyframes.
@@ -456,19 +428,18 @@ impl LoopDetector {
     }
 }
 
-/// Cross-checked descriptor matches `(query index, train index)` on a
-/// pinned kernel (single-threaded — the job may already be running on a
-/// pool worker; every kernel rung is bit-identical, so which one the
-/// host dispatches does not affect results).
+/// Cross-checked descriptor matches `(query index, train index)`: the
+/// mutual-nearest search ([`match_mutual_with_kernel`]) on a pinned
+/// kernel, single-threaded — the job may already be running on a pool
+/// worker; every kernel rung is bit-identical, so which one the host
+/// dispatches does not affect results.
 pub(crate) fn matched_pairs(
     kernel: MatchKernel,
     query: &[Descriptor],
     train: &[Descriptor],
     max_distance: u32,
 ) -> Vec<(usize, usize)> {
-    let forward = match_brute_force_with_kernel(kernel, query, train, max_distance);
-    let backward = match_brute_force_with_kernel(kernel, train, query, max_distance);
-    cross_check(&forward, &backward)
+    match_mutual_with_kernel(kernel, query, train, max_distance)
         .into_iter()
         .map(|m| (m.query, m.train))
         .collect()
@@ -1074,8 +1045,8 @@ mod tests {
             })
             .collect();
         detector.apply_remap(&remap);
-        assert_eq!(detector.bow.len(), n - 2);
-        for ids in detector.inverted.values() {
+        assert_eq!(detector.index.len(), n - 2);
+        for ids in detector.index.postings() {
             for &id in ids {
                 assert!(id < n - 2, "stale id {id} in inverted index");
             }
@@ -1140,11 +1111,14 @@ mod tests {
             /// `matched_pairs` is the mutual-nearest cross-check on every
             /// kernel rung the host supports, with duplicated
             /// descriptors on both sides and across them, at the
-            /// tightest, a working and no distance cap.
+            /// tightest, a working and no distance cap. Up to 300 trains
+            /// cross the 128-train tile whose column minima the one-pass
+            /// search carries, and up to 140 queries cross the 8-row
+            /// query block.
             #[test]
             fn matched_pairs_equal_the_mutual_nearest_oracle(
-                nq in 1usize..40,
-                nt in 1usize..60,
+                nq in 1usize..141,
+                nt in 1usize..301,
                 seed in any::<u64>(),
                 sparsity in 0u32..4,
                 cap in 0usize..3,

@@ -13,11 +13,16 @@
 //! 1. **BoW retrieval** — the query frame's descriptors quantize
 //!    through the persisted [`Vocabulary`] into a tf-idf weighted
 //!    [`BowVector`] (idf weights ride in the atlas file; plain tf when
-//!    absent), and an inverted word→keyframe index narrows the search
-//!    to keyframes sharing words with the query;
+//!    absent). The BoW keyframe index the loop detector uses too marks
+//!    the keyframes sharing a word with the query through its inverted
+//!    word→keyframe lists, and scores each, in ascending id order,
+//!    against a dense per-word array of the query's weights: the
+//!    [`BowVector::similarity`] sum, bit for bit;
 //! 2. **cross-checked SIMD match** — candidates are verified with the
-//!    same forward+backward brute-force Hamming match the loop
-//!    verifier uses, on the kernel rung the CPU supports;
+//!    same mutual-nearest match the loop verifier uses
+//!    ([`eslam_features::matcher::match_mutual_with_kernel`]): one pass
+//!    over the Hamming distances keeps each query's nearest train and
+//!    each train's nearest query, on the kernel rung the CPU supports;
 //! 3. **P3P/RANSAC** — matched pixels solve PnP against the
 //!    candidate's promotion-time **camera-frame** landmark positions
 //!    (drift-free RGB-D measurements), so the estimated pose is the
@@ -29,6 +34,7 @@
 //! matcher rungs are bit-identical, and RANSAC is seeded — the same
 //! query against the same map always returns the same pose.
 
+use crate::bow_index::BowIndex;
 use crate::keyframe::{KeyframeId, KeyframeStore};
 use crate::loop_closure::matched_pairs;
 use eslam_features::bow::{BowVector, Vocabulary};
@@ -36,7 +42,6 @@ use eslam_features::matcher::active_kernel;
 use eslam_features::Descriptor;
 use eslam_geometry::pnp::{solve_pnp_ransac, PnpParams};
 use eslam_geometry::{PinholeCamera, Se3, Vec2, Vec3};
-use std::collections::HashMap;
 
 /// Tuning of the cold-start relocalization pipeline.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -95,10 +100,9 @@ pub struct RelocalizationResult {
 #[derive(Debug, Clone, Default)]
 pub struct Relocalizer {
     /// Per-keyframe BoW vectors, indexed by keyframe id (empty vector
-    /// for keyframes without descriptors).
-    bow: Vec<BowVector>,
-    /// Word id → keyframes whose vector contains it, ascending.
-    inverted: HashMap<u32, Vec<KeyframeId>>,
+    /// for keyframes without descriptors), with their inverted word
+    /// index.
+    index: BowIndex,
 }
 
 impl Relocalizer {
@@ -107,26 +111,22 @@ impl Relocalizer {
     /// the vocabulary carries idf weights, plain term frequency
     /// otherwise (same as [`Vocabulary::tfidf_vector_of`]).
     pub fn build(vocabulary: &Vocabulary, store: &KeyframeStore) -> Relocalizer {
-        let mut bow = Vec::with_capacity(store.len());
-        let mut inverted: HashMap<u32, Vec<KeyframeId>> = HashMap::new();
+        let mut index = BowIndex::default();
         for kf in store.keyframes() {
-            let v = vocabulary.tfidf_vector_of(&kf.descriptors);
-            for &(word, _) in v.entries() {
-                inverted.entry(word).or_default().push(kf.id);
-            }
-            bow.push(v);
+            let id = index.push(vocabulary.tfidf_vector_of(&kf.descriptors));
+            debug_assert_eq!(id, kf.id);
         }
-        Relocalizer { bow, inverted }
+        Relocalizer { index }
     }
 
     /// Number of indexed keyframes.
     pub fn len(&self) -> usize {
-        self.bow.len()
+        self.index.len()
     }
 
     /// Whether the index covers no keyframes.
     pub fn is_empty(&self) -> bool {
-        self.bow.is_empty()
+        self.index.len() == 0
     }
 
     /// Ranks candidate keyframes for a query vector: every keyframe
@@ -138,17 +138,10 @@ impl Relocalizer {
         query: &BowVector,
         config: &RelocalizationConfig,
     ) -> Vec<(KeyframeId, f64)> {
-        let mut sharing: Vec<KeyframeId> = Vec::new();
-        for &(word, _) in query.entries() {
-            if let Some(kfs) = self.inverted.get(&word) {
-                sharing.extend_from_slice(kfs);
-            }
-        }
-        sharing.sort_unstable();
-        sharing.dedup();
-        let mut scored: Vec<(KeyframeId, f64)> = sharing
+        let mut scored: Vec<(KeyframeId, f64)> = self
+            .index
+            .scores(query, |_| true)
             .into_iter()
-            .map(|id| (id, query.similarity(&self.bow[id])))
             .filter(|&(_, s)| s >= config.min_similarity)
             .collect();
         scored.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
@@ -181,7 +174,7 @@ impl Relocalizer {
         );
         assert_eq!(
             store.len(),
-            self.bow.len(),
+            self.index.len(),
             "index built from another store"
         );
         if descriptors.is_empty() || store.is_empty() {

@@ -6,7 +6,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use eslam_features::bow::{BowParams, BowVector, Vocabulary};
-use eslam_features::matcher::{active_kernel, cross_check, match_brute_force_with_kernel};
+use eslam_features::matcher::{active_kernel, match_mutual_with_kernel};
 use eslam_features::Descriptor;
 use eslam_geometry::pose_graph::{optimize_pose_graph, PoseGraphEdge, PoseGraphParams};
 use eslam_geometry::{Se3, Vec3};
@@ -62,16 +62,15 @@ fn bench_candidate_retrieval(c: &mut Criterion) {
             black_box(best)
         })
     });
-    // The fallback it replaces: cross-checked SIMD matching against
-    // every keyframe (informational — shows the retrieval win).
+    // The fallback it replaces: cross-checked SIMD matching (the
+    // one-pass mutual search) against every keyframe (informational —
+    // shows the retrieval win).
     let kernel = active_kernel();
     group.bench_function("brute_force_retrieval", |b| {
         b.iter(|| {
             let mut best = (0usize, 0usize);
             for (i, store) in stores.iter().enumerate() {
-                let fwd = match_brute_force_with_kernel(kernel, &query, store, 64);
-                let bwd = match_brute_force_with_kernel(kernel, store, &query, 64);
-                let n = cross_check(&fwd, &bwd).len();
+                let n = match_mutual_with_kernel(kernel, &query, store, 64).len();
                 if n > best.1 {
                     best = (i, n);
                 }

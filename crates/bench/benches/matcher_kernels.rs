@@ -9,10 +9,17 @@
 //! timing, so the CI gate knows a missing entry is "unsupported here",
 //! not "silently dropped". The bench-smoke job tracks these timings in
 //! its regression baseline (see `crates/bench/src/regress.rs`).
+//!
+//! `matcher_mutual/<rung>` times the one-pass mutual search
+//! ([`match_mutual_with_kernel`]) at the relocalization workload's shape,
+//! 1,024 query descriptors against a 979-descriptor keyframe. It is
+//! informational: the baseline has no entry for it.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use eslam_features::matcher::{match_brute_force_with_kernel, MatchKernel};
-use eslam_features::Descriptor;
+use eslam_features::matcher::{
+    match_brute_force_with_kernel, match_mutual_with_kernel, MatchKernel,
+};
+use eslam_features::{Descriptor, DescriptorMatch};
 use std::hint::black_box;
 
 fn descriptors(n: usize, salt: u64) -> Vec<Descriptor> {
@@ -29,10 +36,20 @@ fn descriptors(n: usize, salt: u64) -> Vec<Descriptor> {
         .collect()
 }
 
+/// One matcher search pinned to a rung.
+type Search = fn(MatchKernel, &[Descriptor], &[Descriptor], u32) -> Vec<DescriptorMatch>;
+
 /// Runs one `group_name/<rung>` bench per supported dispatch rung,
 /// printing a stdout skip marker (which `eslam_bench::regress` parses)
 /// for rungs the host CPU cannot execute.
-fn bench_kernel_group(c: &mut Criterion, group_name: &str, nq: usize, nt: usize, salt: u64) {
+fn bench_kernel_group(
+    c: &mut Criterion,
+    group_name: &str,
+    search: Search,
+    nq: usize,
+    nt: usize,
+    salt: u64,
+) {
     let query = descriptors(nq, salt);
     let train = descriptors(nt, salt + 1);
     let mut group = c.benchmark_group(group_name);
@@ -48,16 +65,7 @@ fn bench_kernel_group(c: &mut Criterion, group_name: &str, nq: usize, nt: usize,
         group.bench_with_input(
             BenchmarkId::from_parameter(kernel.name()),
             &kernel,
-            |b, &kernel| {
-                b.iter(|| {
-                    black_box(match_brute_force_with_kernel(
-                        kernel,
-                        &query,
-                        &train,
-                        u32::MAX,
-                    ))
-                })
-            },
+            |b, &kernel| b.iter(|| black_box(search(kernel, &query, &train, u32::MAX))),
         );
     }
     group.finish();
@@ -65,14 +73,27 @@ fn bench_kernel_group(c: &mut Criterion, group_name: &str, nq: usize, nt: usize,
 
 fn bench_kernels(c: &mut Criterion) {
     // The paper's design point: 1024 features against a 2304-point map.
-    bench_kernel_group(c, "matcher_kernel", 1024, 2304, 1);
+    let nearest: Search = match_brute_force_with_kernel;
+    bench_kernel_group(c, "matcher_kernel", nearest, 1024, 2304, 1);
 }
 
 fn bench_kernels_small_map(c: &mut Criterion) {
     // Small-map regime (bootstrap frames): reduction overhead per pair
     // weighs more here, so track it separately.
-    bench_kernel_group(c, "matcher_kernel_small", 512, 576, 3);
+    let nearest: Search = match_brute_force_with_kernel;
+    bench_kernel_group(c, "matcher_kernel_small", nearest, 512, 576, 3);
 }
 
-criterion_group!(benches, bench_kernels, bench_kernels_small_map);
+fn bench_mutual(c: &mut Criterion) {
+    // Relocalization's verification match: a query frame's 1024
+    // descriptors against one candidate keyframe's 979.
+    bench_kernel_group(c, "matcher_mutual", match_mutual_with_kernel, 1024, 979, 5);
+}
+
+criterion_group!(
+    benches,
+    bench_kernels,
+    bench_kernels_small_map,
+    bench_mutual
+);
 criterion_main!(benches);

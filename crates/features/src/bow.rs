@@ -31,6 +31,13 @@
 //! down-weight words that appear in most keyframes. The idf channel is
 //! strictly opt-in — [`Vocabulary::vector_of`] and the online loop
 //! detector's scoring are untouched by it.
+//!
+//! Quantization ([`Vocabulary::vector_of`]) walks each descriptor down
+//! the tree in one word loop, compiled twice from one source: once for
+//! the target's baseline features, where `count_ones` is a
+//! bit-twiddling sequence, and once with `popcnt` enabled, chosen at
+//! run time. Both give every descriptor the word [`Vocabulary::word_of`]
+//! gives it, and the words are counted in a dense per-word histogram.
 
 use crate::descriptor::{Descriptor, DESCRIPTOR_BITS};
 
@@ -221,6 +228,10 @@ impl Vocabulary {
 
     /// Quantizes one descriptor to its word id by walking the tree
     /// (nearest child by Hamming distance, ties toward the first).
+    /// Always inlined, so each compiled instance of
+    /// [`Vocabulary::vector_of`]'s word loop walks with its own
+    /// `count_ones`.
+    #[inline(always)]
     pub fn word_of(&self, descriptor: &Descriptor) -> u32 {
         let mut level = &self.roots;
         loop {
@@ -241,15 +252,24 @@ impl Vocabulary {
 
     /// Quantizes a whole frame's descriptors into an L1-normalized
     /// sparse [`BowVector`] (term-frequency weights).
+    ///
+    /// The word loop runs the `popcnt` instance where the CPU has the
+    /// instruction and the baseline instance elsewhere. Words are
+    /// counted in a dense per-word histogram and collected in word
+    /// order, so each weight is its exact count over the exact total.
     pub fn vector_of(&self, descriptors: &[Descriptor]) -> BowVector {
-        let mut entries: Vec<(u32, f64)> = Vec::new();
-        for d in descriptors {
-            let w = self.word_of(d);
-            match entries.binary_search_by_key(&w, |e| e.0) {
-                Ok(i) => entries[i].1 += 1.0,
-                Err(i) => entries.insert(i, (w, 1.0)),
-            }
+        let mut words = vec![0u32; descriptors.len()];
+        self.words_into(descriptors, &mut words);
+        let mut counts = vec![0u32; self.words];
+        for &w in &words {
+            counts[w as usize] += 1;
         }
+        let mut entries: Vec<(u32, f64)> = counts
+            .iter()
+            .enumerate()
+            .filter(|&(_, &c)| c > 0)
+            .map(|(w, &c)| (w as u32, f64::from(c)))
+            .collect();
         let total: f64 = entries.iter().map(|e| e.1).sum();
         if total > 0.0 {
             for e in &mut entries {
@@ -257,6 +277,39 @@ impl Vocabulary {
             }
         }
         BowVector { entries }
+    }
+
+    /// The word loop: `words[i]` becomes the word of `descriptors[i]`.
+    fn words_into(&self, descriptors: &[Descriptor], words: &mut [u32]) {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("popcnt") {
+            // SAFETY: popcnt was detected on this CPU.
+            unsafe { self.words_into_popcnt(descriptors, words) };
+            return;
+        }
+        self.words_into_baseline(descriptors, words);
+    }
+
+    /// The word loop compiled for the target's baseline features: the
+    /// only instance on hosts without `popcnt`.
+    fn words_into_baseline(&self, descriptors: &[Descriptor], words: &mut [u32]) {
+        self.word_loop(descriptors, words);
+    }
+
+    /// The word loop compiled with `popcnt` enabled: the same source as
+    /// [`Self::words_into_baseline`], one `popcnt` per descriptor word.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "popcnt")]
+    fn words_into_popcnt(&self, descriptors: &[Descriptor], words: &mut [u32]) {
+        self.word_loop(descriptors, words);
+    }
+
+    /// The word loop itself, inlined into each compiled instance.
+    #[inline(always)]
+    fn word_loop(&self, descriptors: &[Descriptor], words: &mut [u32]) {
+        for (d, w) in descriptors.iter().zip(words.iter_mut()) {
+            *w = self.word_of(d);
+        }
     }
 
     /// Trains per-word idf (inverse document frequency) weights over a
@@ -351,9 +404,11 @@ impl Vocabulary {
     /// is acyclic and the walk terminates), every node either a leaf
     /// (word, no children) or internal (children, no word), word ids
     /// exactly `0..words` with one leaf each, and idf weights (when
-    /// present) finite with length `words`. Returns a description of
-    /// the first violation instead, so corrupted or adversarial files
-    /// surface as typed errors upstream rather than hangs or panics.
+    /// present) finite, non-negative and of length `words`. Returns a
+    /// description of the first violation instead, so corrupted or
+    /// adversarial files surface as typed errors upstream rather than
+    /// hangs or panics. Non-negative idf keeps every tf-idf weight
+    /// non-negative, which retrieval's dense scoring relies on.
     pub fn from_parts(parts: VocabularyParts) -> Result<Vocabulary, String> {
         let n = parts.nodes.len();
         if parts.roots.is_empty() {
@@ -421,6 +476,9 @@ impl Vocabulary {
             if let Some(bad) = idf.iter().find(|v| !v.is_finite()) {
                 return Err(format!("non-finite idf weight {bad}"));
             }
+            if let Some(bad) = idf.iter().find(|&&v| v < 0.0) {
+                return Err(format!("negative idf weight {bad}"));
+            }
         }
         Ok(Vocabulary {
             nodes: parts
@@ -465,7 +523,8 @@ fn majority(descriptors: &[Descriptor], members: &[usize]) -> Descriptor {
 }
 
 /// A sparse, L1-normalized word-frequency vector (one per frame or
-/// keyframe), sorted by word id.
+/// keyframe), sorted by word id. Weights are never negative: term
+/// frequencies, scaled by non-negative idf weights for tf-idf vectors.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct BowVector {
     /// `(word, weight)` entries, sorted by word, weights summing to 1.
@@ -679,6 +738,11 @@ mod tests {
         bad_idf.idf = Some(vec![f64::NAN; good.words]);
         assert!(Vocabulary::from_parts(bad_idf).is_err());
 
+        let mut negative_idf = good.clone();
+        negative_idf.idf = Some(vec![1.0; good.words]);
+        negative_idf.idf.as_mut().unwrap()[0] = -0.5;
+        assert!(Vocabulary::from_parts(negative_idf).is_err());
+
         let mut short_idf = good;
         short_idf.idf = Some(vec![1.0]);
         assert!(Vocabulary::from_parts(short_idf).is_err());
@@ -756,8 +820,75 @@ mod tests {
                 .collect()
         }
 
+        /// `vector_of` before the dense histogram: a sorted insert per
+        /// descriptor, as `(word, weight bits)`.
+        fn vector_by_sorted_insert(
+            vocab: &Vocabulary,
+            descriptors: &[Descriptor],
+        ) -> Vec<(u32, u64)> {
+            let mut entries: Vec<(u32, f64)> = Vec::new();
+            for d in descriptors {
+                let w = vocab.word_of(d);
+                match entries.binary_search_by_key(&w, |e| e.0) {
+                    Ok(i) => entries[i].1 += 1.0,
+                    Err(i) => entries.insert(i, (w, 1.0)),
+                }
+            }
+            let total: f64 = entries.iter().map(|e| e.1).sum();
+            if total > 0.0 {
+                for e in &mut entries {
+                    e.1 /= total;
+                }
+            }
+            entries.iter().map(|&(w, x)| (w, x.to_bits())).collect()
+        }
+
         proptest! {
-            #![proptest_config(ProptestConfig::with_cases(16))]
+            #![proptest_config(ProptestConfig::with_cases(32))]
+
+            /// Both compiled instances of the word loop give every
+            /// descriptor the word `word_of` gives it, on a vocabulary
+            /// trained on descriptor families or on random descriptors,
+            /// for random queries, repeated query rows and training
+            /// descriptors themselves; `vector_of` equals the sorted
+            /// insert it replaced, weight bits included.
+            #[test]
+            fn word_loop_instances_equal_word_of(
+                families in any::<bool>(),
+                train_words in proptest::collection::vec(any::<u64>(), 32..256),
+                query_words in proptest::collection::vec(any::<u64>(), 0..256),
+                dup in any::<usize>(),
+            ) {
+                let train = if families { three_places(30) } else { descriptors_from(&train_words) };
+                let vocab = Vocabulary::train(&train, &BowParams::default()).unwrap();
+                let mut query = descriptors_from(&query_words);
+                if let Some(&repeated) = query.get(dup % query.len().max(1)) {
+                    query.push(repeated);
+                    query.push(repeated);
+                }
+                query.extend(train.iter().skip(dup % 3).step_by(3));
+                query.push(train[dup % train.len()]);
+                let expect: Vec<u32> = query.iter().map(|d| vocab.word_of(d)).collect();
+
+                let mut words = vec![u32::MAX; query.len()];
+                vocab.words_into_baseline(&query, &mut words);
+                prop_assert_eq!(&words, &expect, "baseline");
+                #[cfg(target_arch = "x86_64")]
+                if std::arch::is_x86_feature_detected!("popcnt") {
+                    let mut words = vec![u32::MAX; query.len()];
+                    // SAFETY: popcnt was detected on this CPU.
+                    unsafe { vocab.words_into_popcnt(&query, &mut words) };
+                    prop_assert_eq!(&words, &expect, "popcnt");
+                }
+
+                let vector: Vec<(u32, u64)> = vocab
+                    .vector_of(&query)
+                    .entries()
+                    .iter()
+                    .map(|&(w, x)| (w, x.to_bits()))
+                    .collect();
+                prop_assert_eq!(vector, vector_by_sorted_insert(&vocab, &query));
+            }
 
             /// Every descriptor quantizes to a valid word, and the frame
             /// vector stays normalized, for arbitrary inputs.

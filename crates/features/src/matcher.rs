@@ -3,14 +3,25 @@
 //! Software reference of the paper's BRIEF Matcher (§3.2): for each
 //! descriptor of the current frame, compute the Hamming distance to every
 //! map descriptor and keep the minimum, the first one on ties, as the
-//! hardware Comparator does. There is one search, [`match_brute_force`],
-//! and one scalar oracle, [`match_brute_force_reference`].
+//! hardware Comparator does. There are two searches, each with one scalar
+//! oracle:
 //!
-//! The production kernel is cache-tiled over the `[u64; 4]` descriptor
+//! * the nearest search, [`match_brute_force`] (tracking against the
+//!   map), held to [`match_brute_force_reference`];
+//! * the mutual search, [`match_mutual_with_kernel`] (the cross-checked
+//!   match of relocalization and loop verification), held to
+//!   [`match_mutual_reference`]: a nearest pass each way plus a
+//!   cross-check. The production search computes each distance once and
+//!   keeps two minima, each query's over the trains and each train's
+//!   over the queries.
+//!
+//! The production kernels are cache-tiled over the `[u64; 4]` descriptor
 //! words — train tiles stay L1-resident while a block of query rows
-//! streams over them — and splits the query rows across a persistent
-//! [`WorkerPool`] on multicore hosts (the process-global pool for
-//! [`match_brute_force`], an explicit pool for [`match_brute_force_in`]).
+//! streams over them. The nearest search splits the query rows across a
+//! persistent [`WorkerPool`] on multicore hosts (the process-global pool
+//! for [`match_brute_force`], an explicit pool for
+//! [`match_brute_force_in`]); the mutual search runs on the calling
+//! thread.
 //!
 //! # Kernel dispatch ladder
 //!
@@ -36,8 +47,8 @@
 //! The production entry points run the fastest rung the CPU supports
 //! ([`active_kernel`]); the `*_with_kernel` hooks pin any rung, which is
 //! how the per-kernel property tests and benches cover the whole ladder
-//! in one process. Every rung is bit-identical to
-//! [`match_brute_force_reference`] (proven by unit and property tests).
+//! in one process. Every rung of each search is bit-identical to that
+//! search's oracle (proven by unit and property tests).
 
 use crate::descriptor::Descriptor;
 use crate::pool::WorkerPool;
@@ -244,6 +255,66 @@ pub fn match_brute_force_reference(
     out
 }
 
+/// Mutual-nearest matches on one dispatch rung, single-threaded: query
+/// `q` pairs with train `t` when `t` is `q`'s nearest train (ties keep
+/// the lowest train index), `q` is `t`'s nearest query (ties keep the
+/// lowest query index), and their distance is within `max_distance`.
+///
+/// One tiled pass computes each distance once and keeps both minima:
+/// the row minimum `(distance, train)` per query, as
+/// [`match_brute_force`] does, and a `(distance << 32) | query` key
+/// minimum per train. Returns matches ordered by query index; an
+/// unsupported `kernel` falls back to [`MatchKernel::Scalar`]. Every rung
+/// is bit-identical to [`match_mutual_reference`].
+///
+/// # Examples
+///
+/// ```
+/// use eslam_features::{Descriptor, matcher::{match_mutual_with_kernel, MatchKernel}};
+/// let q = [Descriptor::from_words([0b0111, 0, 0, 0]), Descriptor::from_words([0b0011, 0, 0, 0])];
+/// let t = [Descriptor::from_words([0b0001, 0, 0, 0])];
+/// // Both queries' nearest train is train 0, whose nearest query is query 1.
+/// let m = match_mutual_with_kernel(MatchKernel::detect(), &q, &t, u32::MAX);
+/// assert_eq!(m.len(), 1);
+/// assert_eq!((m[0].query, m[0].train, m[0].distance), (1, 0, 1));
+/// ```
+pub fn match_mutual_with_kernel(
+    kernel: MatchKernel,
+    query: &[Descriptor],
+    train: &[Descriptor],
+    max_distance: u32,
+) -> Vec<DescriptorMatch> {
+    if query.is_empty() || train.is_empty() {
+        return Vec::new();
+    }
+    let mut rows = vec![(u32::MAX, 0u32); query.len()];
+    let mut cols = vec![u64::MAX; train.len()];
+    mutual_rows_with(kernel, query, train, &mut rows, &mut cols);
+    rows.iter()
+        .enumerate()
+        .filter(|&(qi, &(d, ti))| d <= max_distance && cols[ti as usize] as u32 == qi as u32)
+        .map(|(qi, &(d, ti))| DescriptorMatch {
+            query: qi,
+            train: ti as usize,
+            distance: d,
+        })
+        .collect()
+}
+
+/// Scalar reference of [`match_mutual_with_kernel`]: a
+/// [`match_brute_force_reference`] pass each way, query → train and
+/// train → query, then a cross-check that keeps a forward match
+/// `(q → t)` only when the backward pass pairs `t → q`.
+pub fn match_mutual_reference(
+    query: &[Descriptor],
+    train: &[Descriptor],
+    max_distance: u32,
+) -> Vec<DescriptorMatch> {
+    let forward = match_brute_force_reference(query, train, max_distance);
+    let backward = match_brute_force_reference(train, query, max_distance);
+    cross_check(&forward, &backward)
+}
+
 /// Splits `out` (one slot per query row) across the worker pool and runs
 /// `kernel` on each piece. Row order inside a piece is preserved and
 /// pieces are disjoint, so the result is independent of the split.
@@ -323,6 +394,89 @@ unsafe fn nearest_rows_popcnt(query: &[Descriptor], train: &[Descriptor], out: &
     nearest_rows_inner(query, train, out)
 }
 
+/// `(distance << 32) | index`: ordered by distance, then by index.
+#[inline(always)]
+fn key(distance: u32, index: usize) -> u64 {
+    ((distance as u64) << 32) | index as u64
+}
+
+/// Cache-tiled mutual search, the tiling and row pairing of
+/// [`nearest_rows_inner`]: `rows[i]` becomes query `i`'s minimum
+/// `(distance, train index)`, and `cols[j]` train `j`'s minimum
+/// [`key`] over the queries (`cols` starts at `u64::MAX`). A key
+/// minimum does not depend on the order the queries are visited in.
+#[inline(always)]
+fn mutual_rows_inner(
+    query: &[Descriptor],
+    train: &[Descriptor],
+    rows: &mut [(u32, u32)],
+    cols: &mut [u64],
+) {
+    for (tile_idx, (tile, tile_cols)) in train
+        .chunks(TRAIN_TILE)
+        .zip(cols.chunks_mut(TRAIN_TILE))
+        .enumerate()
+    {
+        let base = (tile_idx * TRAIN_TILE) as u32;
+        for (block_idx, (q_block, o_block)) in query
+            .chunks(QUERY_BLOCK)
+            .zip(rows.chunks_mut(QUERY_BLOCK))
+            .enumerate()
+        {
+            let first = block_idx * QUERY_BLOCK;
+            let even = q_block.len() & !1;
+            let (q_even, q_rem) = q_block.split_at(even);
+            let (o_even, o_rem) = o_block.split_at_mut(even);
+            for (pair, (qs, os)) in q_even
+                .chunks_exact(2)
+                .zip(o_even.chunks_exact_mut(2))
+                .enumerate()
+            {
+                let (q0, q1) = (&qs[0], &qs[1]);
+                let i0 = first + 2 * pair;
+                let (mut b0, mut b1) = (os[0], os[1]);
+                for (j, (t, col)) in tile.iter().zip(tile_cols.iter_mut()).enumerate() {
+                    let d0 = q0.hamming(t);
+                    let d1 = q1.hamming(t);
+                    if d0 < b0.0 {
+                        b0 = (d0, base + j as u32);
+                    }
+                    if d1 < b1.0 {
+                        b1 = (d1, base + j as u32);
+                    }
+                    *col = (*col).min(key(d0, i0)).min(key(d1, i0 + 1));
+                }
+                os[0] = b0;
+                os[1] = b1;
+            }
+            // Odd trailing query row of the block.
+            for (q, o) in q_rem.iter().zip(o_rem.iter_mut()) {
+                let i = first + even;
+                let mut best = *o;
+                for (j, (t, col)) in tile.iter().zip(tile_cols.iter_mut()).enumerate() {
+                    let d = q.hamming(t);
+                    if d < best.0 {
+                        best = (d, base + j as u32);
+                    }
+                    *col = (*col).min(key(d, i));
+                }
+                *o = best;
+            }
+        }
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "popcnt")]
+unsafe fn mutual_rows_popcnt(
+    query: &[Descriptor],
+    train: &[Descriptor],
+    rows: &mut [(u32, u32)],
+    cols: &mut [u64],
+) {
+    mutual_rows_inner(query, train, rows, cols)
+}
+
 /// The top rung: AVX-512 `vpopcntq`. A ZMM register holds **two**
 /// descriptors, so one load + xor + `vpopcntq` covers two pairs; a
 /// shuffle tree folds four ZMMs' per-word counts into eight distances
@@ -331,7 +485,7 @@ unsafe fn nearest_rows_popcnt(query: &[Descriptor], train: &[Descriptor], out: &
 /// lane — ≈3 µops per pair against the popcnt rung's port-1-bound 4.
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
-    use super::{Descriptor, TRAIN_TILE};
+    use super::{key, Descriptor, TRAIN_TILE};
     use std::arch::x86_64::*;
 
     /// Trains per inner step: four ZMMs of two descriptors each.
@@ -431,6 +585,90 @@ mod avx512 {
             }
         }
     }
+
+    /// AVX-512 twin of `mutual_rows_inner`: the row minimum exactly as
+    /// [`nearest_rows`] keeps it, plus a `(distance << 32) | query` key
+    /// per lane, min-updated per group in a per-tile buffer of 128 keys
+    /// (lane order) and written to `cols` in train order once every
+    /// query has passed over the tile.
+    #[target_feature(enable = "avx512f", enable = "avx512vpopcntdq", enable = "popcnt")]
+    pub(super) unsafe fn mutual_rows(
+        query: &[Descriptor],
+        train: &[Descriptor],
+        rows: &mut [(u32, u32)],
+        cols: &mut [u64],
+    ) {
+        let step = _mm512_set1_epi64(GROUP as i64);
+        let offsets = _mm512_loadu_si512(LANE_TRAIN_OFFSETS.as_ptr().cast());
+        for (tile_idx, (tile, tile_cols)) in train
+            .chunks(TRAIN_TILE)
+            .zip(cols.chunks_mut(TRAIN_TILE))
+            .enumerate()
+        {
+            let base = (tile_idx * TRAIN_TILE) as u32;
+            let groups = tile.len() / GROUP;
+            let rem = &tile[groups * GROUP..];
+            let (group_cols, rem_cols) = tile_cols.split_at_mut(groups * GROUP);
+            let mut col_keys = [_mm512_set1_epi64(KEY_SENTINEL as i64); TRAIN_TILE / GROUP];
+            for (qi, (q, o)) in query.iter().zip(rows.iter_mut()).enumerate() {
+                let q2 = _mm512_broadcast_i64x4(_mm256_loadu_si256(q.words.as_ptr().cast()));
+                let q_index = _mm512_set1_epi64(qi as i64);
+                let mut idx = _mm512_add_epi64(_mm512_set1_epi64(base as i64), offsets);
+                let mut best = _mm512_set1_epi64(KEY_SENTINEL as i64);
+                for (group, col) in tile.chunks_exact(GROUP).zip(col_keys.iter_mut()) {
+                    let d = _mm512_slli_epi64::<32>(distances_x8(q2, group));
+                    best = _mm512_min_epu64(best, _mm512_add_epi64(d, idx));
+                    *col = _mm512_min_epu64(*col, _mm512_add_epi64(d, q_index));
+                    idx = _mm512_add_epi64(idx, step);
+                }
+                let mut keys = [KEY_SENTINEL; 8];
+                _mm512_storeu_si512(keys.as_mut_ptr().cast(), best);
+                let carried = ((o.0 as u64) << 32) | o.1 as u64;
+                let row = keys.iter().fold(carried, |acc, &k| acc.min(k));
+                let (mut best_d, mut best_i) = ((row >> 32) as u32, row as u32);
+                for (k, (t, col)) in rem.iter().zip(rem_cols.iter_mut()).enumerate() {
+                    let d = q.hamming(t);
+                    if d < best_d {
+                        best_d = d;
+                        best_i = base + (groups * GROUP + k) as u32;
+                    }
+                    *col = (*col).min(key(d, qi));
+                }
+                *o = (best_d, best_i);
+            }
+            for (octet, keys) in group_cols.chunks_exact_mut(GROUP).zip(&col_keys) {
+                let mut lanes = [KEY_SENTINEL; 8];
+                _mm512_storeu_si512(lanes.as_mut_ptr().cast(), *keys);
+                for (&lane, &offset) in lanes.iter().zip(&LANE_TRAIN_OFFSETS) {
+                    octet[offset as usize] = lane;
+                }
+            }
+        }
+    }
+}
+
+/// Runs the mutual-search row kernel for an explicit dispatch rung.
+/// An unsupported `kernel` falls back to the scalar rung.
+fn mutual_rows_with(
+    kernel: MatchKernel,
+    query: &[Descriptor],
+    train: &[Descriptor],
+    rows: &mut [(u32, u32)],
+    cols: &mut [u64],
+) {
+    #[cfg(target_arch = "x86_64")]
+    match kernel {
+        MatchKernel::Avx512 if kernel.is_supported() => {
+            // SAFETY: avx512f + avx512vpopcntdq + popcnt just checked.
+            return unsafe { avx512::mutual_rows(query, train, rows, cols) };
+        }
+        MatchKernel::Popcnt if kernel.is_supported() => {
+            // SAFETY: popcnt support just checked.
+            return unsafe { mutual_rows_popcnt(query, train, rows, cols) };
+        }
+        _ => {}
+    }
+    mutual_rows_inner(query, train, rows, cols)
 }
 
 /// Runs the nearest-neighbour row kernel for an explicit dispatch rung.
@@ -460,12 +698,10 @@ fn nearest_rows(query: &[Descriptor], train: &[Descriptor], out: &mut [(u32, u32
     nearest_rows_with(active_kernel(), query, train, out)
 }
 
-/// Mutual-consistency filter: keeps a forward match `(q → t)` only when
-/// the backward matching also pairs `t → q`.
-pub fn cross_check(
-    forward: &[DescriptorMatch],
-    backward: &[DescriptorMatch],
-) -> Vec<DescriptorMatch> {
+/// Mutual-consistency filter of [`match_mutual_reference`]: keeps a
+/// forward match `(q → t)` only when the backward matching also pairs
+/// `t → q`.
+fn cross_check(forward: &[DescriptorMatch], backward: &[DescriptorMatch]) -> Vec<DescriptorMatch> {
     forward
         .iter()
         .filter(|f| {

@@ -9,12 +9,17 @@
 //! straddle the tile and SIMD-batch boundaries (query/train counts that
 //! are not multiples of the 8-train AVX-512 group, the 8-row query block
 //! or the 128-descriptor train tile).
+//! The mutual search, [`match_mutual_with_kernel`], is held the same way
+//! to its two-pass oracle, [`match_mutual_reference`], on train counts
+//! around the 8-train group and the 128-train tile whose per-train
+//! column minima the one-pass search carries, and on sets where every
+//! row or every column ties.
 //! The pooled entry points are proven independent of pool size,
 //! including pools wider than the host's core count.
 
 use eslam_features::matcher::{
     active_kernel, match_brute_force, match_brute_force_in, match_brute_force_reference,
-    match_brute_force_with_kernel, MatchKernel,
+    match_brute_force_with_kernel, match_mutual_reference, match_mutual_with_kernel, MatchKernel,
 };
 use eslam_features::orb::{OrbConfig, OrbExtractor, OrbScratch};
 use eslam_features::pool::WorkerPool;
@@ -102,6 +107,55 @@ fn every_supported_kernel_handles_degenerate_descriptors() {
                 match_brute_force_reference(&query, &train, max_d),
                 "{kernel:?} degenerate max {max_d}"
             );
+        }
+    }
+}
+
+#[test]
+fn every_supported_kernel_matches_the_mutual_oracle_on_boundary_shapes() {
+    // Train counts around the 8-train AVX-512 group and the 128-train
+    // tile; query counts around the 8-row block and past 128, so both
+    // the row and the column minima cross every boundary.
+    let train_counts = [7usize, 8, 9, 127, 128, 129, 257];
+    let query_counts = [1usize, 9, 130];
+    // Low-density descriptors: distances are small and tie often.
+    let sparse = |n: usize, salt: u64| -> Vec<Descriptor> {
+        let a = descriptor_set(n, salt);
+        let b = descriptor_set(n, salt ^ 0x3c3c);
+        a.iter()
+            .zip(&b)
+            .map(|(x, y)| Descriptor::from_words(std::array::from_fn(|w| x.words[w] & y.words[w])))
+            .collect()
+    };
+    for kernel in supported_kernels() {
+        for nt in train_counts {
+            for nq in query_counts {
+                let mut query = sparse(nq, 0xC3 + nt as u64);
+                let mut train = sparse(nt, 0x3C + nq as u64);
+                // A query copied into the train set, and repeats on
+                // both sides.
+                train[nt / 2] = query[nq / 2];
+                train[nt - 1] = train[0];
+                query[nq - 1] = query[0];
+                // Every train identical: every row ties on train 0.
+                let same_trains = vec![train[1]; nt];
+                // Every query identical: every column ties on query 0.
+                let same_queries = vec![query[0]; nq];
+                let cases = [
+                    (&query, &train, "mixed"),
+                    (&query, &same_trains, "identical trains"),
+                    (&same_queries, &train, "identical queries"),
+                ];
+                for (q, t, name) in cases {
+                    for max_d in [u32::MAX, 64, 0] {
+                        assert_eq!(
+                            match_mutual_with_kernel(kernel, q, t, max_d),
+                            match_mutual_reference(q, t, max_d),
+                            "{kernel:?} {nq}x{nt} {name} max {max_d}"
+                        );
+                    }
+                }
+            }
         }
     }
 }

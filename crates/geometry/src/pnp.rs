@@ -212,6 +212,114 @@ impl Default for PnpParams {
     }
 }
 
+/// Reprojection error, in pixels, of the world point `world` under
+/// `pose` against its observed `pixel`; infinite for a point at or
+/// behind the camera plane, which [`PinholeCamera::project`] rejects.
+fn reprojection_error(camera: &PinholeCamera, pose: &Se3, world: Vec3, pixel: Vec2) -> f64 {
+    match camera.project(pose.transform(world)) {
+        Some(uv) => (uv - pixel).norm(),
+        None => f64::INFINITY,
+    }
+}
+
+/// `f64` lanes of one [`Correspondences`] block.
+const LANES: usize = 4;
+
+/// 3-D/2-D correspondences as structure-of-arrays (world x/y/z, pixel
+/// u/v) in blocks of [`LANES`], laid out once per [`solve_pnp_ransac`]
+/// call for the count-only RANSAC scorer. The last block is padded with
+/// NaN world points, which never count: their camera-frame `z` is NaN,
+/// and NaN is not greater than the cut-off.
+struct Correspondences {
+    blocks: Vec<Block>,
+}
+
+/// [`LANES`] correspondences, one per lane.
+struct Block {
+    x: [f64; LANES],
+    y: [f64; LANES],
+    z: [f64; LANES],
+    u: [f64; LANES],
+    v: [f64; LANES],
+}
+
+impl Correspondences {
+    fn new(world: &[Vec3], pixels: &[Vec2]) -> Correspondences {
+        let blocks = world
+            .chunks(LANES)
+            .zip(pixels.chunks(LANES))
+            .map(|(world, pixels)| {
+                let mut block = Block {
+                    x: [f64::NAN; LANES],
+                    y: [f64::NAN; LANES],
+                    z: [f64::NAN; LANES],
+                    u: [f64::NAN; LANES],
+                    v: [f64::NAN; LANES],
+                };
+                for (lane, (p, uv)) in world.iter().zip(pixels).enumerate() {
+                    (block.x[lane], block.y[lane], block.z[lane]) = (p.x, p.y, p.z);
+                    (block.u[lane], block.v[lane]) = (uv.x, uv.y);
+                }
+                block
+            })
+            .collect();
+        Correspondences { blocks }
+    }
+
+    /// The number of correspondences whose [`reprojection_error`] under
+    /// `pose` is below `threshold`. Runs the AVX2 instance of the scorer
+    /// loop where the CPU has AVX2 and the baseline instance elsewhere.
+    fn count_inliers(&self, camera: &PinholeCamera, pose: &Se3, threshold: f64) -> usize {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: AVX2 was detected on this CPU.
+            return unsafe { self.count_inliers_avx2(camera, pose, threshold) };
+        }
+        self.count_inliers_baseline(camera, pose, threshold)
+    }
+
+    /// The scorer loop compiled for the target's baseline features: the
+    /// only instance on hosts without AVX2.
+    fn count_inliers_baseline(&self, camera: &PinholeCamera, pose: &Se3, threshold: f64) -> usize {
+        self.scorer_loop(camera, pose, threshold)
+    }
+
+    /// The scorer loop compiled with AVX2 enabled: the same source as
+    /// [`Self::count_inliers_baseline`], one block per 4-lane step.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn count_inliers_avx2(&self, camera: &PinholeCamera, pose: &Se3, threshold: f64) -> usize {
+        self.scorer_loop(camera, pose, threshold)
+    }
+
+    /// The scorer loop, inlined into each compiled instance. Per lane it
+    /// keeps [`reprojection_error`]'s operation order — each rotation
+    /// row's dot product `(r0·x + r1·y) + r2·z`, then the translation;
+    /// `fx·x / z + cx`; `sqrt(du² + dv²)` — without FMA, so every error
+    /// is bit-identical to it. `z > 1e-9` is [`PinholeCamera::project`]'s
+    /// test as a lane mask: a point it rejects has an infinite error,
+    /// below no threshold.
+    #[inline(always)]
+    fn scorer_loop(&self, camera: &PinholeCamera, pose: &Se3, threshold: f64) -> usize {
+        let [r0, r1, r2] = pose.rotation.m;
+        let t = pose.translation;
+        let mut counts = [0u64; LANES];
+        for b in &self.blocks {
+            for (lane, count) in counts.iter_mut().enumerate() {
+                let (x, y, z) = (b.x[lane], b.y[lane], b.z[lane]);
+                let cx = r0[0] * x + r0[1] * y + r0[2] * z + t.x;
+                let cy = r1[0] * x + r1[1] * y + r1[2] * z + t.y;
+                let cz = r2[0] * x + r2[1] * y + r2[2] * z + t.z;
+                let du = camera.fx * cx / cz + camera.cx - b.u[lane];
+                let dv = camera.fy * cy / cz + camera.cy - b.v[lane];
+                let error = (du * du + dv * dv).sqrt();
+                *count += u64::from((cz > 1e-9) & (error < threshold));
+            }
+        }
+        counts.iter().sum::<u64>() as usize
+    }
+}
+
 /// Estimates the camera pose from 3-D/2-D correspondences with
 /// P3P + RANSAC, then polishes it on the inliers with
 /// Levenberg–Marquardt ([`optimize_pose`]) and re-classifies the inliers
@@ -220,6 +328,12 @@ impl Default for PnpParams {
 /// * `world` — 3-D map points in world coordinates.
 /// * `pixels` — observed pixel positions of the same points in the current
 ///   frame.
+///
+/// RANSAC scores each hypothesis by its inlier count alone, over the
+/// correspondences laid out once as structure-of-arrays: one scalar loop
+/// compiled for the baseline and for AVX2, whose count equals the
+/// reprojection-error filter bit for bit. The adopted hypothesis
+/// collects its inliers through that error.
 ///
 /// Returns `None` when fewer than 4 correspondences are supplied or no
 /// consensus of at least `params.ransac.min_inliers` is found.
@@ -237,12 +351,10 @@ pub fn solve_pnp_ransac(
         .map(|&uv| camera.bearing(uv).normalized().unwrap_or(Vec3::Z))
         .collect();
 
-    let reproj_error = |pose: &Se3, i: usize| -> f64 {
-        match camera.project(pose.transform(world[i])) {
-            Some(uv) => (uv - pixels[i]).norm(),
-            None => f64::INFINITY,
-        }
-    };
+    let reproj_error =
+        |pose: &Se3, i: usize| -> f64 { reprojection_error(camera, pose, world[i], pixels[i]) };
+    let correspondences = Correspondences::new(world, pixels);
+    let threshold = params.ransac.threshold;
 
     let result: RansacResult<Se3> = ransac(
         world.len(),
@@ -253,6 +365,7 @@ pub fn solve_pnp_ransac(
             let f = [bearings[idx[0]], bearings[idx[1]], bearings[idx[2]]];
             solve_p3p(&w, &f)
         },
+        |pose| correspondences.count_inliers(camera, pose, threshold),
         reproj_error,
     )?;
 
@@ -433,6 +546,112 @@ mod tests {
             prop_assert_eq!(poses.len(), reference.len(), "seed {}", seed);
             for (a, b) in poses.iter().zip(&reference) {
                 prop_assert!(same_pose(a, b, 1e-9), "seed {seed}: {a:?} vs {b:?}");
+            }
+        }
+    }
+
+    /// A correspondence for the scorer proptest: a world point and its
+    /// pixel, one of `kind`'s edge cases or an ordinary point seen by the
+    /// camera at `pose`, its pixel moved by up to ±6 px.
+    fn scorer_case(rng: &mut SmallRng, kind: u8, pose: &Se3) -> (Vec3, Vec2) {
+        let camera = PinholeCamera::tum_fr1();
+        let cam = Vec3::new(
+            (rng.gen::<f64>() - 0.5) * 3.0,
+            (rng.gen::<f64>() - 0.5) * 2.0,
+            1.0 + rng.gen::<f64>() * 5.0,
+        );
+        let world = pose.inverse().transform(cam);
+        let pixel = camera.project(cam).unwrap()
+            + Vec2::new(
+                (rng.gen::<f64>() - 0.5) * 12.0,
+                (rng.gen::<f64>() - 0.5) * 12.0,
+            );
+        let special = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][rng.gen_range(0..3usize)];
+        match kind {
+            // Behind the camera.
+            0 => (
+                pose.inverse().transform(Vec3::new(cam.x, cam.y, -cam.z)),
+                pixel,
+            ),
+            // On the camera plane's cut-off, and just past it (exact in
+            // camera coordinates under the identity pose).
+            1 => (Vec3::new(cam.x, cam.y, 1e-9), pixel),
+            2 => (
+                Vec3::new(cam.x, cam.y, f64::from_bits(1e-9f64.to_bits() + 1)),
+                pixel,
+            ),
+            // A NaN or infinite world coordinate or pixel.
+            3 => (Vec3::new(special, world.y, world.z), pixel),
+            4 => (Vec3::new(world.x, world.y, special), pixel),
+            5 => (world, Vec2::new(pixel.x, special)),
+            _ => (world, pixel),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Both compiled instances of the count-only scorer count the
+        /// correspondences whose reprojection error is below the
+        /// threshold, for 0–13 correspondences and for the same set
+        /// repeated past the vector width: points behind the camera, at
+        /// and just past `z = 1e-9`, NaN and infinite coordinates, and
+        /// thresholds an error lands on exactly, infinite or NaN.
+        #[test]
+        fn scorer_instances_count_like_the_reprojection_filter(
+            seed in any::<u64>(),
+            n in 0usize..14,
+            identity in any::<bool>(),
+            threshold_kind in 0usize..4,
+            on in 0usize..14,
+        ) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let camera = PinholeCamera::tum_fr1();
+            let pose = if identity {
+                Se3::identity()
+            } else {
+                make_scene(seed, 1).1
+            };
+            let (world, pixels): (Vec<Vec3>, Vec<Vec2>) = (0..n)
+                .map(|_| {
+                    let kind = rng.gen_range(0..12u8);
+                    scorer_case(&mut rng, kind, &pose)
+                })
+                .unzip();
+            let error = |i: usize| reprojection_error(&camera, &pose, world[i], pixels[i]);
+            let threshold = match threshold_kind {
+                // An error landing on the threshold counts as an outlier.
+                0 if on < n => error(on),
+                1 => f64::INFINITY,
+                2 => f64::NAN,
+                _ => 3.0,
+            };
+            for copies in [1usize, 7] {
+                let world: Vec<Vec3> = world.iter().copied().cycle().take(n * copies).collect();
+                let pixels: Vec<Vec2> = pixels.iter().copied().cycle().take(n * copies).collect();
+                let expect = (0..world.len())
+                    .filter(|&i| reprojection_error(&camera, &pose, world[i], pixels[i]) < threshold)
+                    .count();
+                let scorer = Correspondences::new(&world, &pixels);
+                prop_assert_eq!(
+                    scorer.count_inliers_baseline(&camera, &pose, threshold),
+                    expect,
+                    "baseline, {} correspondences, threshold {}",
+                    world.len(),
+                    threshold
+                );
+                #[cfg(target_arch = "x86_64")]
+                if std::arch::is_x86_feature_detected!("avx2") {
+                    // SAFETY: AVX2 was detected on this CPU.
+                    let avx2 = unsafe { scorer.count_inliers_avx2(&camera, &pose, threshold) };
+                    prop_assert_eq!(
+                        avx2,
+                        expect,
+                        "avx2, {} correspondences, threshold {}",
+                        world.len(),
+                        threshold
+                    );
+                }
             }
         }
     }

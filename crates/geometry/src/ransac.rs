@@ -53,8 +53,14 @@ pub struct RansacResult<M> {
 /// * `sample_size` — size of the minimal sample handed to `fit`.
 /// * `fit(indices)` — returns **all** model hypotheses consistent with the
 ///   minimal sample (e.g. P3P yields up to four).
+/// * `count(model)` — the number of data items whose error under `model`
+///   is below `params.threshold`: what
+///   `(0..n).filter(|&i| error(model, i) < params.threshold).count()`
+///   gives, which is how a caller without a faster count writes it. Every
+///   hypothesis is scored by this count alone.
 /// * `error(model, index)` — the fitting error of datum `index` under
-///   `model`.
+///   `model`. Only an adopted hypothesis (the first with the most
+///   inliers so far) collects its inliers through it.
 ///
 /// Sampling is uniform without replacement within one minimal sample. The
 /// iteration budget shrinks adaptively as better consensus sets are found.
@@ -69,25 +75,29 @@ pub struct RansacResult<M> {
 /// // Fit a 1-D constant model to data with outliers.
 /// let data = [1.0f64, 1.02, 0.98, 1.01, 50.0, -30.0, 1.0];
 /// let params = RansacParams { threshold: 0.1, min_inliers: 3, ..Default::default() };
+/// let error = |m: &f64, i: usize| (data[i] - m).abs();
 /// let result = ransac(
 ///     data.len(),
 ///     1,
 ///     &params,
 ///     |idx| vec![data[idx[0]]],
-///     |m, i| (data[i] - m).abs(),
+///     |m| (0..data.len()).filter(|&i| error(m, i) < params.threshold).count(),
+///     error,
 /// ).expect("consensus found");
 /// assert!(result.inliers.len() >= 5);
 /// ```
-pub fn ransac<M, FitF, ErrF>(
+pub fn ransac<M, FitF, CountF, ErrF>(
     n: usize,
     sample_size: usize,
     params: &RansacParams,
     fit: FitF,
+    count: CountF,
     error: ErrF,
 ) -> Option<RansacResult<M>>
 where
     M: Clone,
     FitF: Fn(&[usize]) -> Vec<M>,
+    CountF: Fn(&M) -> usize,
     ErrF: Fn(&M, usize) -> f64,
 {
     if n < sample_size || sample_size == 0 {
@@ -105,13 +115,12 @@ where
         draw_distinct(&mut rng, n, &mut sample);
         for model in fit(&sample) {
             // Count first: only a hypothesis that is adopted has its
-            // inliers collected, by a second pass over the same errors.
-            let is_inlier = |i: &usize| error(&model, *i) < params.threshold;
-            let count = (0..n).filter(is_inlier).count();
-            if count > best_count && count >= params.min_inliers {
+            // inliers collected, by a pass over the same errors.
+            let inlier_count = count(&model);
+            if inlier_count > best_count && inlier_count >= params.min_inliers {
                 // Adaptive termination: with inlier ratio w, a minimal
                 // sample is all-inlier with probability w^s.
-                let w = count as f64 / n as f64;
+                let w = inlier_count as f64 / n as f64;
                 let p_good_sample = w.powi(sample_size as i32);
                 if p_good_sample > 1.0 - 1e-12 {
                     required_iterations = iterations;
@@ -119,8 +128,11 @@ where
                     let needed = (1.0 - params.confidence).ln() / (1.0 - p_good_sample).ln();
                     required_iterations = needed.ceil().max(1.0) as usize;
                 }
-                let inliers = (0..n).filter(is_inlier).collect();
-                best_count = count;
+                let inliers: Vec<usize> = (0..n)
+                    .filter(|&i| error(&model, i) < params.threshold)
+                    .collect();
+                debug_assert_eq!(inliers.len(), inlier_count, "count and error disagree");
+                best_count = inlier_count;
                 best = Some((model.clone(), inliers));
             }
         }
@@ -153,6 +165,16 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// The count [`ransac`] expects: the data whose `error` is below
+    /// `threshold`.
+    fn counting<'a, M>(
+        n: usize,
+        threshold: f64,
+        error: &'a impl Fn(&M, usize) -> f64,
+    ) -> impl Fn(&M) -> usize + 'a {
+        move |m| (0..n).filter(|&i| error(m, i) < threshold).count()
+    }
+
     /// Line model y = a x + b fitted from two points.
     fn line_fit(data: &[(f64, f64)]) -> impl Fn(&[usize]) -> Vec<(f64, f64)> + '_ {
         move |idx: &[usize]| {
@@ -182,10 +204,10 @@ mod tests {
             max_iterations: 500,
             ..Default::default()
         };
-        let res = ransac(data.len(), 2, &params, line_fit(&data), |&(a, b), i| {
-            (data[i].1 - (a * data[i].0 + b)).abs()
-        })
-        .expect("line found");
+        let error = |&(a, b): &(f64, f64), i: usize| (data[i].1 - (a * data[i].0 + b)).abs();
+        let count = counting(data.len(), params.threshold, &error);
+        let res =
+            ransac(data.len(), 2, &params, line_fit(&data), count, error).expect("line found");
         assert_eq!(res.inliers.len(), 70);
         let (a, b) = res.model;
         assert!((a - 2.0).abs() < 1e-9);
@@ -206,11 +228,10 @@ mod tests {
             min_inliers: 10,
             ..Default::default()
         };
+        let error = |&(a, b): &(f64, f64), i: usize| (data[i].1 - (a * data[i].0 + b)).abs();
         let run = || {
-            ransac(data.len(), 2, &params, line_fit(&data), |&(a, b), i| {
-                (data[i].1 - (a * data[i].0 + b)).abs()
-            })
-            .unwrap()
+            let count = counting(data.len(), params.threshold, &error);
+            ransac(data.len(), 2, &params, line_fit(&data), count, error).unwrap()
         };
         let r1 = run();
         let r2 = run();
@@ -222,7 +243,8 @@ mod tests {
     #[test]
     fn too_few_points_fails() {
         let params = RansacParams::default();
-        let res: Option<RansacResult<f64>> = ransac(1, 2, &params, |_| vec![0.0f64], |_, _| 0.0);
+        let res: Option<RansacResult<f64>> =
+            ransac(1, 2, &params, |_| vec![0.0f64], |_| 1, |_, _| 0.0);
         assert!(res.is_none());
     }
 
@@ -236,12 +258,14 @@ mod tests {
             max_iterations: 50,
             ..Default::default()
         };
+        let error = |m: &f64, i: usize| (data[i] - m).abs();
         let res = ransac(
             data.len(),
             1,
             &params,
             |idx| vec![data[idx[0]]],
-            |m, i| (data[i] - m).abs(),
+            counting(data.len(), params.threshold, &error),
+            error,
         );
         assert!(res.is_none());
     }
@@ -256,12 +280,14 @@ mod tests {
             max_iterations: 10_000,
             ..Default::default()
         };
+        let error = |m: &f64, i: usize| (data[i] - m).abs();
         let res = ransac(
             data.len(),
             1,
             &params,
             |idx| vec![data[idx[0]]],
-            |m, i| (data[i] - m).abs(),
+            counting(data.len(), params.threshold, &error),
+            error,
         )
         .unwrap();
         assert!(res.iterations < 100, "took {} iterations", res.iterations);
@@ -329,8 +355,9 @@ mod tests {
             };
             let fit = |idx: &[usize]| vec![data[idx[0]], data[idx[1]]];
             let error = |m: &f64, i: usize| (data[i] - m).abs();
+            let count = counting(data.len(), params.threshold, &error);
             prop_assert_eq!(
-                ransac(data.len(), 2, &params, fit, error),
+                ransac(data.len(), 2, &params, fit, count, error),
                 ransac_collecting_every_hypothesis(data.len(), 2, &params, fit, error)
             );
         }
