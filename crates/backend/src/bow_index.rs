@@ -54,18 +54,6 @@ impl BowIndex {
         &self.vectors[id]
     }
 
-    /// Applies a keyframe-cull remap (old id → new id, `None` =
-    /// removed; survivors keep their order): keeps the vectors of the
-    /// surviving keyframes and rebuilds the inverted index over them.
-    /// Remap entries past the indexed keyframes are ignored.
-    pub(crate) fn apply_remap(&mut self, remap: &[Option<KeyframeId>]) {
-        let old = std::mem::take(&mut self.vectors);
-        self.inverted.clear();
-        for (vector, _) in old.into_iter().zip(remap).filter(|(_, m)| m.is_some()) {
-            self.push(vector);
-        }
-    }
-
     /// Every keyframe that shares at least one word with `query` and
     /// that `keep` accepts, in ascending id order, with its
     /// [`BowVector::similarity`] to `query`. `keep` sees each sharing
@@ -99,12 +87,6 @@ impl BowIndex {
                 (id, score)
             })
             .collect()
-    }
-
-    /// Each word's keyframe list.
-    #[cfg(test)]
-    pub(crate) fn postings(&self) -> impl Iterator<Item = &[KeyframeId]> {
-        self.inverted.iter().map(Vec::as_slice)
     }
 }
 
@@ -179,14 +161,12 @@ mod tests {
 
         /// The mask-plus-dense walk yields the ids, the `keep` calls and
         /// the scores (by `f64::to_bits`) of the sort/dedup walk, over
-        /// tf and tf-idf vectors, empty keyframes and queries, and after
-        /// a cull remap.
+        /// tf and tf-idf vectors, and empty keyframes and queries.
         #[test]
         fn scores_equal_the_sort_dedup_walk(
             seed in any::<u64>(),
             keyframes in 0usize..14,
             tfidf in any::<bool>(),
-            culled in any::<u16>(),
             skip in 0usize..4,
         ) {
             let mut next = stream(seed);
@@ -207,28 +187,6 @@ mod tests {
                 let vector = vocabulary.tfidf_vector_of(document);
                 prop_assert_eq!(index.push(vector.clone()), vectors.len());
                 vectors.push(vector);
-            }
-            // Cull the keyframes whose bit is set (every other one kept
-            // in order), with one surplus remap entry as the runner sends.
-            let mut survivors = 0;
-            let remap: Vec<Option<KeyframeId>> = (0..=keyframes)
-                .map(|i| {
-                    (i == keyframes || culled & (1 << i) == 0).then(|| {
-                        survivors += 1;
-                        survivors - 1
-                    })
-                })
-                .collect();
-            index.apply_remap(&remap);
-            let vectors: Vec<BowVector> = vectors
-                .into_iter()
-                .zip(&remap)
-                .filter(|(_, m)| m.is_some())
-                .map(|(v, _)| v)
-                .collect();
-            prop_assert_eq!(index.len(), vectors.len());
-            for ids in index.postings() {
-                prop_assert!(ids.iter().all(|&id| id < vectors.len()));
             }
 
             let n = (next() % 80) as usize;

@@ -176,32 +176,6 @@ impl CovisibilityGraph {
         }
         Ok(g)
     }
-
-    /// Applies a keyframe-cull remap (old id → new id, `None` =
-    /// removed): drops removed nodes and their edges, renumbers the
-    /// rest. The remap must come from the paired
-    /// [`crate::keyframe::KeyframeStore::retain_remap`] call, so
-    /// surviving ids stay dense and ordered.
-    ///
-    /// # Panics
-    /// Panics if the remap length disagrees with the node count.
-    pub fn apply_remap(&mut self, remap: &[Option<KeyframeId>]) {
-        assert_eq!(remap.len(), self.adjacency.len(), "remap length mismatch");
-        let mut out: Vec<BTreeMap<KeyframeId, usize>> = Vec::new();
-        for (old, adj) in self.adjacency.iter().enumerate() {
-            if remap[old].is_none() {
-                continue;
-            }
-            let mut rebuilt = BTreeMap::new();
-            for (&nb, &w) in adj {
-                if let Some(new_nb) = remap[nb] {
-                    rebuilt.insert(new_nb, w);
-                }
-            }
-            out.push(rebuilt);
-        }
-        self.adjacency = out;
-    }
 }
 
 #[cfg(test)]
@@ -301,20 +275,6 @@ mod tests {
         assert!(CovisibilityGraph::from_edges(2, &[(0, 2, 1)]).is_err());
         assert!(CovisibilityGraph::from_edges(2, &[(1, 1, 1)]).is_err());
         assert!(CovisibilityGraph::from_edges(2, &[(0, 1, 0)]).is_err());
-    }
-
-    #[test]
-    fn apply_remap_drops_nodes_and_renumbers() {
-        let mut g = triangle();
-        // Remove node 1: 0 and 2 stay connected by their direct edge,
-        // renumbered to 0 and 1.
-        g.apply_remap(&[Some(0), None, Some(1)]);
-        assert_eq!(g.len(), 2);
-        assert_eq!(g.weight(0, 1), 4);
-        assert_eq!(g.weight(1, 0), 4);
-        assert_eq!(g.neighbors(0, 1), vec![(1, 4)]);
-        // Degrees lost the removed node's contributions.
-        assert_eq!(g.degree(0), 4);
     }
 
     mod proptests {

@@ -19,17 +19,17 @@
 //!   with its observations — the raw material of the BoW vectors and
 //!   the brute-force loop-matching fallback.
 //!
-//! The [`KeyframeStore`] assigns dense ids in insertion order, which is
-//! what makes the sliding local-BA window ("the last K keyframes") a
-//! simple suffix slice. Keyframe culling compacts the store
-//! ([`KeyframeStore::retain_remap`]) and reports an old→new id remap so
-//! the covisibility graph and the loop detector can follow.
+//! The [`KeyframeStore`] assigns dense ids in insertion order and never
+//! removes a keyframe, so an id names the same keyframe for the whole
+//! run: the covisibility graph's node, the loop detector's BoW slot and
+//! the map's per-point observation lists all use it. The sliding
+//! local-BA window ("the last K keyframes") is a simple suffix slice.
 
 use eslam_features::Descriptor;
 use eslam_geometry::{Se3, Vec2, Vec3};
 
-/// Identifier of a keyframe: its dense insertion index in the
-/// [`KeyframeStore`] (compacted by culling — always dense).
+/// Identifier of a keyframe: its insertion index in the
+/// [`KeyframeStore`], fixed for the whole run.
 pub type KeyframeId = usize;
 
 /// One pixel observation of a landmark from a keyframe.
@@ -51,7 +51,7 @@ pub struct KeyframeObservation {
 /// optimization and place-recognition node.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Keyframe {
-    /// Dense id (insertion index in the store; remapped by culling).
+    /// Dense id: the insertion index in the store.
     pub id: KeyframeId,
     /// Index of the source frame in the processed sequence.
     pub frame_index: usize,
@@ -68,7 +68,7 @@ pub struct Keyframe {
     pub descriptors: Vec<Descriptor>,
 }
 
-/// Append-only keyframe store with dense ids (compacted by culling).
+/// Append-only keyframe store with dense ids.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct KeyframeStore {
     keyframes: Vec<Keyframe>,
@@ -180,36 +180,6 @@ impl KeyframeStore {
         }
         Ok(KeyframeStore { keyframes })
     }
-
-    /// Removes every keyframe for which `keep` returns `false`,
-    /// compacting ids to stay dense. Returns the old→new id remap
-    /// (`None` entries are removed keyframes); `None` when nothing was
-    /// removed.
-    pub fn retain_remap(
-        &mut self,
-        mut keep: impl FnMut(&Keyframe) -> bool,
-    ) -> Option<Vec<Option<KeyframeId>>> {
-        let mut remap: Vec<Option<KeyframeId>> = Vec::with_capacity(self.keyframes.len());
-        let mut next = 0usize;
-        let mut removed = false;
-        for kf in &self.keyframes {
-            if keep(kf) {
-                remap.push(Some(next));
-                next += 1;
-            } else {
-                remap.push(None);
-                removed = true;
-            }
-        }
-        if !removed {
-            return None;
-        }
-        self.keyframes.retain(|kf| remap[kf.id].is_some());
-        for (slot, kf) in self.keyframes.iter_mut().enumerate() {
-            kf.id = slot;
-        }
-        Some(remap)
-    }
 }
 
 #[cfg(test)]
@@ -284,33 +254,5 @@ mod tests {
     fn misaligned_descriptor_column_rejected() {
         let mut store = KeyframeStore::new();
         store.push(0, 0.0, Se3::identity(), vec![obs(1), obs(2)], vec![desc(1)]);
-    }
-
-    #[test]
-    fn retain_remap_compacts_ids() {
-        let mut store = KeyframeStore::new();
-        for i in 0..5 {
-            store.push(
-                i * 2,
-                i as f64,
-                Se3::identity(),
-                vec![obs(i as u64)],
-                vec![desc(i as u64)],
-            );
-        }
-        // Drop keyframes 1 and 3.
-        let remap = store
-            .retain_remap(|kf| kf.id != 1 && kf.id != 3)
-            .expect("removed");
-        assert_eq!(remap, vec![Some(0), None, Some(1), None, Some(2)]);
-        assert_eq!(store.len(), 3);
-        for (new_id, kf) in store.keyframes().iter().enumerate() {
-            assert_eq!(kf.id, new_id, "ids stay dense");
-        }
-        // Surviving payloads kept their contents (frame 4 was old id 2).
-        assert_eq!(store.get(1).frame_index, 4);
-        assert_eq!(store.get(1).observations[0].landmark, 2);
-        // Nothing removed → None.
-        assert!(store.retain_remap(|_| true).is_none());
     }
 }

@@ -13,9 +13,9 @@
 //! * [`covisibility`] — the [`CovisibilityGraph`], keyframes weighted
 //!   by shared-observation counts with deterministic neighbour and
 //!   BFS-distance queries;
-//! * [`mapper`] — the [`LocalMapper`] (insertion, redundant-keyframe
-//!   culling with id remapping, problem building), the
-//!   [`BackendRunner`] driving sliding-window local BA
+//! * [`mapper`] — the [`LocalMapper`] (insertion into the append-only
+//!   store, covisibility and observer-index upkeep, problem building),
+//!   the [`BackendRunner`] driving sliding-window local BA
 //!   (`eslam_geometry::ba`) **and** the loop-closure pipeline either
 //!   inline or on the persistent `WorkerPool` via its fire-and-collect
 //!   `submit`/`TaskHandle` API, and the [`BackendMode`] execution
@@ -100,7 +100,7 @@ pub use loop_closure::{
     LoopDetector,
 };
 pub use mapper::{
-    BackendConfig, BackendMode, BackendRunner, BackendStats, KeyframeCullConfig, KeyframeData,
-    LocalBaJob, LocalBaOutcome, LocalMapper, RefinedKeyframe,
+    BackendConfig, BackendMode, BackendRunner, BackendStats, KeyframeData, LocalBaJob,
+    LocalBaOutcome, LocalMapper, RefinedKeyframe,
 };
 pub use relocalize::{RelocalizationConfig, RelocalizationResult, Relocalizer};

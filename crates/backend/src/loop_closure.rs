@@ -153,10 +153,11 @@ pub struct LoopCandidate {
     pub current: KeyframeId,
     /// The stored keyframe it appears to revisit.
     pub candidate: KeyframeId,
-    /// Retrieval score (BoW similarity, or matched fraction on the
-    /// brute-force fallback).
+    /// Cross-checked descriptor match fraction against the current
+    /// keyframe (matches / current descriptors).
     pub score: f64,
-    /// Whether the score came from the vocabulary (false = fallback).
+    /// Whether the vocabulary ranked the candidate (false = the
+    /// brute-force fallback scored every gated keyframe).
     pub bow_backed: bool,
 }
 
@@ -175,10 +176,8 @@ pub struct LoopDetector {
     last_group: Vec<KeyframeId>,
     /// Consecutive keyframes agreeing on that group.
     consistency: usize,
-    /// Keyframes observed (monotonic — unaffected by culling).
-    seen: usize,
-    /// `seen` value before which detection is suppressed.
-    cooldown_until: usize,
+    /// Keyframe id before which detection is suppressed.
+    cooldown_until: KeyframeId,
 }
 
 impl LoopDetector {
@@ -191,7 +190,6 @@ impl LoopDetector {
             index: BowIndex::default(),
             last_group: Vec::new(),
             consistency: 0,
-            seen: 0,
             cooldown_until: 0,
         }
     }
@@ -215,7 +213,6 @@ impl LoopDetector {
         landmark_alive: &mut dyn FnMut(u64) -> bool,
     ) -> Option<LoopCandidate> {
         debug_assert_eq!(id + 1, store.len(), "observe expects the newest keyframe");
-        self.seen += 1;
         let descriptors = &store.get(id).descriptors;
 
         // Vocabulary bookkeeping: pool until trainable, then quantize
@@ -274,12 +271,18 @@ impl LoopDetector {
             (alive as f64) <= max_alive * (observations.len() as f64)
         };
 
-        let best = match &self.vocabulary {
-            Some(_) => self.best_bow_candidate(store, id, covisibility, &mut gated),
-            None => self.best_brute_force_candidate(store, id, &mut gated),
+        // The vocabulary ranks a few candidates; until it is trained,
+        // every gated keyframe is one, in id order.
+        let bow_backed = self.vocabulary.is_some();
+        let best = if bow_backed {
+            let ranked = self.bow_ranked(id, covisibility, &mut gated);
+            self.best_match(store, id, ranked)
+        } else {
+            let gated_ids = (0..store.len()).filter(|&c| c != id && gated(c));
+            self.best_match(store, id, gated_ids)
         };
 
-        let Some((candidate, score, bow_backed)) = best else {
+        let Some((candidate, score)) = best else {
             self.reset_consistency();
             return None;
         };
@@ -293,10 +296,10 @@ impl LoopDetector {
             .any(|g| group.binary_search(g).is_ok());
         self.consistency = if overlaps { self.consistency + 1 } else { 1 };
         self.last_group = group;
-        if self.consistency < self.config.consistency.max(1) || self.seen < self.cooldown_until {
+        if self.consistency < self.config.consistency.max(1) || id < self.cooldown_until {
             return None;
         }
-        self.cooldown_until = self.seen + self.config.cooldown;
+        self.cooldown_until = id + self.config.cooldown;
         self.reset_consistency();
         Some(LoopCandidate {
             current: id,
@@ -304,30 +307,6 @@ impl LoopDetector {
             score,
             bow_backed,
         })
-    }
-
-    /// Applies a keyframe-cull remap (old id → new id, `None` =
-    /// removed) so the detector's per-keyframe state follows the store.
-    ///
-    /// The runner culls *after* inserting a keyframe but *before*
-    /// [`LoopDetector::observe`] has indexed it, so the remap may cover
-    /// one more (trailing, protected — never culled) keyframe than the
-    /// detector knows; the surplus entry is ignored and the vector for
-    /// that keyframe arrives with the observe call that follows.
-    pub fn apply_remap(&mut self, remap: &[Option<KeyframeId>]) {
-        let indexed = self.index.len();
-        debug_assert!(
-            remap.len() >= indexed && remap[indexed..].iter().all(|m| m.is_some()),
-            "cull remap removed a keyframe the detector has not indexed"
-        );
-        self.index.apply_remap(remap);
-        let mut group: Vec<KeyframeId> = self
-            .last_group
-            .iter()
-            .filter_map(|&g| remap.get(g).copied().flatten())
-            .collect();
-        group.sort_unstable();
-        self.last_group = group;
     }
 
     /// Quantizes and indexes one keyframe's descriptors.
@@ -342,25 +321,21 @@ impl LoopDetector {
         self.last_group = Vec::new();
     }
 
-    /// Best gated candidate: BoW similarity through the inverted index
-    /// *ranks* (bounded by the current keyframe's own covisible
-    /// neighbours — a true revisit should share at least as many words
-    /// as a view the graph knows overlaps); the exact cross-checked
-    /// match fraction of the top-ranked few *scores*.
-    fn best_bow_candidate(
+    /// The gated keyframes whose BoW vectors, retrieved through the
+    /// inverted index, are most similar to keyframe `id`'s: best first,
+    /// at most [`LoopClosureConfig::max_bow_candidates`] of them, each
+    /// bounded below by `id`'s own covisible neighbours (a true revisit
+    /// should share about as many words as a view the graph knows
+    /// overlaps).
+    fn bow_ranked(
         &self,
-        store: &KeyframeStore,
         id: KeyframeId,
         covisibility: &CovisibilityGraph,
         gated: &mut dyn FnMut(KeyframeId) -> bool,
-    ) -> Option<(KeyframeId, f64, bool)> {
+    ) -> Vec<KeyframeId> {
         let current = self.index.vector(id);
-        if current.is_empty() {
-            return None;
-        }
-        // The weakest direct covisible neighbour still shows the same
-        // place; a revisit from across the map should share words at
-        // least as strongly.
+        // A direct covisible neighbour shows the same place; a revisit
+        // from across the map should reach 0.8× the most similar one.
         let mut reference: f64 = 0.0;
         for (neighbor, _) in covisibility.neighbors(id, 1) {
             let s = current.similarity(self.index.vector(neighbor));
@@ -378,53 +353,35 @@ impl LoopDetector {
         // Highest word overlap first; ties toward older keyframes.
         ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
         ranked.truncate(self.config.max_bow_candidates.max(1));
-
-        let kernel = active_kernel();
-        let descriptors = &store.get(id).descriptors;
-        let mut best: Option<(KeyframeId, f64)> = None;
-        for (c, _) in ranked {
-            let matches = matched_pairs(
-                kernel,
-                descriptors,
-                &store.get(c).descriptors,
-                self.config.match_max_distance,
-            );
-            let score = matches.len() as f64 / descriptors.len().max(1) as f64;
-            if score >= self.config.min_similarity && best.is_none_or(|(_, s)| score > s) {
-                best = Some((c, score));
-            }
-        }
-        best.map(|(c, s)| (c, s, true))
+        ranked.into_iter().map(|(c, _)| c).collect()
     }
 
-    /// Brute-force fallback while the vocabulary is still training:
-    /// score every gated candidate by its cross-checked SIMD match
-    /// fraction against the current keyframe.
-    fn best_brute_force_candidate(
+    /// The candidate with the highest cross-checked SIMD match fraction
+    /// against keyframe `id`, if it reaches
+    /// [`LoopClosureConfig::min_similarity`]; ties go to the earlier
+    /// candidate.
+    fn best_match(
         &self,
         store: &KeyframeStore,
         id: KeyframeId,
-        gated: &mut dyn FnMut(KeyframeId) -> bool,
-    ) -> Option<(KeyframeId, f64, bool)> {
+        candidates: impl IntoIterator<Item = KeyframeId>,
+    ) -> Option<(KeyframeId, f64)> {
         let kernel = active_kernel();
         let current = &store.get(id).descriptors;
         let mut best: Option<(KeyframeId, f64)> = None;
-        for kf in store.keyframes() {
-            if kf.id == id || !gated(kf.id) {
-                continue;
-            }
+        for c in candidates {
             let matches = matched_pairs(
                 kernel,
                 current,
-                &kf.descriptors,
+                &store.get(c).descriptors,
                 self.config.match_max_distance,
             );
             let score = matches.len() as f64 / current.len().max(1) as f64;
             if score >= self.config.min_similarity && best.is_none_or(|(_, s)| score > s) {
-                best = Some((kf.id, score));
+                best = Some((c, score));
             }
         }
-        best.map(|(c, s)| (c, s, false))
+        best
     }
 }
 
@@ -448,7 +405,7 @@ pub(crate) fn matched_pairs(
 /// A corrected keyframe pose from the pose-graph solve.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CorrectedKeyframe {
-    /// Keyframe id in the store (at snapshot time).
+    /// Keyframe id in the store.
     pub id: KeyframeId,
     /// Source frame index in the processed sequence.
     pub frame_index: usize,
@@ -1023,34 +980,6 @@ mod tests {
         // keyframe would not move at all (the gauge pose is held).
         let gauge = &outcome.keyframes[0];
         assert_eq!(gauge.old_pose_w2c, gauge.pose_w2c);
-    }
-
-    #[test]
-    fn detector_remap_keeps_index_consistent() {
-        let config = LoopClosureConfig {
-            min_training_descriptors: 60,
-            ..detector_config()
-        };
-        let (mapper, _, mut detector, _) = looped_mapper_with_detector(3, Vec3::ZERO, config);
-        assert!(detector.vocabulary_ready());
-        let n = mapper.store().len();
-        // Cull keyframe 1 and 4.
-        let remap: Vec<Option<usize>> = (0..n)
-            .map(|i| match i {
-                1 => None,
-                4 => None,
-                i if i < 1 => Some(i),
-                i if i < 4 => Some(i - 1),
-                i => Some(i - 2),
-            })
-            .collect();
-        detector.apply_remap(&remap);
-        assert_eq!(detector.index.len(), n - 2);
-        for ids in detector.index.postings() {
-            for &id in ids {
-                assert!(id < n - 2, "stale id {id} in inverted index");
-            }
-        }
     }
 
     mod matched_pairs_oracle {

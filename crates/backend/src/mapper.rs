@@ -52,38 +52,6 @@ pub enum BackendMode {
     Async,
 }
 
-/// Configuration of redundant-keyframe culling: a keyframe retires
-/// when nearly all of its landmarks are also observed by enough other
-/// keyframes — its covisibility neighbours carry the same map
-/// structure, so the store (and with it the pose graph and BoW index)
-/// stays bounded on long runs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct KeyframeCullConfig {
-    /// Whether culling runs at all.
-    pub enabled: bool,
-    /// Fraction of a keyframe's observations that must be covered for
-    /// it to retire (ORB-SLAM uses 0.9).
-    pub coverage: f64,
-    /// An observation counts as covered when its landmark is observed
-    /// by at least this many *other* keyframes.
-    pub redundancy: usize,
-    /// The most recent keyframes are never culled (they are the local
-    /// BA window and the loop detector's working set). Keyframe 0 (the
-    /// gauge) is always protected too.
-    pub protect_recent: usize,
-}
-
-impl Default for KeyframeCullConfig {
-    fn default() -> Self {
-        KeyframeCullConfig {
-            enabled: true,
-            coverage: 0.9,
-            redundancy: 3,
-            protect_recent: 5,
-        }
-    }
-}
-
 /// Configuration of the keyframe backend.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BackendConfig {
@@ -103,8 +71,6 @@ pub struct BackendConfig {
     /// Loop closure: place recognition, geometric verification and the
     /// pose-graph correction.
     pub loop_closure: LoopClosureConfig,
-    /// Redundant-keyframe culling.
-    pub cull: KeyframeCullConfig,
 }
 
 impl Default for BackendConfig {
@@ -130,7 +96,6 @@ impl Default for BackendConfig {
                 ..BaParams::default()
             },
             loop_closure: LoopClosureConfig::default(),
-            cull: KeyframeCullConfig::default(),
         }
     }
 }
@@ -284,39 +249,6 @@ impl LocalMapper {
         self.observers.get(&landmark).map_or(&[], |v| v)
     }
 
-    /// Rebuilds a mapper from a deserialized store and covisibility
-    /// graph (the atlas-load path). The inverted landmark→keyframes
-    /// index is derived from the store (same dedup rule as insertion),
-    /// so it can never disagree with the persisted data; the only
-    /// cross-section invariant checked here is that the graph has one
-    /// node per keyframe.
-    pub fn from_parts(
-        store: KeyframeStore,
-        covisibility: CovisibilityGraph,
-    ) -> Result<LocalMapper, String> {
-        if covisibility.len() != store.len() {
-            return Err(format!(
-                "covisibility graph has {} nodes but the store has {} keyframes",
-                covisibility.len(),
-                store.len()
-            ));
-        }
-        let mut observers: HashMap<u64, Vec<KeyframeId>> = HashMap::new();
-        for kf in store.keyframes() {
-            for obs in &kf.observations {
-                let entry = observers.entry(obs.landmark).or_default();
-                if entry.last() != Some(&kf.id) {
-                    entry.push(kf.id);
-                }
-            }
-        }
-        Ok(LocalMapper {
-            store,
-            covisibility,
-            observers,
-        })
-    }
-
     /// Inserts a keyframe, wiring it into the covisibility graph by
     /// counting shared landmarks against every keyframe that already
     /// observes one of its landmarks.
@@ -352,61 +284,6 @@ impl LocalMapper {
             self.covisibility.accumulate(id, other, count);
         }
         id
-    }
-
-    /// Retires redundant keyframes: a keyframe (other than keyframe 0
-    /// and the `protect_recent` newest) is culled when at least
-    /// `coverage` of its observations see landmarks that
-    /// `redundancy`-or-more *other* keyframes also observe — its map
-    /// structure is carried by its covisibility neighbours. Store ids
-    /// are compacted, the covisibility graph is renumbered, and the
-    /// inverted landmark→keyframes index rebuilt.
-    ///
-    /// Returns the old→new id remap (`None` entries are culled
-    /// keyframes) for downstream id holders (the loop detector), or
-    /// `None` when nothing was culled.
-    ///
-    /// Callers must not hold dispatched jobs across a cull: pending
-    /// local-BA or loop outcomes address keyframes by pre-cull id. The
-    /// runner only culls while its queues are empty.
-    pub fn cull_redundant(
-        &mut self,
-        config: &KeyframeCullConfig,
-    ) -> Option<Vec<Option<KeyframeId>>> {
-        if !config.enabled {
-            return None;
-        }
-        let len = self.store.len();
-        let protected_from = len.saturating_sub(config.protect_recent.max(1));
-        let observers = &self.observers;
-        let remap = self.store.retain_remap(|kf| {
-            if kf.id == 0 || kf.id >= protected_from || kf.observations.is_empty() {
-                return true;
-            }
-            let covered = kf
-                .observations
-                .iter()
-                .filter(|obs| {
-                    observers
-                        .get(&obs.landmark)
-                        .is_some_and(|seen| seen.len() > config.redundancy)
-                })
-                .count();
-            (covered as f64) < config.coverage * (kf.observations.len() as f64)
-        })?;
-        self.covisibility.apply_remap(&remap);
-        // Rebuild the inverted index from the surviving store (same
-        // dedup rule as insertion: one entry per observing keyframe).
-        self.observers.clear();
-        for kf in self.store.keyframes() {
-            for obs in &kf.observations {
-                let entry = self.observers.entry(obs.landmark).or_default();
-                if entry.last() != Some(&kf.id) {
-                    entry.push(kf.id);
-                }
-            }
-        }
-        Some(remap)
     }
 
     /// Applies a refinement to the stored keyframe poses.
@@ -539,8 +416,6 @@ pub struct BackendStats {
     /// Total loop verification + solve wall-clock, ms (on whichever
     /// thread ran it).
     pub loop_solve_ms: f64,
-    /// Keyframes retired by redundancy culling (cumulative).
-    pub culled_keyframes: usize,
 }
 
 /// One dispatched job (a local-BA solve, or a loop verification +
@@ -632,11 +507,11 @@ impl BackendRunner {
         !self.pending.is_empty()
     }
 
-    /// Inserts a keyframe and drives the whole backend step: redundant
-    /// keyframe culling, place recognition (possibly dispatching a loop
-    /// verification + pose-graph job) and the windowed local BA — jobs
-    /// run inline in sync mode, on `pool` in async mode. `position_of`
-    /// resolves landmark ids to current map positions for the problem
+    /// Inserts a keyframe and drives the whole backend step: place
+    /// recognition (possibly dispatching a loop verification +
+    /// pose-graph job) and the windowed local BA — jobs run inline in
+    /// sync mode, on `pool` in async mode. `position_of` resolves
+    /// landmark ids to current map positions for the problem
     /// snapshots.
     pub fn on_keyframe(
         &mut self,
@@ -644,22 +519,7 @@ impl BackendRunner {
         data: KeyframeData,
         position_of: &mut dyn FnMut(u64) -> Option<Vec3>,
     ) {
-        let mut id = self.mapper.insert_keyframe(data);
-        // Culling only while no dispatched job holds pre-cull ids (the
-        // tracker drains both queues at every frame boundary, so in the
-        // steady pipeline this is every keyframe). The pending checks
-        // are mode-independent — jobs are queued and drained at the
-        // same points in sync and async mode — so the cull schedule is
-        // bit-identical too.
-        if self.pending.is_empty() && self.pending_loops.is_empty() {
-            if let Some(remap) = self.mapper.cull_redundant(&self.config.cull) {
-                self.stats.culled_keyframes += remap.iter().filter(|m| m.is_none()).count();
-                if let Some(detector) = self.detector.as_mut() {
-                    detector.apply_remap(&remap);
-                }
-                id = remap[id].expect("the newest keyframe is protected");
-            }
-        }
+        let id = self.mapper.insert_keyframe(data);
         // Place recognition on the tracking thread (cheap, state must
         // evolve deterministically); verification + pose graph as a
         // dispatched job.
@@ -1023,93 +883,11 @@ mod tests {
         );
     }
 
-    /// A keyframe whose landmarks are all observed by ≥ `redundancy`
-    /// other keyframes, sandwiched between enough protected ones.
     #[test]
-    fn redundant_keyframe_is_culled_and_ids_remap() {
-        let camera = camera();
-        let pose = Se3::identity();
-        // 6 keyframes all observing the same 30 landmarks: with
-        // protect_recent = 2, keyframes 1..=3 are cullable and fully
-        // covered (every landmark seen by 5 others).
-        let points: Vec<Vec3> = (0..30)
-            .map(|i| {
-                Vec3::new(
-                    ((i % 6) as f64) * 0.4 - 1.0,
-                    ((i / 6) as f64) * 0.4 - 1.0,
-                    3.0,
-                )
-            })
-            .collect();
-        let data = |frame: usize| -> KeyframeData {
-            let observations = points
-                .iter()
-                .enumerate()
-                .filter_map(|(i, p)| {
-                    let cam = pose.transform(*p);
-                    camera.project(cam).map(|uv| KeyframeObservation {
-                        landmark: i as u64,
-                        pixel: uv,
-                        position: cam,
-                    })
-                })
-                .collect();
-            KeyframeData {
-                frame_index: frame,
-                timestamp: frame as f64 / 30.0,
-                pose_w2c: pose,
-                observations,
-                descriptors: Vec::new(),
-            }
-        };
-        let mut mapper = LocalMapper::new();
-        for k in 0..6 {
-            mapper.insert_keyframe(data(k * 2));
-        }
-        let config = KeyframeCullConfig {
-            enabled: true,
-            coverage: 0.9,
-            redundancy: 3,
-            protect_recent: 2,
-        };
-        let remap = mapper.cull_redundant(&config).expect("culled");
-        // Keyframe 0 and the last two survive; 1..=3 retire.
-        assert_eq!(remap, vec![Some(0), None, None, None, Some(1), Some(2)]);
-        assert_eq!(mapper.store().len(), 3);
-        assert_eq!(mapper.covisibility().len(), 3);
-        // The inverted index knows only surviving ids, deduped.
-        for i in 0..30u64 {
-            assert_eq!(mapper.observers(i), &[0, 1, 2]);
-        }
-        // Covisibility stays symmetric and positive between survivors.
-        for a in 0..3 {
-            for b in 0..3 {
-                if a != b {
-                    assert_eq!(
-                        mapper.covisibility().weight(a, b),
-                        mapper.covisibility().weight(b, a)
-                    );
-                    assert_eq!(mapper.covisibility().weight(a, b), 30);
-                }
-            }
-        }
-        // Disabled culling is a no-op.
-        assert!(mapper
-            .cull_redundant(&KeyframeCullConfig {
-                enabled: false,
-                ..config
-            })
-            .is_none());
-    }
-
-    #[test]
-    fn runner_cull_with_detector_stays_consistent() {
-        // Regression: the runner culls after inserting a keyframe but
-        // before the detector has indexed it, so the remap covers one
-        // more keyframe than the detector's BoW table — apply_remap
-        // must tolerate the surplus (this panicked in debug builds).
-        // Redundant identical keyframes with descriptors force a cull
-        // while the loop detector is active.
+    fn redundant_keyframes_keep_their_ids() {
+        // Eight identical keyframes with descriptors, the loop detector
+        // active: every landmark is seen by every keyframe, yet each
+        // keyframe keeps the id it was inserted with.
         let camera = camera();
         let pose = Se3::identity();
         let points: Vec<Vec3> = (0..30)
@@ -1121,14 +899,14 @@ mod tests {
                 )
             })
             .collect();
-        let mut config = BackendConfig {
+        let config = BackendConfig {
             mode: BackendMode::Sync,
             ..Default::default()
         };
-        config.cull.protect_recent = 2;
+        assert!(config.loop_closure.enabled);
         let mut runner = BackendRunner::new(config, camera).unwrap();
         let pool = WorkerPool::new(1);
-        for k in 0..8usize {
+        let insert = |runner: &mut BackendRunner, k: usize| {
             let mut observations = Vec::new();
             let mut descriptors = Vec::new();
             for (i, p) in points.iter().enumerate() {
@@ -1153,24 +931,33 @@ mod tests {
                 },
                 &mut |id| points.get(id as usize).copied(),
             );
-            // Drain at every boundary like the tracker does, so the
-            // cull precondition (empty queues) holds each keyframe.
+            // Drain at every boundary like the tracker does.
             while runner.take_refinement().is_some() {}
             while runner.take_loop_closure().is_some() {}
+        };
+        for k in 0..8 {
+            insert(&mut runner, k);
         }
-        assert!(
-            runner.stats().culled_keyframes > 0,
-            "scenario must actually cull"
-        );
-        // Store, graph and the detector survived with dense aligned
-        // ids; the next insert still works.
-        assert_eq!(
-            runner.mapper().store().len(),
-            runner.mapper().covisibility().len()
-        );
+        let store = runner.mapper().store();
+        assert_eq!(store.len(), 8);
+        for (k, kf) in store.keyframes().iter().enumerate() {
+            assert_eq!((kf.id, kf.frame_index), (k, k));
+        }
+        let covisibility = runner.mapper().covisibility();
+        assert_eq!(covisibility.len(), 8);
+        for a in 0..8 {
+            for b in 0..8 {
+                if a != b {
+                    assert_eq!(covisibility.weight(a, b), 30, "pair ({a}, {b})");
+                }
+            }
+        }
+        insert(&mut runner, 8);
+        let newest = runner.mapper().store().last().expect("nine keyframes");
+        assert_eq!((newest.id, newest.frame_index), (8, 8));
     }
 
-    mod cull_proptests {
+    mod proptests {
         use super::*;
         use proptest::prelude::*;
 
@@ -1178,18 +965,17 @@ mod tests {
             #![proptest_config(ProptestConfig::with_cases(24))]
 
             /// Whatever observation structure keyframes arrive with,
-            /// culling keeps the covisibility graph symmetric and
-            /// consistent with the rebuilt observer index, keeps store
-            /// ids dense, and leaves the windowed-BA problem builder
-            /// functional.
+            /// insertion keeps store ids dense and aligned with the
+            /// covisibility graph, keeps the graph symmetric with weights
+            /// equal to the shared landmarks, keeps the observer index
+            /// consistent with the store, and leaves the windowed-BA
+            /// problem builder functional.
             #[test]
-            fn culling_preserves_backend_invariants(
-                // keyframes as landmark-id lists (small id space forces
-                // heavy sharing → real culling).
+            fn insertion_preserves_backend_invariants(
+                // keyframes as landmark-id lists (a small id space forces
+                // heavy sharing).
                 frames in proptest::collection::vec(
                     proptest::collection::vec(0u64..12, 1..10), 3..12),
-                protect in 1usize..4,
-                redundancy in 1usize..4,
             ) {
                 let camera = camera();
                 let mut mapper = LocalMapper::new();
@@ -1213,24 +999,8 @@ mod tests {
                         descriptors: Vec::new(),
                     });
                 }
-                let before = mapper.store().len();
-                let config = KeyframeCullConfig {
-                    enabled: true,
-                    coverage: 0.9,
-                    redundancy,
-                    protect_recent: protect,
-                };
-                let remap = mapper.cull_redundant(&config);
                 let store = mapper.store();
                 let cov = mapper.covisibility();
-                if let Some(remap) = &remap {
-                    prop_assert_eq!(remap.len(), before);
-                    // Keyframe 0 and the protected tail always survive.
-                    prop_assert!(remap[0].is_some());
-                    for m in &remap[before.saturating_sub(protect)..] {
-                        prop_assert!(m.is_some());
-                    }
-                }
                 // Ids dense and aligned across store and graph.
                 prop_assert_eq!(store.len(), cov.len());
                 for (i, kf) in store.keyframes().iter().enumerate() {
@@ -1247,9 +1017,7 @@ mod tests {
                         prop_assert_eq!(cov.weight(a, b), w);
                     }
                 }
-                // Edge weights equal recomputed shared-landmark counts
-                // (the graph was renumbered, not recounted — they must
-                // still agree with the surviving observation lists).
+                // Edge weights equal recomputed shared-landmark counts.
                 for a in 0..store.len() {
                     for b in (a + 1)..store.len() {
                         let la: std::collections::BTreeSet<u64> = store.get(a)
@@ -1267,20 +1035,14 @@ mod tests {
                         prop_assert!(mapper.observers(obs.landmark).contains(&kf.id));
                     }
                 }
-                // The windowed-BA problem builder still works (any
-                // number of surviving keyframes).
+                // The windowed-BA problem builder works (every case has
+                // at least three keyframes).
                 let job = mapper.local_ba_job(
                     &BackendConfig::default(),
                     &camera,
                     &mut |id| Some(Vec3::new(id as f64 * 0.1, 0.0, 2.0)),
                 );
-                if store.len() >= 2 {
-                    prop_assert!(job.is_some());
-                    let job = job.unwrap();
-                    prop_assert!(job.observations() > 0);
-                } else {
-                    prop_assert!(job.is_none());
-                }
+                prop_assert!(job.is_some_and(|job| job.observations() > 0));
             }
         }
     }

@@ -5,7 +5,7 @@ use eslam_geometry::lm::LmParams;
 use eslam_geometry::pnp::PnpParams;
 use eslam_geometry::PinholeCamera;
 
-pub use eslam_backend::{BackendConfig, BackendMode, KeyframeCullConfig, LoopClosureConfig};
+pub use eslam_backend::{BackendConfig, BackendMode, LoopClosureConfig};
 pub use eslam_telemetry::{TelemetryConfig, TelemetryMode};
 
 /// Whether [`crate::run_sequence`] streams frames through the async

@@ -131,8 +131,8 @@ pub use eslam_telemetry as telemetry;
 
 pub use atlas::{Atlas, AtlasState};
 pub use config::{
-    BackendConfig, BackendMode, KeyframeCullConfig, LoopClosureConfig, PrefetchMode, SlamConfig,
-    TelemetryConfig, TelemetryMode,
+    BackendConfig, BackendMode, LoopClosureConfig, PrefetchMode, SlamConfig, TelemetryConfig,
+    TelemetryMode,
 };
 pub use map::{Map, MapPoint, PointObservation};
 pub use overrides::Overrides;

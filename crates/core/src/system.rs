@@ -608,8 +608,9 @@ impl Slam {
             if let Some(t) = &self.telemetry {
                 t.count(Counter::KeyframesPromoted, 1);
             }
-            // Dense keyframe id: the map's observation lists and the
-            // backend's store share this numbering.
+            // The keyframe id: the backend's store assigns the same
+            // insertion index and never renumbers, so the map's
+            // observation lists and the store share this numbering.
             let kf_id = self.keyframes;
             self.keyframes += 1;
             self.last_keyframe_c2w = pose_c2w;

@@ -320,6 +320,9 @@ impl Vocabulary {
     /// even for words no document contains — so a tf-idf vector can
     /// never lose words outright, only down-weight them.
     ///
+    /// Each document's words come from [`Vocabulary::vector_of`],
+    /// whose entries are exactly its distinct words.
+    ///
     /// This only affects [`Vocabulary::tfidf_vector_of`];
     /// [`Vocabulary::vector_of`] (and everything built on it, like the
     /// online loop detector) is unchanged.
@@ -329,16 +332,10 @@ impl Vocabulary {
     {
         let mut containing = vec![0u64; self.words];
         let mut total_docs = 0u64;
-        let mut seen = vec![false; self.words];
         for doc in documents {
             total_docs += 1;
-            seen.iter_mut().for_each(|s| *s = false);
-            for d in doc {
-                let w = self.word_of(d) as usize;
-                if !seen[w] {
-                    seen[w] = true;
-                    containing[w] += 1;
-                }
+            for &(w, _) in self.vector_of(doc).entries() {
+                containing[w as usize] += 1;
             }
         }
         self.idf = Some(
@@ -771,6 +768,25 @@ mod tests {
         vocab.train_idf(docs.iter().map(|d| d.as_slice()));
         let idf = vocab.idf().expect("trained");
         assert_eq!(idf.len(), vocab.words());
+        // The weights equal a document count taken through `word_of`.
+        let mut containing = vec![0u64; vocab.words()];
+        for doc in &docs {
+            let mut words: Vec<u32> = doc.iter().map(|d| vocab.word_of(d)).collect();
+            words.sort_unstable();
+            words.dedup();
+            for w in words {
+                containing[w as usize] += 1;
+            }
+        }
+        let by_word_of: Vec<u64> = containing
+            .iter()
+            .map(|&n| ((1.0 + docs.len() as f64) / (1.0 + n as f64)).ln() + 1.0)
+            .map(f64::to_bits)
+            .collect();
+        assert_eq!(
+            idf.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            by_word_of
+        );
         assert!(idf.iter().all(|v| v.is_finite() && *v > 0.0));
         // A word every document contains gets the minimum weight; the
         // family-A words are those, so their idf sits strictly below

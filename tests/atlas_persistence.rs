@@ -272,6 +272,27 @@ fn circle_map_reloads_bit_identically_and_relocalizes_a_cold_session() {
         published.vocabulary().and_then(|v| v.idf()).is_some(),
         "atlas vocabularies carry tf-idf weights"
     );
+    // Keyframe ids are never renumbered: the tracker's keyframe count is
+    // the store's length, and every map-side observation names a store
+    // keyframe that observed that landmark.
+    let store = published.keyframes();
+    assert_eq!(slam.keyframes(), store.len());
+    let mut checked = 0;
+    for point in published.map().points() {
+        for observation in &point.observations {
+            assert!(
+                store
+                    .keyframes()
+                    .get(observation.keyframe)
+                    .is_some_and(|kf| kf.observations.iter().any(|o| o.landmark == point.id)),
+                "landmark {} lists keyframe {}, which does not observe it",
+                point.id,
+                observation.keyframe
+            );
+            checked += 1;
+        }
+    }
+    assert!(checked > 0, "the circle map records observations");
 
     // Save → load: every section bit-identical.
     let dir = std::env::temp_dir().join(format!("eslam_atlas_tier_{}", std::process::id()));

@@ -176,7 +176,6 @@ fn corrected_trajectory_is_bit_identical_sync_vs_async() {
         assert_eq!(a.loops_rejected, s.loops_rejected, "{}", spec.name);
         assert_eq!(a.last_loop_matches, s.last_loop_matches, "{}", spec.name);
         assert_eq!(a.last_loop_inliers, s.last_loop_inliers, "{}", spec.name);
-        assert_eq!(a.culled_keyframes, s.culled_keyframes, "{}", spec.name);
         assert_eq!(
             a.pose_graph_iterations, s.pose_graph_iterations,
             "{}",
