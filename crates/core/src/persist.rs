@@ -121,27 +121,61 @@ pub struct AtlasContents {
 
 // ---------------------------------------------------------------- CRC-32
 
-/// CRC-32 (IEEE 802.3, reflected 0xEDB88320), table-driven.
-fn crc32(bytes: &[u8]) -> u32 {
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, slot) in table.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 {
-                    0xedb8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-            }
-            *slot = c;
+/// Slice-by-8 tables of the CRC-32: `CRC_TABLES[0]` is the byte-wise
+/// table, and `CRC_TABLES[k][b]` advances `CRC_TABLES[k - 1][b]` by one
+/// more zero byte, so eight lookups fold eight input bytes at once.
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = if c & 1 != 0 {
+                0xedb8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            bit += 1;
         }
-        table
-    });
+        tables[0][i] = c;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xff) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
+}
+
+/// CRC-32 (IEEE 802.3, reflected 0xEDB88320), eight bytes per step
+/// (slice-by-8), the tail byte by byte.
+fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = 0xffff_ffffu32;
-    for &b in bytes {
-        crc = table[((crc ^ b as u32) & 0xff) as usize] ^ (crc >> 8);
+    let mut blocks = bytes.chunks_exact(8);
+    for block in &mut blocks {
+        let lo = crc ^ u32::from_le_bytes([block[0], block[1], block[2], block[3]]);
+        let hi = u32::from_le_bytes([block[4], block[5], block[6], block[7]]);
+        crc = t[7][(lo & 0xff) as usize]
+            ^ t[6][((lo >> 8) & 0xff) as usize]
+            ^ t[5][((lo >> 16) & 0xff) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xff) as usize]
+            ^ t[2][((hi >> 8) & 0xff) as usize]
+            ^ t[1][((hi >> 16) & 0xff) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in blocks.remainder() {
+        crc = t[0][((crc ^ u32::from(b)) & 0xff) as usize] ^ (crc >> 8);
     }
     !crc
 }
@@ -635,6 +669,44 @@ pub fn load_atlas(path: &Path) -> Result<AtlasContents, AtlasError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The byte-wise CRC-32 loop: the oracle of the slice-by-8 `crc32`.
+    fn crc32_reference(bytes: &[u8]) -> u32 {
+        let mut crc = 0xffff_ffffu32;
+        for &b in bytes {
+            crc = CRC_TABLES[0][((crc ^ u32::from(b)) & 0xff) as usize] ^ (crc >> 8);
+        }
+        !crc
+    }
+
+    #[test]
+    fn crc32_matches_the_check_value_and_the_bytewise_loop() {
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32_reference(b"123456789"), 0xCBF4_3926);
+        // A pseudo-random buffer of a few MB, like an atlas section.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let bytes: Vec<u8> = (0..3 * 1024 * 1024 + 5)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state >> 24) as u8
+            })
+            .collect();
+        // Every length 0–64 at every start offset 0–7: each split of
+        // the eight-byte blocks and the byte-wise tail.
+        for start in 0..8 {
+            for len in 0..=64 {
+                let slice = &bytes[start..start + len];
+                assert_eq!(
+                    crc32(slice),
+                    crc32_reference(slice),
+                    "start {start} len {len}"
+                );
+            }
+        }
+        assert_eq!(crc32(&bytes), crc32_reference(&bytes));
+    }
 
     fn desc(tag: u64) -> Descriptor {
         Descriptor::from_words([tag, !tag, tag ^ 0xdead_beef, tag.rotate_left(17)])

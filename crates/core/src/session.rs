@@ -13,8 +13,11 @@
 //!    snapshot's landmark map, using the held pose as motion prior;
 //! 3. **cold start** — with no pose (first frame, or tracking lost),
 //!    BoW relocalization (`eslam_backend::Relocalizer`) against the
-//!    snapshot's keyframes, then a tracking refine seeded by the
-//!    relocalized pose.
+//!    snapshot's keyframes, then a refine against the snapshot's map
+//!    that matches by projection under the relocalized pose
+//!    (`crate::tracking::track_frame_by_projection`): each feature is
+//!    compared only with the map points that land near its keypoint,
+//!    not with the whole map.
 //!
 //! Sessions are cheap (one extractor + scratch) and independent: N of
 //! them on N threads share one [`Atlas`] without blocking each other
@@ -29,7 +32,7 @@ use eslam_image::GrayImage;
 
 use crate::atlas::{Atlas, AtlasState};
 use crate::config::SlamConfig;
-use crate::tracking::track_frame;
+use crate::tracking::{track_frame, track_frame_by_projection};
 
 /// One localized frame: where the camera is in the atlas' world frame
 /// and how the estimate was obtained.
@@ -161,21 +164,24 @@ impl Session {
             &RelocalizationConfig::default(),
         )?;
 
-        // Refine with a map-tracking pass seeded by the relocalized
-        // pose — but only adopt it on strictly stronger geometric
-        // support. The raw solve runs against the candidate keyframe's
-        // promotion-time *camera-frame* landmark snapshot (drift-free
-        // RGB-D measurements); the refine runs against the global map,
-        // whose landmark positions carry whatever drift the mapping run
+        // Refine against the map — but only adopt the result on
+        // strictly stronger geometric support. P3P has verified the
+        // relocalized pose, so the refine checks it rather than searching
+        // again: it matches each feature only with the map points that
+        // project near its keypoint under that pose, then runs tracking's
+        // PnP → LM → re-validation tail with the pose as LM prior. The
+        // raw solve runs against the candidate keyframe's promotion-time
+        // *camera-frame* landmark snapshot (drift-free RGB-D
+        // measurements); the refine runs against the global map, whose
+        // landmark positions carry whatever drift the mapping run
         // accumulated. When the keyframe already explains the frame
         // better (more inliers), polishing against the map would trade
         // metric accuracy for map consistency.
-        let refine = track_frame(
+        let refine = track_frame_by_projection(
             &features,
             self.snapshot.map(),
             &reloc.pose_w2c,
             &self.config,
-            self.scratch.pool(),
         );
         let (pose_w2c, inliers) = if refine.ok && refine.inliers > reloc.inliers {
             (refine.pose_w2c, refine.inliers)

@@ -1,7 +1,7 @@
 //! The atlas tier: persisted maps, cold-start relocalization and the
 //! shared multi-session [`Atlas`].
 //!
-//! Three stories, in rising order of integration:
+//! Three stories, in rising order of integration, and one input check:
 //!
 //! 1. **format totality** — property tests drive randomly shaped maps
 //!    through encode → decode (bit-identical round trips) and throw
@@ -15,7 +15,9 @@
 //!    2 cm of the ground-truth start pose;
 //! 3. **shared serving** — at least 4 concurrent sessions localize
 //!    against one [`Atlas`] while the writer keeps publishing: nobody
-//!    blocks anybody, every session converges on the same pose.
+//!    blocks anybody, every session converges on the same pose;
+//! 4. **oversized queries** — a cold query larger than the session's
+//!    camera localizes or returns `None`, and never panics.
 
 use std::sync::Arc;
 
@@ -23,10 +25,11 @@ use eslam_backend::keyframe::KeyframeObservation;
 use eslam_backend::{BackendMode, CovisibilityGraph, KeyframeStore};
 use eslam_core::persist::{decode_atlas, encode_atlas, AtlasContents, AtlasError};
 use eslam_core::{Atlas, Map, MapPoint, PointObservation, Session, Slam, SlamConfig};
-use eslam_dataset::sequence::SequenceSpec;
+use eslam_dataset::sequence::{SequenceSpec, SyntheticSequence};
 use eslam_features::bow::{BowParams, Vocabulary};
 use eslam_features::Descriptor;
 use eslam_geometry::{Se3, Vec2, Vec3};
+use eslam_image::GrayImage;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -240,13 +243,9 @@ fn semantic_validators_back_the_decoder() {
 
 // ------------------------------------------- save → load → relocalize
 
-#[test]
-fn circle_map_reloads_bit_identically_and_relocalizes_a_cold_session() {
-    let spec = &SequenceSpec::loop_sequences(LOOP_FRAMES, IMAGE_SCALE)[0];
-    assert_eq!(spec.name, "loop/circle");
-    let seq = spec.build();
-
-    // Mapping run: a Slam with an attached atlas publishes on finish.
+/// Maps `seq` with the tier's configuration (sync backend) into a fresh
+/// atlas, which `finish` publishes once.
+fn map_circle(seq: &SyntheticSequence) -> (Arc<Atlas>, Slam) {
     let atlas = Arc::new(Atlas::empty());
     let mut cfg = config();
     cfg.backend.mode = BackendMode::Sync;
@@ -258,6 +257,17 @@ fn circle_map_reloads_bit_identically_and_relocalizes_a_cold_session() {
         slam.process(frame.timestamp, &frame.gray, &frame.depth);
     }
     slam.finish();
+    (atlas, slam)
+}
+
+#[test]
+fn circle_map_reloads_bit_identically_and_relocalizes_a_cold_session() {
+    let spec = &SequenceSpec::loop_sequences(LOOP_FRAMES, IMAGE_SCALE)[0];
+    assert_eq!(spec.name, "loop/circle");
+    let seq = spec.build();
+
+    // Mapping run: a Slam with an attached atlas publishes on finish.
+    let (atlas, slam) = map_circle(&seq);
     assert_eq!(atlas.epoch(), 1, "finish() publishes exactly once");
     let published = atlas.snapshot();
     assert!(
@@ -344,17 +354,7 @@ fn concurrent_sessions_share_one_atlas_without_starving_the_writer() {
     let spec = &SequenceSpec::loop_sequences(LOOP_FRAMES, IMAGE_SCALE)[0];
     let seq = spec.build();
 
-    let atlas = Arc::new(Atlas::empty());
-    let mut cfg = config();
-    cfg.backend.mode = BackendMode::Sync;
-    let mut slam = Slam::builder()
-        .config(cfg)
-        .atlas(Arc::clone(&atlas))
-        .build();
-    for frame in seq.frames() {
-        slam.process(frame.timestamp, &frame.gray, &frame.depth);
-    }
-    slam.finish();
+    let (atlas, _) = map_circle(&seq);
     let reference = atlas.snapshot();
     assert!(reference.can_relocalize());
 
@@ -393,5 +393,36 @@ fn concurrent_sessions_share_one_atlas_without_starving_the_writer() {
     for (i, err) in results.into_iter().enumerate() {
         let err = err.unwrap_or_else(|| panic!("session {i} failed to localize"));
         assert!(err < 0.02, "session {i} pose error {err:.4} m");
+    }
+}
+
+// ------------------------------------------------- oversized queries
+
+/// A frame larger than the session's camera must not panic the cold
+/// start. A 160×120 atlas gets a 320×240 query: the first 160×120 view
+/// tiled 2×2. Its keypoints right of and below the first copy lie
+/// outside the camera's image, and so outside the cell grid of the
+/// refine's projection-guided match, whenever relocalization hands the
+/// refine a pose.
+#[test]
+fn an_oversized_query_localizes_or_fails_without_panicking() {
+    let spec = &SequenceSpec::loop_sequences(LOOP_FRAMES, IMAGE_SCALE)[0];
+    let seq = spec.build();
+    let (atlas, _) = map_circle(&seq);
+    assert!(atlas.snapshot().can_relocalize());
+
+    let frame = seq.frames().next().expect("sequence has frames");
+    let (w, h) = (frame.gray.width(), frame.gray.height());
+    let camera = config().camera;
+    assert_eq!((w, h), (camera.width, camera.height));
+    let tiled = GrayImage::from_fn(2 * w, 2 * h, |x, y| frame.gray.get(x % w, y % h));
+    let mut session = Session::new(atlas, config());
+    if let Some(localization) = session.localize(&tiled) {
+        assert!(localization.cold_start, "the session had no warm pose");
+        let c2w = localization.pose_c2w();
+        assert!(
+            c2w.translation.norm().is_finite(),
+            "a returned pose is finite"
+        );
     }
 }
