@@ -19,10 +19,11 @@
 //!    against a dense per-word array of the query's weights: the
 //!    [`BowVector::similarity`] sum, bit for bit;
 //! 2. **cross-checked SIMD match** — candidates are verified with the
-//!    same mutual-nearest match the loop verifier uses
-//!    ([`eslam_features::matcher::match_mutual_with_kernel`]): one pass
-//!    over the Hamming distances keeps each query's nearest train and
-//!    each train's nearest query, on the kernel rung the CPU supports;
+//!    mutual-nearest search the loop verifier uses, split across the
+//!    caller's worker pool ([`eslam_features::matcher::match_mutual_in`]):
+//!    one pass over the Hamming distances keeps each query's nearest
+//!    train and each train's nearest query, on the kernel rung the CPU
+//!    supports, each pool thread over its own share of the query rows;
 //! 3. **P3P/RANSAC** — matched pixels solve PnP against the
 //!    candidate's promotion-time **camera-frame** landmark positions
 //!    (drift-free RGB-D measurements), so the estimated pose is the
@@ -31,14 +32,15 @@
 //!    pose.
 //!
 //! Determinism: candidate ranking sorts by (score desc, id asc), the
-//! matcher rungs are bit-identical, and RANSAC is seeded — the same
-//! query against the same map always returns the same pose.
+//! matcher rungs are bit-identical and the row split never shows in the
+//! matches, and RANSAC is seeded — the same query against the same map
+//! always returns the same pose, on any pool.
 
 use crate::bow_index::BowIndex;
 use crate::keyframe::{KeyframeId, KeyframeStore};
-use crate::loop_closure::matched_pairs;
 use eslam_features::bow::{BowVector, Vocabulary};
-use eslam_features::matcher::active_kernel;
+use eslam_features::matcher::match_mutual_in;
+use eslam_features::pool::WorkerPool;
 use eslam_features::Descriptor;
 use eslam_geometry::pnp::{solve_pnp_ransac, PnpParams};
 use eslam_geometry::{PinholeCamera, Se3, Vec2, Vec3};
@@ -96,7 +98,9 @@ pub struct RelocalizationResult {
 /// index. Build once per loaded map ([`Relocalizer::build`]), query
 /// from any number of sessions concurrently (`&self` everywhere — the
 /// atlas shares one relocalizer across sessions via its snapshot
-/// `Arc`).
+/// `Arc`). Each query runs its candidate matches on the pool it is
+/// given ([`Relocalizer::relocalize_in`]; a session passes its own) or
+/// on the process-global pool ([`Relocalizer::relocalize`]).
 #[derive(Debug, Clone, Default)]
 pub struct Relocalizer {
     /// Per-keyframe BoW vectors, indexed by keyframe id (empty vector
@@ -149,17 +153,36 @@ impl Relocalizer {
         scored
     }
 
+    /// [`Relocalizer::relocalize_in`] on the process-global pool
+    /// ([`WorkerPool::global`]).
+    pub fn relocalize(
+        &self,
+        vocabulary: &Vocabulary,
+        store: &KeyframeStore,
+        camera: &PinholeCamera,
+        descriptors: &[Descriptor],
+        pixels: &[Vec2],
+        config: &RelocalizationConfig,
+    ) -> Option<RelocalizationResult> {
+        let pool = WorkerPool::global();
+        self.relocalize_in(pool, vocabulary, store, camera, descriptors, pixels, config)
+    }
+
     /// Localizes one frame (descriptors + their pixel locations,
     /// index-aligned) against the map snapshot this index was built
-    /// over. Returns the first BoW candidate that passes cross-checked
+    /// over, splitting each candidate's cross-checked match across
+    /// `pool`. Returns the first BoW candidate that passes cross-checked
     /// matching and P3P/RANSAC, or `None` when no candidate verifies.
+    /// The result is the same on every pool.
     ///
     /// # Panics
     /// Panics when `descriptors` and `pixels` lengths differ, or when
     /// `store` is not the store this relocalizer was built from (id
     /// ranges disagree).
-    pub fn relocalize(
+    #[allow(clippy::too_many_arguments)]
+    pub fn relocalize_in(
         &self,
+        pool: &WorkerPool,
         vocabulary: &Vocabulary,
         store: &KeyframeStore,
         camera: &PinholeCamera,
@@ -181,14 +204,13 @@ impl Relocalizer {
             return None;
         }
         let query = vocabulary.tfidf_vector_of(descriptors);
-        let kernel = active_kernel();
         for (id, score) in self.candidates(&query, config) {
             let kf = store.get(id);
             if kf.descriptors.is_empty() {
                 continue;
             }
-            let pairs = matched_pairs(
-                kernel,
+            let pairs = match_mutual_in(
+                pool,
                 descriptors,
                 &kf.descriptors,
                 config.match_max_distance,
@@ -202,9 +224,9 @@ impl Relocalizer {
             // for the query's world-to-camera.
             let world: Vec<Vec3> = pairs
                 .iter()
-                .map(|&(_, t)| kf.observations[t].position)
+                .map(|m| kf.observations[m.train].position)
                 .collect();
-            let query_pixels: Vec<Vec2> = pairs.iter().map(|&(q, _)| pixels[q]).collect();
+            let query_pixels: Vec<Vec2> = pairs.iter().map(|m| pixels[m.query]).collect();
             let Some(pnp) = solve_pnp_ransac(&world, &query_pixels, camera, &config.pnp) else {
                 continue;
             };
@@ -338,6 +360,70 @@ mod tests {
         assert!(result.inliers >= 12, "inliers {}", result.inliers);
         let err = (result.pose_w2c.translation - query_pose.translation).norm();
         assert!(err < 1e-6, "translation error {err}");
+    }
+
+    /// Every float of a pose, as bits.
+    fn pose_bits(pose: &Se3) -> Vec<u64> {
+        let t = pose.translation;
+        (pose.rotation.m.iter().flatten())
+            .chain([&t.x, &t.y, &t.z])
+            .map(|v| v.to_bits())
+            .collect()
+    }
+
+    #[test]
+    fn relocalize_in_returns_the_same_result_on_every_pool() {
+        let mut store = KeyframeStore::new();
+        place_keyframe(&mut store, 0, Se3::identity(), 0, 0);
+        let pose_b = Se3::from_translation(Vec3::new(2.0, 0.0, 0.0));
+        place_keyframe(&mut store, 8, pose_b, u64::MAX, 1);
+        let vocab = Vocabulary::train(&training_set(), &BowParams::default()).unwrap();
+        let index = Relocalizer::build(&vocab, &store);
+        let cam = camera();
+        let config = RelocalizationConfig::default();
+
+        // Place B seen from a slightly different viewpoint, each
+        // feature five times in a row: 200 query rows split into two
+        // and three pieces on the 2- and 3-thread pools, the first copy
+        // of every feature wins its train's tie against the other
+        // copies, and some runs of copies straddle a piece boundary.
+        let query_pose = pose_b.compose(&Se3::from_translation(Vec3::new(0.05, 0.0, -0.1)));
+        let kf = store.get(1);
+        let mut descriptors = Vec::new();
+        let mut pixels = Vec::new();
+        for (obs, d) in kf.observations.iter().zip(&kf.descriptors) {
+            let world = kf.pose_w2c.inverse().transform(obs.position);
+            if let Some(pixel) = cam.project(query_pose.transform(world)) {
+                descriptors.extend([*d; 5]);
+                pixels.extend([pixel; 5]);
+            }
+        }
+        assert!(descriptors.len() >= 192, "{} rows", descriptors.len());
+        let expect = index
+            .relocalize(&vocab, &store, &cam, &descriptors, &pixels, &config)
+            .expect("relocalization succeeds");
+        assert_eq!(expect.matches, descriptors.len() / 5);
+        for threads in [1, 2, 3] {
+            let pool = WorkerPool::new(threads);
+            let got = index
+                .relocalize_in(&pool, &vocab, &store, &cam, &descriptors, &pixels, &config)
+                .expect("relocalization succeeds on every pool");
+            assert_eq!(
+                (got.keyframe, got.score.to_bits(), got.matches, got.inliers),
+                (
+                    expect.keyframe,
+                    expect.score.to_bits(),
+                    expect.matches,
+                    expect.inliers
+                ),
+                "{threads} threads"
+            );
+            assert_eq!(
+                pose_bits(&got.pose_w2c),
+                pose_bits(&expect.pose_w2c),
+                "{threads} threads"
+            );
+        }
     }
 
     #[test]

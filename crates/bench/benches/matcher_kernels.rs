@@ -12,13 +12,18 @@
 //!
 //! `matcher_mutual/<rung>` times the one-pass mutual search
 //! ([`match_mutual_with_kernel`]) at the relocalization workload's shape,
-//! 1,024 query descriptors against a 979-descriptor keyframe. It is
-//! informational: the baseline has no entry for it.
+//! 1,024 query descriptors against a 979-descriptor keyframe, and
+//! `matcher_mutual/pooled/t2` the same search on the active rung with
+//! its rows split across an owned 2-thread pool ([`match_mutual_in`]),
+//! as a relocalizing session runs it. Both are informational: the
+//! baseline has no entry for them, and the pooled one reads the
+//! one-thread figure when other tenants hold the second core.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use eslam_features::matcher::{
-    match_brute_force_with_kernel, match_mutual_with_kernel, MatchKernel,
+    match_brute_force_with_kernel, match_mutual_in, match_mutual_with_kernel, MatchKernel,
 };
+use eslam_features::pool::WorkerPool;
 use eslam_features::{Descriptor, DescriptorMatch};
 use std::hint::black_box;
 
@@ -88,6 +93,15 @@ fn bench_mutual(c: &mut Criterion) {
     // Relocalization's verification match: a query frame's 1024
     // descriptors against one candidate keyframe's 979.
     bench_kernel_group(c, "matcher_mutual", match_mutual_with_kernel, 1024, 979, 5);
+    let query = descriptors(1024, 5);
+    let train = descriptors(979, 6);
+    let pool = WorkerPool::new(2);
+    let mut group = c.benchmark_group("matcher_mutual");
+    group.sample_size(10);
+    group.bench_function("pooled/t2", |b| {
+        b.iter(|| black_box(match_mutual_in(&pool, &query, &train, u32::MAX)))
+    });
+    group.finish();
 }
 
 criterion_group!(

@@ -19,6 +19,16 @@
 //!   interquartile range is wider than the bound, unless every change run
 //!   reads better than every parent run.
 //! * [`Verdict::Holds`] — otherwise: no worse than the bound.
+//!
+//! # Spread
+//!
+//! The benchmark also holds each side's interquartile range to the
+//! metric's bound times the parent's median
+//! ([`MetricSummary::allowance`]). For a rate such as `fps`, the
+//! reciprocal of mean latency, a build S× faster than its parent gets
+//! only `bound / S` of its own median, so a large gain whose runs
+//! straddle two phases of a shared host can fail on spread alone.
+//! [`MetricSummary::past_allowance`] tells which side exceeds it.
 
 use crate::json::Json;
 
@@ -223,6 +233,21 @@ pub struct MetricSummary {
     pub pairs: PairCount,
     /// The verdict.
     pub verdict: Verdict,
+    /// The widest interquartile range the benchmark accepts on either
+    /// side, and the widest median worsening: the metric's bound times
+    /// the parent's median.
+    pub allowance: f64,
+}
+
+impl MetricSummary {
+    /// Whether the parent's and the change's interquartile ranges, in
+    /// that order, exceed [`MetricSummary::allowance`].
+    pub fn past_allowance(&self) -> (bool, bool) {
+        (
+            self.parent.iqr() > self.allowance,
+            self.change.iqr() > self.allowance,
+        )
+    }
 }
 
 /// Judges one metric over paired samples (`parent[i]` and `change[i]`
@@ -233,15 +258,16 @@ pub struct MetricSummary {
 pub fn judge(def: &MetricDef, parent: &[f64], change: &[f64]) -> MetricSummary {
     let pairs = count_pairs(parent, change, def.better);
     let (pq, cq) = (quartiles(parent), quartiles(change));
+    let allowance = def.bound * pq.median.abs();
     let gap = (cq.median - pq.median).abs();
     let verdict = if 10 * pairs.wins >= 9 * parent.len()
         && is_better(cq.median, pq.median, def.better)
         && gap > pq.iqr()
     {
         Verdict::Gain
-    } else if is_better(pq.median, cq.median, def.better) && gap > def.bound * pq.median.abs() {
+    } else if is_better(pq.median, cq.median, def.better) && gap > allowance {
         Verdict::Worse
-    } else if pq.iqr() > def.bound * pq.median.abs()
+    } else if pq.iqr() > allowance
         && !change
             .iter()
             .all(|&c| parent.iter().all(|&p| is_better(c, p, def.better)))
@@ -255,6 +281,7 @@ pub fn judge(def: &MetricDef, parent: &[f64], change: &[f64]) -> MetricSummary {
         change: cq,
         pairs,
         verdict,
+        allowance,
     }
 }
 
@@ -380,5 +407,38 @@ mod tests {
         let all_better = [4.0, 4.0, 4.5, 4.9];
         let summary = judge(&lower, &spread, &all_better);
         assert_eq!((summary.pairs.wins, summary.verdict), (4, Verdict::Holds));
+        // Both noisy sides are past the allowance of 2.5.
+        let noisy = judge(&lower, &noisy, &similar);
+        assert_eq!(noisy.allowance, 2.5);
+        assert_eq!(noisy.past_allowance(), (true, true));
+    }
+
+    #[test]
+    fn spread_past_the_allowance_is_flagged_per_side() {
+        // `fps` of a parent near 550 frames/s, IQR 4.5: the allowance
+        // is 25% of its median, 137.375.
+        let parent: Vec<f64> = (0..10).map(|i| 545.0 + i as f64).collect();
+        let higher = def(Better::Higher, 0.25);
+        // A 1.7× faster build whose runs split across two host phases:
+        // median 930, IQR 215, past the allowance.
+        let split = [
+            800.0, 810.0, 820.0, 830.0, 840.0, 1020.0, 1030.0, 1040.0, 1050.0, 1060.0,
+        ];
+        let summary = judge(&higher, &parent, &split);
+        assert_eq!(summary.allowance, 0.25 * 549.5);
+        assert_eq!(
+            (summary.change.median, summary.change.iqr()),
+            (930.0, 215.0)
+        );
+        assert_eq!(summary.past_allowance(), (false, true));
+        // The verdict judges the medians, not the change's spread.
+        assert_eq!(summary.verdict, Verdict::Gain);
+        // The same speed-up in one phase: IQR 55, inside.
+        let steady = [
+            880.0, 890.0, 900.0, 910.0, 920.0, 940.0, 950.0, 960.0, 970.0, 980.0,
+        ];
+        let summary = judge(&higher, &parent, &steady);
+        assert_eq!((summary.change.median, summary.change.iqr()), (930.0, 55.0));
+        assert_eq!(summary.past_allowance(), (false, false));
     }
 }

@@ -14,7 +14,11 @@
 //! metric of that file it prints both sides' median and quartiles, the
 //! change's wins and ties, and the verdict of `eslam_bench::ab` (a gain
 //! needs at least 9 of 10 pairs won and a median gap wider than the
-//! parent's interquartile range). Exits with status 1 when any run
+//! parent's interquartile range). A second table prints each side's
+//! interquartile range next to the allowance the benchmark holds it to
+//! (the metric's bound times the parent's median) and marks a side past
+//! it with `SPREAD`; the mark does not change the exit status. Exits
+//! with status 1 when any run
 //! prints `"correct": false`, lacks a declared metric, or the change
 //! fails more operations than the parent, and 2 on a usage error or a
 //! run whose output has no result line.
@@ -142,6 +146,7 @@ fn main() -> ExitCode {
             .collect()
     };
     let mut incomplete = false;
+    let mut judged = Vec::new();
     for def in defs {
         let (p, c) = (column(&parents, &def.name), column(&changes, &def.name));
         if p.iter().chain(&c).any(|v| v.is_nan()) {
@@ -171,6 +176,28 @@ fn main() -> ExitCode {
             s.pairs.wins,
             p.len(),
             s.pairs.ties
+        );
+        judged.push((def, s));
+    }
+
+    println!("spread: each side's IQR against the bound x the parent's median");
+    println!(
+        "{:<14} {:>12} {:>12} {:>12}",
+        "metric", "parent IQR", "change IQR", "allowance"
+    );
+    for (def, s) in &judged {
+        let flag = match s.past_allowance() {
+            (true, true) => "  SPREAD parent, change",
+            (true, false) => "  SPREAD parent",
+            (false, true) => "  SPREAD change",
+            (false, false) => "",
+        };
+        println!(
+            "{:<14} {:>12.4} {:>12.4} {:>12.4}{flag}",
+            def.name,
+            s.parent.iqr(),
+            s.change.iqr(),
+            s.allowance
         );
     }
 

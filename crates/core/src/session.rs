@@ -12,12 +12,17 @@
 //!    map-based tracking (`crate::tracking::track_frame`) against the
 //!    snapshot's landmark map, using the held pose as motion prior;
 //! 3. **cold start** — with no pose (first frame, or tracking lost),
-//!    BoW relocalization (`eslam_backend::Relocalizer`) against the
-//!    snapshot's keyframes, then a refine against the snapshot's map
-//!    that matches by projection under the relocalized pose
-//!    (`crate::tracking::track_frame_by_projection`): each feature is
-//!    compared only with the map points that land near its keypoint,
+//!    BoW relocalization (`eslam_backend::Relocalizer::relocalize_in`)
+//!    against the snapshot's keyframes, its candidate matches split
+//!    across the session's own worker pool, then a refine against the
+//!    snapshot's map that matches by projection under the relocalized
+//!    pose (`crate::tracking::track_frame_by_projection`): each feature
+//!    is compared only with the map points that land near its keypoint,
 //!    not with the whole map.
+//!
+//! A frame whose size is not the configured camera's is refused before
+//! any of this: its keypoints would be solved with intrinsics that do
+//! not describe it.
 //!
 //! Sessions are cheap (one extractor + scratch) and independent: N of
 //! them on N threads share one [`Atlas`] without blocking each other
@@ -113,8 +118,14 @@ impl Session {
     /// Localizes one grayscale frame against the shared atlas. Returns
     /// `None` when neither warm tracking nor cold-start relocalization
     /// produced an acceptable pose (the session stays cold and retries
-    /// on the next frame).
+    /// on the next frame), and when `gray` is not the configured
+    /// camera's width × height (the frame is refused unread, and the
+    /// session keeps its state).
     pub fn localize(&mut self, gray: &GrayImage) -> Option<Localization> {
+        let camera = &self.config.camera;
+        if (gray.width(), gray.height()) != (camera.width, camera.height) {
+            return None;
+        }
         // Pick up a newer world if the writer published one. Stale
         // snapshots stay fully usable — this is freshness, not safety.
         let epoch = self.atlas.epoch();
@@ -155,7 +166,8 @@ impl Session {
             .iter()
             .map(|kp| Vec2::new(kp.x, kp.y))
             .collect();
-        let reloc = self.snapshot.relocalizer().relocalize(
+        let reloc = self.snapshot.relocalizer().relocalize_in(
+            self.scratch.pool(),
             vocabulary,
             self.snapshot.keyframes(),
             &self.config.camera,

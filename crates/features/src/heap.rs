@@ -6,6 +6,14 @@
 //! efficient realization is a *min*-heap of capacity N whose root is the
 //! weakest kept feature: a new feature replaces the root iff it scores
 //! higher. This module implements that structure generically.
+//!
+//! [`BestHeap`] defines the order every best-N choice of the extractor
+//! follows — score descending, ties to the earlier arrival — and is the
+//! selector of the scalar reference
+//! (`OrbExtractor::extract_reference`). The production extractor
+//! (`OrbExtractor::extract_with`) keeps and orders exactly what the heap
+//! would, but selects in its order over compact `(score, arrival)` keys
+//! instead of pushing every described feature through it.
 
 use std::collections::BinaryHeap;
 

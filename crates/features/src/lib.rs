@@ -18,10 +18,11 @@
 //!   symmetric pattern whose steering degenerates to a descriptor byte
 //!   rotation (the BRIEF Rotator); the compiled sampler gathers eight
 //!   test pairs per AVX2 step where the CPU has it;
-//! * [`heap`] — the bounded best-1024 Heap filter;
+//! * [`heap`] — the bounded best-1024 Heap filter: the order the
+//!   extractor selects in, and the reference extractor's selector;
 //! * [`matcher`] — Hamming-distance brute-force matching (the BRIEF
 //!   Matcher, §3.2), dispatched down an avx512 → popcnt → scalar kernel
-//!   ladder;
+//!   ladder, its rows split across a worker pool;
 //! * [`orb`] — the complete extractor in the paper's rescheduled
 //!   detect → compute → filter order (§3.1; the Original-vs-Rescheduled
 //!   comparison is a hardware matter, modelled in `eslam-hw`);

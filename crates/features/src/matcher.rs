@@ -8,20 +8,25 @@
 //!
 //! * the nearest search, [`match_brute_force`] (tracking against the
 //!   map), held to [`match_brute_force_reference`];
-//! * the mutual search, [`match_mutual_with_kernel`] (the cross-checked
-//!   match of relocalization and loop verification), held to
-//!   [`match_mutual_reference`]: a nearest pass each way plus a
-//!   cross-check. The production search computes each distance once and
-//!   keeps two minima, each query's over the trains and each train's
-//!   over the queries.
+//! * the mutual search, [`match_mutual_in`] (relocalization's
+//!   cross-checked match) and [`match_mutual_with_kernel`] (the loop
+//!   verifier's), held to [`match_mutual_reference`]: a nearest pass
+//!   each way plus a cross-check. The production search computes each
+//!   distance once and keeps two minima, each query's over the trains
+//!   and each train's over the queries.
 //!
 //! The production kernels are cache-tiled over the `[u64; 4]` descriptor
 //! words — train tiles stay L1-resident while a block of query rows
-//! streams over them. The nearest search splits the query rows across a
-//! persistent [`WorkerPool`] on multicore hosts (the process-global pool
-//! for [`match_brute_force`], an explicit pool for
-//! [`match_brute_force_in`]); the mutual search runs on the calling
-//! thread.
+//! streams over them. Both searches split the query rows across a
+//! persistent [`WorkerPool`] on multicore hosts: the nearest search on
+//! the process-global pool for [`match_brute_force`] and an explicit
+//! pool for [`match_brute_force_in`], the mutual search on an explicit
+//! pool for [`match_mutual_in`]. Each piece of the mutual search keeps
+//! its own per-train key minima over its rows, keyed by global query
+//! index, and the pieces fold by `min`, so the split never shows in
+//! the result. [`match_mutual_with_kernel`] runs on the calling thread:
+//! the loop verifier calls it from a job that may already hold a pool
+//! worker.
 //!
 //! # Kernel dispatch ladder
 //!
@@ -289,7 +294,55 @@ pub fn match_mutual_with_kernel(
     }
     let mut rows = vec![(u32::MAX, 0u32); query.len()];
     let mut cols = vec![u64::MAX; train.len()];
-    mutual_rows_with(kernel, query, train, &mut rows, &mut cols);
+    mutual_rows_with(kernel, query, 0, train, &mut rows, &mut cols);
+    collect_mutual(&rows, &cols, max_distance)
+}
+
+/// [`match_mutual_with_kernel`] on the active rung, with the query rows
+/// split across `pool` by the rule of [`match_brute_force_in`]. Each
+/// piece runs the one-pass kernel over its rows into its own per-train
+/// key minima, which carry global query indices, and the pieces fold by
+/// `min`: a key minimum does not depend on how the queries are grouped,
+/// so the result is identical for any pool size, and bit-identical to
+/// [`match_mutual_reference`].
+pub fn match_mutual_in(
+    pool: &WorkerPool,
+    query: &[Descriptor],
+    train: &[Descriptor],
+    max_distance: u32,
+) -> Vec<DescriptorMatch> {
+    if query.is_empty() || train.is_empty() {
+        return Vec::new();
+    }
+    let kernel = active_kernel();
+    let chunk = row_chunk(pool, query.len());
+    let mut rows = vec![(u32::MAX, 0u32); query.len()];
+    // One column-key block of `train.len()` per piece.
+    let mut cols = vec![u64::MAX; train.len() * query.len().div_ceil(chunk)];
+    let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = query
+        .chunks(chunk)
+        .zip(rows.chunks_mut(chunk))
+        .zip(cols.chunks_mut(train.len()))
+        .enumerate()
+        .map(|(piece, ((q, r), c))| {
+            Box::new(move || mutual_rows_with(kernel, q, piece * chunk, train, r, c))
+                as Box<dyn FnOnce() + Send + '_>
+        })
+        .collect();
+    pool.scope_run(tasks);
+    let (folded, rest) = cols.split_at_mut(train.len());
+    for piece in rest.chunks_exact(train.len()) {
+        for (key, &other) in folded.iter_mut().zip(piece) {
+            *key = (*key).min(other);
+        }
+    }
+    collect_mutual(&rows, folded, max_distance)
+}
+
+/// Keeps query `q`'s row minimum `(distance, t)` when `q` is also train
+/// `t`'s nearest query (`cols[t]`'s low half) and the distance is
+/// within `max_distance`.
+fn collect_mutual(rows: &[(u32, u32)], cols: &[u64], max_distance: u32) -> Vec<DescriptorMatch> {
     rows.iter()
         .enumerate()
         .filter(|&(qi, &(d, ti))| d <= max_distance && cols[ti as usize] as u32 == qi as u32)
@@ -315,6 +368,14 @@ pub fn match_mutual_reference(
     cross_check(&forward, &backward)
 }
 
+/// Query rows per piece when `rows` rows split across `pool`: one piece
+/// per pool thread, but at least [`MIN_ROWS_PER_THREAD`] rows per piece
+/// beyond the first.
+fn row_chunk(pool: &WorkerPool, rows: usize) -> usize {
+    let threads = pool.threads().min(rows / MIN_ROWS_PER_THREAD).max(1);
+    rows.div_ceil(threads)
+}
+
 /// Splits `out` (one slot per query row) across the worker pool and runs
 /// `kernel` on each piece. Row order inside a piece is preserved and
 /// pieces are disjoint, so the result is independent of the split.
@@ -324,12 +385,11 @@ fn run_rows<T: Send>(
     out: &mut [T],
     kernel: impl Fn(&[Descriptor], &mut [T]) + Sync,
 ) {
-    let threads = pool.threads().min(query.len() / MIN_ROWS_PER_THREAD).max(1);
-    if threads == 1 {
+    let chunk = row_chunk(pool, query.len());
+    if chunk == query.len() {
         kernel(query, out);
         return;
     }
-    let chunk = query.len().div_ceil(threads);
     let kernel = &kernel;
     let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = query
         .chunks(chunk)
@@ -403,11 +463,13 @@ fn key(distance: u32, index: usize) -> u64 {
 /// Cache-tiled mutual search, the tiling and row pairing of
 /// [`nearest_rows_inner`]: `rows[i]` becomes query `i`'s minimum
 /// `(distance, train index)`, and `cols[j]` train `j`'s minimum
-/// [`key`] over the queries (`cols` starts at `u64::MAX`). A key
-/// minimum does not depend on the order the queries are visited in.
+/// [`key`] over the queries (`cols` starts at `u64::MAX`), where query
+/// `i` is numbered `first_query + i`. A key minimum does not depend on
+/// the order the queries are visited in.
 #[inline(always)]
 fn mutual_rows_inner(
     query: &[Descriptor],
+    first_query: usize,
     train: &[Descriptor],
     rows: &mut [(u32, u32)],
     cols: &mut [u64],
@@ -423,7 +485,7 @@ fn mutual_rows_inner(
             .zip(rows.chunks_mut(QUERY_BLOCK))
             .enumerate()
         {
-            let first = block_idx * QUERY_BLOCK;
+            let first = first_query + block_idx * QUERY_BLOCK;
             let even = q_block.len() & !1;
             let (q_even, q_rem) = q_block.split_at(even);
             let (o_even, o_rem) = o_block.split_at_mut(even);
@@ -470,11 +532,12 @@ fn mutual_rows_inner(
 #[target_feature(enable = "popcnt")]
 unsafe fn mutual_rows_popcnt(
     query: &[Descriptor],
+    first_query: usize,
     train: &[Descriptor],
     rows: &mut [(u32, u32)],
     cols: &mut [u64],
 ) {
-    mutual_rows_inner(query, train, rows, cols)
+    mutual_rows_inner(query, first_query, train, rows, cols)
 }
 
 /// The top rung: AVX-512 `vpopcntq`. A ZMM register holds **two**
@@ -594,6 +657,7 @@ mod avx512 {
     #[target_feature(enable = "avx512f", enable = "avx512vpopcntdq", enable = "popcnt")]
     pub(super) unsafe fn mutual_rows(
         query: &[Descriptor],
+        first_query: usize,
         train: &[Descriptor],
         rows: &mut [(u32, u32)],
         cols: &mut [u64],
@@ -610,7 +674,7 @@ mod avx512 {
             let rem = &tile[groups * GROUP..];
             let (group_cols, rem_cols) = tile_cols.split_at_mut(groups * GROUP);
             let mut col_keys = [_mm512_set1_epi64(KEY_SENTINEL as i64); TRAIN_TILE / GROUP];
-            for (qi, (q, o)) in query.iter().zip(rows.iter_mut()).enumerate() {
+            for (qi, (q, o)) in (first_query..).zip(query.iter().zip(rows.iter_mut())) {
                 let q2 = _mm512_broadcast_i64x4(_mm256_loadu_si256(q.words.as_ptr().cast()));
                 let q_index = _mm512_set1_epi64(qi as i64);
                 let mut idx = _mm512_add_epi64(_mm512_set1_epi64(base as i64), offsets);
@@ -647,11 +711,13 @@ mod avx512 {
     }
 }
 
-/// Runs the mutual-search row kernel for an explicit dispatch rung.
-/// An unsupported `kernel` falls back to the scalar rung.
+/// Runs the mutual-search row kernel for an explicit dispatch rung,
+/// numbering the queries from `first_query`. An unsupported `kernel`
+/// falls back to the scalar rung.
 fn mutual_rows_with(
     kernel: MatchKernel,
     query: &[Descriptor],
+    first_query: usize,
     train: &[Descriptor],
     rows: &mut [(u32, u32)],
     cols: &mut [u64],
@@ -660,15 +726,15 @@ fn mutual_rows_with(
     match kernel {
         MatchKernel::Avx512 if kernel.is_supported() => {
             // SAFETY: avx512f + avx512vpopcntdq + popcnt just checked.
-            return unsafe { avx512::mutual_rows(query, train, rows, cols) };
+            return unsafe { avx512::mutual_rows(query, first_query, train, rows, cols) };
         }
         MatchKernel::Popcnt if kernel.is_supported() => {
             // SAFETY: popcnt support just checked.
-            return unsafe { mutual_rows_popcnt(query, train, rows, cols) };
+            return unsafe { mutual_rows_popcnt(query, first_query, train, rows, cols) };
         }
         _ => {}
     }
-    mutual_rows_inner(query, train, rows, cols)
+    mutual_rows_inner(query, first_query, train, rows, cols)
 }
 
 /// Runs the nearest-neighbour row kernel for an explicit dispatch rung.

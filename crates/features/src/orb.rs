@@ -15,8 +15,11 @@
 //! [`ExtractionStats`]. The model's accelerator describes all M
 //! candidates; this extractor describes only each level's best N,
 //! `Σ min(M_level, N)`, since the heap can never keep the rest (the keep
-//! bound of [`crate::stream`]). [`OrbExtractor::extract_reference`] is
-//! the sequential scalar oracle of the production path.
+//! bound of [`crate::stream`]). The frame's best N are then picked by a
+//! select over compact score keys in the heap's order, which keeps and
+//! orders exactly what the heap would.
+//! [`OrbExtractor::extract_reference`] is the sequential scalar oracle
+//! of the production path, and runs the heap itself ([`BestHeap`]).
 
 use crate::brief::{pattern_fingerprint, OriginalBrief, PatternOffsets, RsBrief};
 use crate::descriptor::Descriptor;
@@ -31,6 +34,7 @@ use eslam_image::filter::gaussian_blur_7x7_fixed_reference;
 use eslam_image::pyramid::{ImagePyramid, PyramidConfig, PyramidScratch};
 use eslam_image::GrayImage;
 use eslam_telemetry::{Stage, Telemetry};
+use std::cmp::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -55,7 +59,8 @@ pub struct OrbConfig {
     pub pyramid: PyramidConfig,
     /// FAST intensity threshold.
     pub fast_threshold: u8,
-    /// Maximum features kept per frame (the Heap capacity, 1024).
+    /// Maximum features kept per frame (the Heap capacity, 1024); at
+    /// least 1.
     pub max_features: usize,
     /// Descriptor flavour.
     pub descriptor: DescriptorKind,
@@ -163,11 +168,11 @@ struct LevelScratch {
 }
 
 /// Caller-owned scratch for [`OrbExtractor::extract_with`]: holds the
-/// pyramid and every band's line buffers and result lists, so
-/// steady-state frames reuse them instead of reallocating (after the
-/// first frame of a given geometry). Each frame still allocates its
-/// band schedule, the boxed band tasks, the heap and the returned
-/// vectors.
+/// pyramid, every band's line buffers and result lists, and the keys of
+/// both selections, so steady-state frames reuse them instead of
+/// reallocating (after the first frame of a given geometry). Each frame
+/// still allocates its band schedule, the boxed band tasks, the merge's
+/// list of bands and the returned vectors.
 ///
 /// The scratch may also own a persistent [`WorkerPool`]
 /// ([`OrbScratch::with_threads`] / [`OrbScratch::with_pool`]); without
@@ -180,6 +185,8 @@ pub struct OrbScratch {
     levels: Vec<LevelScratch>,
     /// Selection scratch of the per-level keep bound.
     keys: Vec<ScoredPoint>,
+    /// Selection scratch of the frame merge.
+    merge_keys: Vec<MergeKey>,
     /// Owned worker pool; `None` → [`WorkerPool::global`].
     pool: Option<WorkerPool>,
     /// Telemetry sink extraction records into; `None` → telemetry off.
@@ -293,7 +300,16 @@ fn run_band_batch<'env, F: FnOnce() + Send + 'env>(
 impl OrbExtractor {
     /// Creates an extractor, generating the descriptor pattern from
     /// `config.pattern_seed`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `config.max_features` is 0: an extractor that may
+    /// keep no feature is a configuration bug, not an empty result.
     pub fn new(config: OrbConfig) -> Self {
+        assert!(
+            config.max_features >= 1,
+            "OrbConfig::max_features must be at least 1 (got 0)"
+        );
         let engine = match config.descriptor {
             DescriptorKind::RsBrief => Engine::Rs(RsBrief::new(config.pattern_seed)),
             DescriptorKind::OriginalLut => {
@@ -330,9 +346,12 @@ impl OrbExtractor {
     /// passes of the streaming front-end ([`crate::stream`]) as two
     /// batches on one depth-first schedule across the worker pool:
     /// detection, then description of each level's best
-    /// `max_features` candidates. Results merge in deterministic
-    /// (level, band) order, so the result — keypoints, descriptors, and
-    /// [`ExtractionStats`] — is identical to the sequential scalar
+    /// `max_features` candidates. The described candidates are numbered
+    /// in (level, band) order, the order they reach the reference's
+    /// heap, and the frame's best `max_features` are selected in the
+    /// heap's order (score descending, then that number) from compact
+    /// `(score, number)` keys, so the result — keypoints, descriptors,
+    /// and [`ExtractionStats`] — is identical to the sequential scalar
     /// reference ([`OrbExtractor::extract_reference`]) regardless of
     /// thread or band count.
     pub fn extract_with(&self, image: &GrayImage, scratch: &mut OrbScratch) -> OrbFeatures {
@@ -341,6 +360,7 @@ impl OrbExtractor {
             pyramid_scratch,
             levels,
             keys,
+            merge_keys,
             pool,
             telemetry,
         } = scratch;
@@ -407,24 +427,36 @@ impl OrbExtractor {
 
         // Deterministic merge in (level, band) order. Bands partition a
         // level's finalize rows in raster order, so reading them in band
-        // order *is* the level's sequential emission order: the heap sees
-        // the described candidates in the reference's order, and
-        // tie-breaking by arrival matches it bit-for-bit (stats sum per
-        // owning band for the same reason).
+        // order *is* the level's sequential emission order: the arrival
+        // numbers follow the reference's heap pushes, and breaking score
+        // ties by them matches it bit-for-bit (stats sum per owning band
+        // for the same reason).
         let mut stats = ExtractionStats {
             pixels_processed: pyramid.total_pixels(),
             ..Default::default()
         };
-        let mut heap: BestHeap<(Keypoint, Descriptor)> = BestHeap::new(self.config.max_features);
+        let mut described: Vec<&[(Keypoint, Descriptor)]> = Vec::new();
+        merge_keys.clear();
         for bs in levels.iter().flat_map(|ls| &ls.bands) {
             stats.fast_detections += bs.fast_count;
             stats.candidates += bs.candidates.len();
             stats.descriptors_computed += bs.results.len();
-            for &(kp, desc) in &bs.results {
-                heap.push(kp.score, (kp, desc));
-            }
+            let first = (described.len() as u64) << 32;
+            let keys = (first..).zip(&bs.results);
+            merge_keys.extend(keys.map(|(arrival, (kp, _))| (kp.score + 0.0, arrival)));
+            described.push(&bs.results);
         }
-        into_features(heap, stats)
+        select_best(merge_keys, self.config.max_features);
+        let (keypoints, descriptors): (Vec<Keypoint>, Vec<Descriptor>) = merge_keys
+            .iter()
+            .map(|&(_, arrival)| described[(arrival >> 32) as usize][arrival as u32 as usize])
+            .unzip();
+        stats.kept = keypoints.len();
+        OrbFeatures {
+            keypoints,
+            descriptors,
+            stats,
+        }
     }
 
     /// Sequential scalar reference of [`OrbExtractor::extract`]: the
@@ -563,7 +595,31 @@ impl OrbExtractor {
     }
 }
 
-/// Drains the heap, best first, into the extraction result.
+/// One described candidate of the frame merge: its Harris score plus
+/// `0.0`, which folds −0.0 into +0.0, and its arrival number, the band's
+/// slot in (level, band) order above bit 32 and the candidate's place in
+/// the band below it. The numbers order the candidates as they reach the
+/// reference's [`BestHeap`].
+type MergeKey = (f64, u64);
+
+/// [`BestHeap`]'s order on merge keys, best first: score descending,
+/// then arrival. With −0.0 folded away, `total_cmp` orders the finite
+/// scores as the heap's `partial_cmp` does.
+fn merge_order(a: &MergeKey, b: &MergeKey) -> Ordering {
+    b.0.total_cmp(&a.0).then(a.1.cmp(&b.1))
+}
+
+/// Leaves the `n` (≥ 1) best of `keys` in [`merge_order`], sorted: the
+/// items a [`BestHeap`] of capacity `n` keeps, in its drain order.
+fn select_best(keys: &mut Vec<MergeKey>, n: usize) {
+    if keys.len() > n {
+        keys.select_nth_unstable_by(n - 1, merge_order);
+        keys.truncate(n);
+    }
+    keys.sort_unstable_by(merge_order);
+}
+
+/// Drains the reference's heap, best first, into the extraction result.
 fn into_features(
     heap: BestHeap<(Keypoint, Descriptor)>,
     mut stats: ExtractionStats,
@@ -605,6 +661,15 @@ mod tests {
         assert_eq!(f.keypoints.len(), f.descriptors.len());
         assert!(f.stats.kept <= 1024);
         assert_eq!(f.stats.kept, f.len());
+    }
+
+    #[test]
+    #[should_panic(expected = "OrbConfig::max_features must be at least 1")]
+    fn zero_max_features_is_rejected() {
+        let _ = OrbExtractor::new(OrbConfig {
+            max_features: 0,
+            ..Default::default()
+        });
     }
 
     #[test]
@@ -788,6 +853,37 @@ mod tests {
             e.extract_with(&small, &mut scratch),
             e.extract_reference(&small)
         );
+    }
+
+    mod merge_props {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Scores with exact ties, signed zeros among them.
+        const SCORES: [f64; 5] = [-1.0, -0.0, 0.0, 0.5, 2.5];
+
+        proptest! {
+            /// The key select keeps what a `BestHeap` of the same
+            /// capacity keeps, in its drain order, when the keys arrive
+            /// in the heap's push order: repeated scores and −0.0
+            /// against +0.0 leave the arrival order to decide.
+            #[test]
+            fn key_select_is_the_heap_order(
+                picks in proptest::collection::vec(0usize..5, 0..40),
+                n in 1usize..48,
+            ) {
+                let mut heap = BestHeap::new(n);
+                let mut keys: Vec<MergeKey> = Vec::new();
+                for (arrival, &pick) in picks.iter().enumerate() {
+                    heap.push(SCORES[pick], arrival as u64);
+                    keys.push((SCORES[pick] + 0.0, arrival as u64));
+                }
+                select_best(&mut keys, n);
+                let selected: Vec<u64> = keys.iter().map(|&(_, arrival)| arrival).collect();
+                let kept: Vec<u64> = heap.into_sorted_vec().into_iter().map(|(_, a)| a).collect();
+                prop_assert_eq!(selected, kept);
+            }
+        }
     }
 
     #[test]

@@ -107,8 +107,11 @@
 //! level in raster order, so within one level the heap's order is the
 //! cutoff's order. A candidate with N better ones in its own level has
 //! N better ones in the frame and is never kept, and the candidates that
-//! are described reach the heap in the same relative order as they would
-//! if every candidate were.
+//! are described reach the frame's selection in the same relative order
+//! as they would if every candidate were. That selection runs in the
+//! heap's order too, over `(score, arrival)` keys in (level, band) order
+//! (`OrbExtractor::extract_with`'s merge), so a tie between levels at
+//! the frame's N-th place goes to the lower level, as in the heap.
 //! The cut is per level, never per band, so no count depends on the band
 //! split; each detection task pre-selects its own band's N best, so the
 //! serial select between the passes sees at most `bands · N` keys per
@@ -121,12 +124,14 @@
 //! the same Harris score in exact integer sums, the local NMS rule of
 //! [`crate::nms::suppress`], the same interior moments/descriptor
 //! paths), candidates are emitted in the reference's raster order per
-//! level, and the keep bound drops only candidates the heap never keeps
-//! — so keypoints, responses, angles, descriptors *and stats* are
-//! bit-identical to [`OrbExtractor::extract_reference`], which describes
-//! every candidate and reports the bound's `Σ min(M_level, N)`.
-//! `tests/stream_equivalence.rs` proves it across the paper sequences
-//! and on inputs where the bound cuts through exact score ties.
+//! level, the keep bound drops only candidates the heap never keeps, and
+//! the frame's selection keeps what the heap keeps — so keypoints,
+//! responses, angles, descriptors *and stats* are bit-identical to
+//! [`OrbExtractor::extract_reference`], which describes every candidate,
+//! pushes them through the heap and reports the bound's
+//! `Σ min(M_level, N)`. `tests/stream_equivalence.rs` proves it across
+//! the paper sequences and on inputs where the bound, or the frame's
+//! N-th place, cuts through exact score ties.
 //!
 //! # Band parallelism
 //!

@@ -15,11 +15,15 @@
 //! column minima the one-pass search carries, and on sets where every
 //! row or every column ties.
 //! The pooled entry points are proven independent of pool size,
-//! including pools wider than the host's core count.
+//! including pools wider than the host's core count; the pooled mutual
+//! search, [`match_mutual_in`], is held to [`match_mutual_reference`] on
+//! query counts straddling every split of the rows, with a train whose
+//! nearest-query tie crosses the split.
 
 use eslam_features::matcher::{
     active_kernel, match_brute_force, match_brute_force_in, match_brute_force_reference,
-    match_brute_force_with_kernel, match_mutual_reference, match_mutual_with_kernel, MatchKernel,
+    match_brute_force_with_kernel, match_mutual_in, match_mutual_reference,
+    match_mutual_with_kernel, MatchKernel,
 };
 use eslam_features::orb::{OrbConfig, OrbExtractor, OrbScratch};
 use eslam_features::pool::WorkerPool;
@@ -111,6 +115,16 @@ fn every_supported_kernel_handles_degenerate_descriptors() {
     }
 }
 
+/// Low-density descriptors: distances are small and tie often.
+fn sparse_set(n: usize, salt: u64) -> Vec<Descriptor> {
+    let a = descriptor_set(n, salt);
+    let b = descriptor_set(n, salt ^ 0x3c3c);
+    a.iter()
+        .zip(&b)
+        .map(|(x, y)| Descriptor::from_words(std::array::from_fn(|w| x.words[w] & y.words[w])))
+        .collect()
+}
+
 #[test]
 fn every_supported_kernel_matches_the_mutual_oracle_on_boundary_shapes() {
     // Train counts around the 8-train AVX-512 group and the 128-train
@@ -118,15 +132,7 @@ fn every_supported_kernel_matches_the_mutual_oracle_on_boundary_shapes() {
     // the row and the column minima cross every boundary.
     let train_counts = [7usize, 8, 9, 127, 128, 129, 257];
     let query_counts = [1usize, 9, 130];
-    // Low-density descriptors: distances are small and tie often.
-    let sparse = |n: usize, salt: u64| -> Vec<Descriptor> {
-        let a = descriptor_set(n, salt);
-        let b = descriptor_set(n, salt ^ 0x3c3c);
-        a.iter()
-            .zip(&b)
-            .map(|(x, y)| Descriptor::from_words(std::array::from_fn(|w| x.words[w] & y.words[w])))
-            .collect()
-    };
+    let sparse = sparse_set;
     for kernel in supported_kernels() {
         for nt in train_counts {
             for nq in query_counts {
@@ -210,6 +216,49 @@ fn pooled_matching_is_identical_for_any_pool_size() {
             "{threads} threads"
         );
     }
+}
+
+#[test]
+fn pooled_mutual_search_matches_the_oracle_on_every_split() {
+    // Pools split the rows into pieces of at least 64: query counts
+    // around one, two and three such pieces, and the reloc workload's
+    // 1,024; train counts around the 128-train tile whose column minima
+    // each piece carries, and the reloc workload's 979.
+    let query_counts = [63usize, 64, 65, 127, 128, 129, 1024];
+    let train_counts = [1usize, 127, 128, 129, 979];
+    let pools: Vec<WorkerPool> = [1usize, 2, 3, 5].into_iter().map(WorkerPool::new).collect();
+    for nq in query_counts {
+        for nt in train_counts {
+            let mut query = sparse_set(nq, 0x51 + nt as u64);
+            let mut train = sparse_set(nt, 0x15 + nq as u64);
+            // The first query row again as the last, which any split
+            // puts in another piece, and as a train: that train's
+            // nearest query ties at distance 0 across the split, and
+            // the lower index must win.
+            let tied = nt / 2;
+            query[nq - 1] = query[0];
+            train[tied] = query[0];
+            for max_d in [0, 64, u32::MAX] {
+                let expect = match_mutual_reference(&query, &train, max_d);
+                let wins = |q| expect.iter().any(|m| (m.query, m.distance) == (q, 0));
+                assert!(
+                    wins(0) && !wins(nq - 1),
+                    "{nq}x{nt}: no tie at train {tied}"
+                );
+                for pool in &pools {
+                    assert_eq!(
+                        match_mutual_in(pool, &query, &train, max_d),
+                        expect,
+                        "{nq}x{nt} max {max_d} on {} threads",
+                        pool.threads()
+                    );
+                }
+            }
+        }
+    }
+    let one = descriptor_set(1, 9);
+    assert!(match_mutual_in(&pools[1], &[], &one, u32::MAX).is_empty());
+    assert!(match_mutual_in(&pools[1], &one, &[], u32::MAX).is_empty());
 }
 
 #[test]

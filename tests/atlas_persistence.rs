@@ -15,9 +15,11 @@
 //!    2 cm of the ground-truth start pose;
 //! 3. **shared serving** — at least 4 concurrent sessions localize
 //!    against one [`Atlas`] while the writer keeps publishing: nobody
-//!    blocks anybody, every session converges on the same pose;
-//! 4. **oversized queries** — a cold query larger than the session's
-//!    camera localizes or returns `None`, and never panics.
+//!    blocks anybody, every session converges on the same pose, and a
+//!    session's pool size never shows in its poses;
+//! 4. **wrong-size queries** — a query whose size is not the session's
+//!    camera's is refused with `None`, cold or warm, and the session
+//!    keeps its state.
 
 use std::sync::Arc;
 
@@ -396,16 +398,59 @@ fn concurrent_sessions_share_one_atlas_without_starving_the_writer() {
     }
 }
 
-// ------------------------------------------------- oversized queries
+/// Every float of a pose, as bits.
+fn pose_bits(pose: &Se3) -> Vec<u64> {
+    let t = pose.translation;
+    (pose.rotation.m.iter().flatten())
+        .chain([&t.x, &t.y, &t.z])
+        .map(|v| v.to_bits())
+        .collect()
+}
 
-/// A frame larger than the session's camera must not panic the cold
-/// start. A 160×120 atlas gets a 320×240 query: the first 160×120 view
-/// tiled 2×2. Its keypoints right of and below the first copy lie
-/// outside the camera's image, and so outside the cell grid of the
-/// refine's projection-guided match, whenever relocalization hands the
-/// refine a pose.
+/// A session splits each relocalization's candidate match across its
+/// own pool: cold sessions on one and on two worker threads localize
+/// every frame of the circle to the same pose bits and inlier counts.
 #[test]
-fn an_oversized_query_localizes_or_fails_without_panicking() {
+fn cold_sessions_localize_identically_on_one_and_two_threads() {
+    let spec = &SequenceSpec::loop_sequences(LOOP_FRAMES, IMAGE_SCALE)[0];
+    let seq = spec.build();
+    let (atlas, _) = map_circle(&seq);
+    let session_on = |threads| {
+        let mut cfg = config();
+        cfg.worker_threads = Some(threads);
+        Session::new(Arc::clone(&atlas), cfg)
+    };
+    let (mut one, mut two) = (session_on(1), session_on(2));
+    let mut localized = 0;
+    for (i, frame) in seq.frames().enumerate() {
+        let cold = |session: &mut Session| {
+            session.reset();
+            let localization = session.localize(&frame.gray)?;
+            assert!(
+                localization.cold_start,
+                "frame {i}: reset sessions start cold"
+            );
+            Some((pose_bits(&localization.pose_w2c), localization.inliers))
+        };
+        let on_one = cold(&mut one);
+        assert_eq!(on_one, cold(&mut two), "frame {i}");
+        localized += usize::from(on_one.is_some());
+    }
+    assert!(
+        localized > LOOP_FRAMES / 2,
+        "{localized} of {LOOP_FRAMES} frames localized"
+    );
+}
+
+// ------------------------------------------------ wrong-size queries
+
+/// A frame whose size is not the session's camera's is refused before
+/// extraction: its keypoints would be solved with intrinsics that do
+/// not describe it. A 160×120 atlas gets a 320×240 query (the first
+/// view tiled 2×2) and an 80×60 one (every other pixel of it), both
+/// while cold and while warm; neither moves the session's state.
+#[test]
+fn a_query_of_the_wrong_size_is_refused() {
     let spec = &SequenceSpec::loop_sequences(LOOP_FRAMES, IMAGE_SCALE)[0];
     let seq = spec.build();
     let (atlas, _) = map_circle(&seq);
@@ -416,13 +461,22 @@ fn an_oversized_query_localizes_or_fails_without_panicking() {
     let camera = config().camera;
     assert_eq!((w, h), (camera.width, camera.height));
     let tiled = GrayImage::from_fn(2 * w, 2 * h, |x, y| frame.gray.get(x % w, y % h));
+    let half = GrayImage::from_fn(w / 2, h / 2, |x, y| frame.gray.get(2 * x, 2 * y));
     let mut session = Session::new(atlas, config());
-    if let Some(localization) = session.localize(&tiled) {
-        assert!(localization.cold_start, "the session had no warm pose");
-        let c2w = localization.pose_c2w();
-        assert!(
-            c2w.translation.norm().is_finite(),
-            "a returned pose is finite"
-        );
+    for wrong in [&tiled, &half] {
+        assert_eq!(session.localize(wrong), None);
+        assert!(!session.is_tracking(), "a refused frame warms nothing");
     }
+    let cold = session
+        .localize(&frame.gray)
+        .expect("the camera-sized frame localizes");
+    assert!(cold.cold_start);
+    for wrong in [&tiled, &half] {
+        assert_eq!(session.localize(wrong), None);
+        assert!(session.is_tracking(), "a refused frame keeps the warm pose");
+    }
+    let warm = session
+        .localize(&frame.gray)
+        .expect("the warm session tracks the same view again");
+    assert!(!warm.cold_start);
 }

@@ -191,6 +191,45 @@ fn streaming_bit_identical_for_all_descriptor_kinds() {
 }
 
 #[test]
+fn streaming_bit_identical_when_the_frame_cut_ties_across_levels() {
+    // Capacities N at which the frame's N-th and (N+1)-th best
+    // candidates score exactly alike on different levels: both are
+    // described (neither has N better candidates on its own level), and
+    // only the arrival order of the merge, level by level, keeps the
+    // lower level's.
+    let ties = tied_pairs(160, 120);
+    let every = OrbExtractor::new(OrbConfig {
+        max_features: 4096,
+        ..Default::default()
+    })
+    .extract(&ties);
+    assert!(every.stats.kept < 4096);
+    // Every candidate is kept, so `every` lists the frame in the heap's
+    // order.
+    let cuts: Vec<usize> = (every.keypoints.windows(2).enumerate())
+        .filter(|(_, pair)| pair[0].score == pair[1].score && pair[0].level != pair[1].level)
+        .map(|(i, _)| i + 1)
+        .collect();
+    assert!(!cuts.is_empty(), "no exact score tie across levels");
+    for &max_features in cuts.iter().take(3) {
+        let config = OrbConfig {
+            max_features,
+            ..Default::default()
+        };
+        let oracle = OrbExtractor::new(config).extract_reference(&ties);
+        assert_eq!(oracle.keypoints, every.keypoints[..max_features]);
+        for bands in 1..=4 {
+            let extractor = OrbExtractor::new(OrbConfig {
+                bands: BandMode::Fixed(bands),
+                ..config
+            });
+            let streamed = extractor.extract_with(&ties, &mut OrbScratch::default());
+            assert_eq!(streamed, oracle, "N {max_features} bands {bands}");
+        }
+    }
+}
+
+#[test]
 fn streaming_bit_identical_across_worker_pool_shapes() {
     // The default one-band-per-thread split must not perturb the
     // result: 1 thread, a small pool, and the process-global pool all
